@@ -27,7 +27,13 @@ void BM_SpectralEmbedding(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SpectralEmbedding)->Arg(50)->Arg(100)->Arg(200)->Complexity();
+BENCHMARK(BM_SpectralEmbedding)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(300)
+    ->Arg(500)
+    ->Complexity();
 
 void BM_KMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -122,7 +122,8 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
     // Similarity = number of connections between two neurons (0, 1 or 2
     // directed connections collapse to one undirected edge of weight 1;
     // the clustering objective only needs "connected or not" because the
-    // connection matrix is binary — Sec. 3.2).
+    // connection matrix is binary — Sec. 3.2). The weight matrix is a
+    // temporary, so the normalized Laplacian is built in its storage.
     embedding = linalg::laplacian_embedding(network.symmetrized_dense());
   }
   apply_tie_breaking_jitter(embedding.vectors);

@@ -45,4 +45,9 @@ EigenDecomposition generalized_symmetric_eigen(
 EigenDecomposition laplacian_embedding(const Matrix& weights,
                                        const GeneralizedEigenOptions& options = {});
 
+/// Same result, bit for bit, but builds D^{-1/2} L D^{-1/2} in W's own
+/// storage instead of in two extra n x n matrices, consuming W.
+EigenDecomposition laplacian_embedding(Matrix&& weights,
+                                       const GeneralizedEigenOptions& options = {});
+
 }  // namespace autoncs::linalg

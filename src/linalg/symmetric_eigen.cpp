@@ -15,66 +15,105 @@ namespace {
 // Householder reduction of a real symmetric matrix (stored in z) to
 // tridiagonal form; d receives the diagonal and e the subdiagonal
 // (e[0] unused). On exit z holds the accumulated orthogonal transform.
-// Classic tred2 (EISPACK / Numerical Recipes formulation).
+// Classic tred2 (EISPACK / Numerical Recipes formulation), reading only the
+// lower triangle of its input. Every O(n^3) loop walks rows of the
+// row-major storage, yet each element sees the textbook's floating-point
+// operations in the textbook's order: results must stay bit-identical
+// (golden digests in tests/linalg/eigen_test.cpp).
 void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
   const std::size_t n = z.rows();
+  double* const base = z.data().data();
+  const auto row = [base, n](std::size_t r) { return base + r * n; };
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
+    double* const zi = row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(z(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(zi[k]);
       if (scale == 0.0) {
-        e[i] = z(i, l);
+        e[i] = zi[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
+          zi[k] /= scale;
+          h += zi[k] * zi[k];
         }
-        double f = z(i, l);
+        double f = zi[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        z(i, l) = f - g;
+        zi[l] = f - g;
+        // e = A u over the active lower triangle (u = row i). Row k holds
+        // A(k, 0..k): its dot product with u starts e[k], and by symmetry
+        // it adds A(k, j) u_k to every e[j], j < k. So each e[j] sums its
+        // terms in the textbook order: A(j, 0..j), then A(j+1..l, j).
+        for (std::size_t k = 0; k <= l; ++k) {
+          const double* const zk = row(k);
+          const double uk = zi[k];
+          g = 0.0;
+          for (std::size_t j = 0; j < k; ++j) {
+            g += zk[j] * zi[j];
+            e[j] += zk[j] * uk;
+          }
+          e[k] = g + zk[k] * uk;
+        }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          z(j, i) = z(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[j] = g / h;
-          f += e[j] * z(i, j);
+          row(j)[i] = zi[j] / h;
+          e[j] /= h;
+          f += e[j] * zi[j];
         }
         const double hh = f / (h + h);
+        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * zi[j];
+        // Rank-2 update of the lower triangle, one row at a time.
         for (std::size_t j = 0; j <= l; ++j) {
-          f = z(i, j);
-          e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k)
-            z(j, k) -= f * e[k] + g * z(i, k);
+          double* const zj = row(j);
+          f = zi[j];
+          g = e[j];
+          for (std::size_t k = 0; k <= j; ++k) zj[k] -= f * e[k] + g * zi[k];
         }
       }
     } else {
-      e[i] = z(i, l);
+      e[i] = zi[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
+  // Back-accumulation: for each reflector, g = u^T Z over the leading i x i
+  // block as a vector-matrix product (each g[j] still sums k = 0..i-1 in
+  // order), then the rank-1 update Z -= (u / h) g^T row by row.
+  std::vector<double> g(n);
   for (std::size_t i = 0; i < n; ++i) {
+    double* const zi = row(i);
     if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < i; ++k) g += z(i, k) * z(k, j);
-        for (std::size_t k = 0; k < i; ++k) z(k, j) -= g * z(k, i);
+      std::fill_n(g.begin(), i, 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double* const zk = row(k);
+        const double uk = zi[k];
+        for (std::size_t j = 0; j < i; ++j) g[j] += uk * zk[j];
+      }
+      for (std::size_t k = 0; k < i; ++k) {
+        double* const zk = row(k);
+        const double vk = zk[i];
+        for (std::size_t j = 0; j < i; ++j) zk[j] -= g[j] * vk;
       }
     }
-    d[i] = z(i, i);
-    z(i, i) = 1.0;
+    d[i] = zi[i];
+    zi[i] = 1.0;
     for (std::size_t j = 0; j < i; ++j) {
-      z(j, i) = 0.0;
-      z(i, j) = 0.0;
+      row(j)[i] = 0.0;
+      zi[j] = 0.0;
     }
   }
+}
+
+void transpose_in_place(Matrix& z) {
+  const std::size_t n = z.rows();
+  double* const base = z.data().data();
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = r + 1; c < n; ++c)
+      std::swap(base[r * n + c], base[c * n + r]);
 }
 
 inline double pythag(double a, double b) {
@@ -90,11 +129,13 @@ inline double pythag(double a, double b) {
   return absb * std::sqrt(1.0 + r * r);
 }
 
-// QL with implicit shifts on a symmetric tridiagonal matrix; accumulates
-// the rotations into z so its columns become the eigenvectors. Classic tql2.
-void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z) {
+// QL with implicit shifts on a symmetric tridiagonal matrix. Classic tql2,
+// except that it accumulates the rotations into zt = Q^T: each rotation
+// combines two contiguous rows, and the rows of zt become the eigenvectors.
+void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& zt) {
   const std::size_t n = d.size();
   if (n == 0) return;
+  double* const base = zt.data().data();
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
   for (std::size_t l = 0; l < n; ++l) {
@@ -137,10 +178,12 @@ void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* const zi = base + i * n;
+          double* const zi1 = zi + n;
           for (std::size_t k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+            f = zi1[k];
+            zi1[k] = s * zi[k] + c * f;
+            zi[k] = c * zi[k] - s * f;
           }
         }
         if (underflow) continue;
@@ -155,10 +198,11 @@ void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z) {
 // Cyclic Jacobi rotation method. Roughly an order of magnitude slower than
 // tred2/tql2 but unconditionally convergent for symmetric input; used as a
 // fallback when QL stalls (which can happen on graph Laplacians with many
-// exactly-repeated eigenvalues).
-void jacobi_eigen(Matrix& a, Matrix& v, std::vector<double>& d) {
+// exactly-repeated eigenvalues). Like tql2 it accumulates vt = V^T, whose
+// rows are the eigenvectors.
+void jacobi_eigen(Matrix& a, Matrix& vt, std::vector<double>& d) {
   const std::size_t n = a.rows();
-  v = Matrix::identity(n);
+  vt = Matrix::identity(n);
   constexpr std::size_t kMaxSweeps = 100;
   for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double off = 0.0;
@@ -190,10 +234,10 @@ void jacobi_eigen(Matrix& a, Matrix& v, std::vector<double>& d) {
             a(k, q) = akq + s * (akp - tau * akq);
             a(q, k) = a(k, q);
           }
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = vkp - s * (vkq + tau * vkp);
-          v(k, q) = vkq + s * (vkp - tau * vkq);
+          const double vkp = vt(p, k);
+          const double vkq = vt(q, k);
+          vt(p, k) = vkp - s * (vkq + tau * vkp);
+          vt(q, k) = vkq + s * (vkp - tau * vkq);
         }
       }
     }
@@ -221,6 +265,7 @@ EigenDecomposition symmetric_eigen(const Matrix& a) {
   }
   try {
     tred2(z, d, e);
+    transpose_in_place(z);
     tql2(d, e, z);
   } catch (const std::runtime_error&) {
     // QL stalled; fall back to the unconditionally convergent Jacobi method.
@@ -228,16 +273,17 @@ EigenDecomposition symmetric_eigen(const Matrix& a) {
     jacobi_eigen(work, z, d);
   }
 
-  // Sort ascending, permuting eigenvector columns along.
+  // Sort ascending; row order[j] of z = Q^T is eigenvector column j.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t i, std::size_t j) { return d[i] < d[j]; });
   out.values.resize(n);
   out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+  for (std::size_t j = 0; j < n; ++j) out.values[j] = d[order[j]];
+  for (std::size_t i = 0; i < n; ++i) {
+    double* const dst = out.vectors.row(i).data();
+    for (std::size_t j = 0; j < n; ++j) dst[j] = z.data()[order[j] * n + i];
   }
   return out;
 }

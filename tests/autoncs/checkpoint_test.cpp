@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "autoncs/pipeline.hpp"
 #include "autoncs/telemetry.hpp"
@@ -174,6 +176,36 @@ TEST_F(CheckpointTest, ConfigHashIsStableAndSensitive) {
   FlowConfig c = fast_config();
   c.telemetry.trace_path = "/tmp/trace.json";
   EXPECT_EQ(checkpoint::config_hash(a), checkpoint::config_hash(c));
+}
+
+TEST_F(CheckpointTest, ConfigHashCoversPlacerAndRouterKnobs) {
+  // Each of these changes the flow's result, so a checkpoint saved under
+  // the old value must not resume as compatible.
+  const std::vector<std::pair<const char*, void (*)(FlowConfig&)>> edits = {
+      {"legalizer.margin", [](FlowConfig& c) { c.placer.legalizer.margin *= 2.0; }},
+      {"legalizer.max_passes", [](FlowConfig& c) { c.placer.legalizer.max_passes += 1; }},
+      {"legalizer.overlap_tolerance",
+       [](FlowConfig& c) { c.placer.legalizer.overlap_tolerance *= 2.0; }},
+      {"legalizer.use_flat_grid",
+       [](FlowConfig& c) { c.placer.legalizer.use_flat_grid = !c.placer.legalizer.use_flat_grid; }},
+      {"cg.armijo_c1", [](FlowConfig& c) { c.placer.cg.armijo_c1 *= 2.0; }},
+      {"cg.backtrack", [](FlowConfig& c) { c.placer.cg.backtrack *= 0.5; }},
+      {"cg.max_backtracks", [](FlowConfig& c) { c.placer.cg.max_backtracks += 1; }},
+      {"cg.initial_step", [](FlowConfig& c) { c.placer.cg.initial_step *= 2.0; }},
+      {"cg.value_only_trials",
+       [](FlowConfig& c) { c.placer.cg.value_only_trials = !c.placer.cg.value_only_trials; }},
+      {"cg.max_recovery_restarts",
+       [](FlowConfig& c) { c.placer.cg.max_recovery_restarts += 1; }},
+      {"router.strict_capacity",
+       [](FlowConfig& c) { c.router.strict_capacity = !c.router.strict_capacity; }},
+  };
+  const FlowConfig base = fast_config();
+  for (const auto& [name, edit] : edits) {
+    FlowConfig changed = fast_config();
+    edit(changed);
+    EXPECT_NE(checkpoint::config_hash(base), checkpoint::config_hash(changed))
+        << name;
+  }
 }
 
 TEST_F(CheckpointTest, MissingDirectoryIsCreatedOnSave) {
