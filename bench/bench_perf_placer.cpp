@@ -2,12 +2,16 @@
 //
 // Sweeps the cell count and runs the full analytical placer (Alg. 4) both
 // ways at one thread: the legacy engine (gradient on every Armijo trial,
-// per-evaluation unordered_map spatial hash) and the fast engine
-// (value-only trials, reusable flat uniform grid, cached WA exponentials).
-// The two engines must land on BIT-identical placements — the bench
-// verifies it on every size — so the speedup is pure evaluation-engine
-// work, not a different trajectory. The largest size is also placed with
-// the full thread pool to report the multithreaded wall time.
+// per-evaluation unordered_map spatial hash, quadratic legalizer sweep)
+// and the fast engine (value-only trials, reusable mixed-size pair index,
+// live-grid legalizer sweep, cached WA exponentials). Each size runs two
+// instances: uniform cells of 0.5-3 um, and a mixed-size one with ~5%
+// macros of 10-20 um among 1-2.5 um cells (the AutoNCS shape, where the
+// macro/small split of place/spatial_grid.hpp matters). The two engines
+// must land on BIT-identical placements — the bench verifies it on every
+// row — so the speedup is pure evaluation-engine work, not a different
+// trajectory. The largest uniform size is also placed with the full
+// thread pool to report the multithreaded wall time.
 //
 // Usage: bench_perf_placer [max_n]
 //   max_n caps the size sweep (default 8000, where the legacy engine's
@@ -33,14 +37,22 @@ namespace {
 using namespace autoncs;
 
 /// Synthetic placement instance: random cell sizes, a sparse mix of
-/// two-pin and multi-pin wires (~4 wires per cell).
-netlist::Netlist bench_netlist(std::size_t cells) {
+/// two-pin and multi-pin wires (~4 wires per cell). `mixed` makes every
+/// 20th cell a 10-20 um macro among 1-2.5 um cells.
+netlist::Netlist bench_netlist(std::size_t cells, bool mixed) {
   util::Rng rng(2015);
   netlist::Netlist net;
   for (std::size_t c = 0; c < cells; ++c) {
     netlist::Cell cell;
-    cell.width = rng.uniform(0.5, 3.0);
-    cell.height = rng.uniform(0.5, 3.0);
+    if (!mixed) {
+      cell.width = rng.uniform(0.5, 3.0);
+      cell.height = rng.uniform(0.5, 3.0);
+    } else if (c % 20 == 7) {
+      cell.width = cell.height = rng.uniform(10.0, 20.0);
+    } else {
+      cell.width = rng.uniform(1.0, 2.5);
+      cell.height = rng.uniform(1.0, 2.5);
+    }
     net.cells.push_back(cell);
   }
   for (std::size_t w = 0; w < cells * 4; ++w) {
@@ -78,56 +90,78 @@ int main(int argc, char** argv) {
   for (std::size_t n = 500; n <= max_n; n *= 2) sizes.push_back(n);
   if (sizes.empty() || sizes.back() != max_n) sizes.push_back(max_n);
 
-  util::ConsoleTable table({"n", "legacy (ms)", "fast (ms)", "speedup",
-                            "value evals", "grad evals", "grid builds",
+  util::ConsoleTable table({"n", "cells", "legacy (ms)", "fast (ms)",
+                            "speedup", "value evals", "grad evals",
+                            "density kept/cand", "legal sep/checked",
                             "identical"});
   util::CsvWriter csv(bench::output_path("perf_placer.csv"),
-                      {"n", "legacy_ms", "fast_ms", "speedup", "value_evals",
-                       "gradient_evals", "grid_builds", "bit_identical"});
+                      {"n", "mixed", "legacy_ms", "fast_ms", "speedup",
+                       "value_evals", "gradient_evals", "grid_builds",
+                       "pair_candidates", "pairs_kept",
+                       "legalize_pairs_checked", "legalize_separations",
+                       "bit_identical"});
 
   bool all_identical = true;
   bool grad_le_value = true;
-  double largest_legacy_ms = 0.0;
-  double largest_fast_ms = 0.0;
-  double largest_speedup = 0.0;
-  place::PlacementReport largest_report;
+  // Largest row of each instance kind: {legacy_ms, fast_ms, report}.
+  struct Row {
+    double legacy_ms = 0.0;
+    double fast_ms = 0.0;
+    place::PlacementReport report;
+  };
+  Row largest[2];
 
   for (std::size_t n : sizes) {
-    netlist::Netlist legacy_net = bench_netlist(n);
-    util::WallTimer timer;
-    place::place(legacy_net, bench_options(1, true));
-    const double legacy_ms = timer.elapsed_ms();
+    for (const bool mixed : {false, true}) {
+      netlist::Netlist legacy_net = bench_netlist(n, mixed);
+      util::WallTimer timer;
+      place::place(legacy_net, bench_options(1, true));
+      const double legacy_ms = timer.elapsed_ms();
 
-    netlist::Netlist fast_net = bench_netlist(n);
-    timer.restart();
-    const auto fast_report = place::place(fast_net, bench_options(1, false));
-    const double fast_ms = timer.elapsed_ms();
+      netlist::Netlist fast_net = bench_netlist(n, mixed);
+      timer.restart();
+      const auto fast_report = place::place(fast_net, bench_options(1, false));
+      const double fast_ms = timer.elapsed_ms();
 
-    const bool identical = place::pack_positions(legacy_net) ==
-                           place::pack_positions(fast_net);
-    all_identical = all_identical && identical;
-    for (const auto& outer : fast_report.outer) {
-      grad_le_value =
-          grad_le_value && outer.cg_gradient_evals <= outer.cg_value_evals;
+      const bool identical = place::pack_positions(legacy_net) ==
+                             place::pack_positions(fast_net);
+      all_identical = all_identical && identical;
+      for (const auto& outer : fast_report.outer) {
+        grad_le_value =
+            grad_le_value && outer.cg_gradient_evals <= outer.cg_value_evals;
+      }
+
+      const double speedup = fast_ms > 0.0 ? legacy_ms / fast_ms : 0.0;
+      largest[mixed ? 1 : 0] = {legacy_ms, fast_ms, fast_report};
+      const auto& legal = fast_report.legalization;
+      table.add_row(
+          {std::to_string(n), mixed ? "mixed" : "uniform",
+           util::fmt_double(legacy_ms, 1), util::fmt_double(fast_ms, 1),
+           util::fmt_double(speedup, 2),
+           std::to_string(fast_report.cg_value_evals_total),
+           std::to_string(fast_report.cg_gradient_evals_total),
+           std::to_string(fast_report.density_pairs_kept_total) + "/" +
+               std::to_string(fast_report.density_pair_candidates_total),
+           std::to_string(legal.separations) + "/" +
+               std::to_string(legal.pairs_checked),
+           identical ? "yes" : "NO"});
+      csv.row_values(
+          {static_cast<double>(n), mixed ? 1.0 : 0.0, legacy_ms, fast_ms,
+           speedup, static_cast<double>(fast_report.cg_value_evals_total),
+           static_cast<double>(fast_report.cg_gradient_evals_total),
+           static_cast<double>(fast_report.density_grid_builds_total),
+           static_cast<double>(fast_report.density_pair_candidates_total),
+           static_cast<double>(fast_report.density_pairs_kept_total),
+           static_cast<double>(legal.pairs_checked),
+           static_cast<double>(legal.separations), identical ? 1.0 : 0.0});
     }
-
-    const double speedup = fast_ms > 0.0 ? legacy_ms / fast_ms : 0.0;
-    largest_legacy_ms = legacy_ms;
-    largest_fast_ms = fast_ms;
-    largest_speedup = speedup;
-    largest_report = fast_report;
-    table.add_row({std::to_string(n), util::fmt_double(legacy_ms, 1),
-                   util::fmt_double(fast_ms, 1), util::fmt_double(speedup, 2),
-                   std::to_string(fast_report.cg_value_evals_total),
-                   std::to_string(fast_report.cg_gradient_evals_total),
-                   std::to_string(fast_report.density_grid_builds_total),
-                   identical ? "yes" : "NO"});
-    csv.row_values({static_cast<double>(n), legacy_ms, fast_ms, speedup,
-                    static_cast<double>(fast_report.cg_value_evals_total),
-                    static_cast<double>(fast_report.cg_gradient_evals_total),
-                    static_cast<double>(fast_report.density_grid_builds_total),
-                    identical ? 1.0 : 0.0});
   }
+  const double largest_legacy_ms = largest[0].legacy_ms;
+  const double largest_fast_ms = largest[0].fast_ms;
+  const place::PlacementReport& largest_report = largest[0].report;
+  const double largest_speedup =
+      largest_fast_ms > 0.0 ? largest_legacy_ms / largest_fast_ms : 0.0;
+  const Row& mixed_row = largest[1];
   std::printf("%s", table.render().c_str());
 
   // Multithreaded wall time at the largest size (bit-identical by the
@@ -140,7 +174,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kMtThreadsRequested = 8;
   const std::size_t mt_threads = util::resolve_thread_count(kMtThreadsRequested);
   const std::size_t hardware_threads = std::thread::hardware_concurrency();
-  netlist::Netlist mt_net = bench_netlist(sizes.back());
+  netlist::Netlist mt_net = bench_netlist(sizes.back(), false);
   util::WallTimer timer;
   place::place(mt_net, bench_options(mt_threads, false));
   const double fast_mt_ms = timer.elapsed_ms();
@@ -152,7 +186,8 @@ int main(int argc, char** argv) {
                 "overhead, not scaling.\n",
                 mt_threads, hardware_threads);
   }
-  std::printf("placements bit-identical (fast vs legacy): %s\n",
+  std::printf("placements bit-identical (fast vs legacy, uniform and "
+              "mixed-size): %s\n",
               all_identical ? "yes" : "NO — determinism violated");
   std::printf("gradient evals <= value evals in every CG run: %s\n",
               grad_le_value ? "yes" : "NO");
@@ -176,6 +211,19 @@ int main(int argc, char** argv) {
         static_cast<double>(largest_report.density_grid_builds_total)},
        {"grid_reallocations",
         static_cast<double>(largest_report.density_grid_reallocations)},
+       {"mixed_legacy_ms", mixed_row.legacy_ms},
+       {"mixed_fast_ms", mixed_row.fast_ms},
+       {"mixed_speedup", mixed_row.fast_ms > 0.0
+                             ? mixed_row.legacy_ms / mixed_row.fast_ms
+                             : 0.0},
+       {"mixed_pair_candidates",
+        static_cast<double>(mixed_row.report.density_pair_candidates_total)},
+       {"mixed_pairs_kept",
+        static_cast<double>(mixed_row.report.density_pairs_kept_total)},
+       {"mixed_legalize_pairs_checked",
+        static_cast<double>(mixed_row.report.legalization.pairs_checked)},
+       {"mixed_legalize_separations",
+        static_cast<double>(mixed_row.report.legalization.separations)},
        {"bit_identical", all_identical ? 1.0 : 0.0}});
   return (all_identical && grad_le_value) ? 0 : 1;
 }

@@ -307,6 +307,11 @@ bool save_placement(const std::string& dir, const FlowConfig& config,
       .field("cg_gradient_evals_total", report.cg_gradient_evals_total)
       .field("density_grid_builds_total", report.density_grid_builds_total)
       .field("density_grid_reallocations", report.density_grid_reallocations)
+      .field("density_pair_candidates_total",
+             report.density_pair_candidates_total)
+      .field("density_pairs_kept_total", report.density_pairs_kept_total)
+      .field("legalization_pairs_checked", report.legalization.pairs_checked)
+      .field("legalization_separations", report.legalization.separations)
       .field("budget_exhausted", report.budget_exhausted)
       .field("degraded", report.degraded);
   w.end_object();
@@ -370,6 +375,14 @@ std::optional<PlacementState> load_placement(const std::string& dir,
                 r.density_grid_builds_total) ||
       !get_size(*report, "density_grid_reallocations",
                 r.density_grid_reallocations) ||
+      !get_size(*report, "density_pair_candidates_total",
+                r.density_pair_candidates_total) ||
+      !get_size(*report, "density_pairs_kept_total",
+                r.density_pairs_kept_total) ||
+      !get_size(*report, "legalization_pairs_checked",
+                r.legalization.pairs_checked) ||
+      !get_size(*report, "legalization_separations",
+                r.legalization.separations) ||
       !get_bool(*report, "budget_exhausted", r.budget_exhausted) ||
       !get_bool(*report, "degraded", r.degraded)) {
     warn(path, "malformed placement report payload", recovery);

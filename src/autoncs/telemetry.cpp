@@ -193,6 +193,13 @@ void write_result(util::JsonWriter& w, const FlowConfig& config,
       .field("density_grid_builds", result.placement.density_grid_builds_total)
       .field("density_grid_reallocations",
              result.placement.density_grid_reallocations)
+      .field("density_pair_candidates",
+             result.placement.density_pair_candidates_total)
+      .field("density_pairs_kept", result.placement.density_pairs_kept_total)
+      .field("legalization_pairs_checked",
+             result.placement.legalization.pairs_checked)
+      .field("legalization_separations",
+             result.placement.legalization.separations)
       .field("budget_exhausted", result.placement.budget_exhausted)
       .field("degraded", result.placement.degraded);
   w.end_object();

@@ -1,7 +1,6 @@
 #include "place/density.hpp"
 
 #include <algorithm>
-#include <type_traits>
 #include <unordered_map>
 
 #include "util/check.hpp"
@@ -16,8 +15,8 @@ namespace {
 /// determinism regression test and the bench_perf_placer baseline. Note
 /// `pack` truncates bin coordinates to 32 bits, so bins ~2^32 buckets
 /// apart alias into one bucket — harmless for values (aliased candidates
-/// fail the softplus tail check) but wasteful; the flat grid
-/// (place/spatial_grid.hpp) keeps exact 64-bit bin coordinates.
+/// fail the softplus tail check) but wasteful; the grids of
+/// place/spatial_grid.hpp keep exact 64-bit bin coordinates.
 class SpatialHash {
  public:
   SpatialHash(const netlist::Netlist& netlist, const std::vector<double>& state,
@@ -69,132 +68,81 @@ double max_virtual_half_extent(const netlist::Netlist& netlist, double omega) {
   return out;
 }
 
+/// Sorts a row's pairs by rank (ranks are distinct). Rows hold a handful
+/// of pairs, where insertion sort beats std::sort's setup.
+template <typename Term>
+void sort_by_rank(std::vector<Term>& list) {
+  if (list.size() > 32) {
+    std::sort(list.begin(), list.end(), [](const Term& a, const Term& b) {
+      return a.rank < b.rank;
+    });
+    return;
+  }
+  for (std::size_t a = 1; a < list.size(); ++a) {
+    if (list[a - 1].rank < list[a].rank) continue;
+    const Term term = list[a];
+    std::size_t b = a;
+    for (; b > 0 && list[b - 1].rank > term.rank; --b) list[b] = list[b - 1];
+    list[b] = term;
+  }
+}
+
 }  // namespace
 
-template <typename Grid>
-double DensityModel::evaluate_with_grid(const Grid& grid,
-                                        const netlist::Netlist& netlist,
-                                        const std::vector<double>& state,
-                                        std::vector<double>* gradient,
-                                        util::ThreadPool* pool, double tail,
-                                        bool fill_cache) const {
-  const std::size_t n = netlist.cells.size();
-  const bool with_gradient = gradient != nullptr;
-  // The flat grid hands candidates back with their packed {x, y, hw, hh}
-  // slot — one contiguous stream instead of four gathers; the slots hold
-  // copies of the same doubles, so the pair geometry is bit-identical.
-  constexpr bool kPacked = std::is_same_v<Grid, UniformGrid>;
+template <typename Collect>
+double DensityModel::fold_rows(std::size_t n, std::vector<double>* gradient,
+                               util::ThreadPool* pool, bool fill_cache,
+                               const Collect& collect) const {
+  double total = 0.0;
+  const auto fold = [&](std::size_t i, const std::vector<PairTerm>& list) {
+    pairs_kept_ += list.size();
+    for (const PairTerm& term : list) {
+      total += term.area;
+      if (fill_cache) {
+        cache_pairs_.push_back(
+            {static_cast<std::uint32_t>(i), term.j, term.ox, term.oy});
+      }
+      if (gradient != nullptr) {
+        const std::size_t j = term.j;
+        (*gradient)[2 * i] += term.sx;
+        (*gradient)[2 * j] -= term.sx;
+        (*gradient)[2 * i + 1] += term.sy;
+        (*gradient)[2 * j + 1] -= term.sy;
+      }
+    }
+  };
 
   if (pool == nullptr || pool->size() == 1) {
-    double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double xi = state[2 * i];
-      const double yi = state[2 * i + 1];
-      const double hwi = half_w_[i];
-      const double hhi = half_h_[i];
-      const auto handle = [&](std::size_t j, double dx, double dy, double tx,
-                              double ty) {
-        DensityPairTerm term;
-        if (!density_pair_kernel(dx, dy, tx, ty, beta, tail, with_gradient,
-                                 term)) {
-          return;
-        }
-        total += term.area;
-        if (fill_cache) {
-          cache_pairs_.push_back({static_cast<std::uint32_t>(i),
-                                  static_cast<std::uint32_t>(j), term.ox,
-                                  term.oy});
-        }
-        if (with_gradient) {
-          (*gradient)[2 * i] += term.sx;
-          (*gradient)[2 * j] -= term.sx;
-          (*gradient)[2 * i + 1] += term.sy;
-          (*gradient)[2 * j + 1] -= term.sy;
-        }
-      };
-      if constexpr (kPacked) {
-        grid.for_candidates_packed(
-            i, xi, yi, [&](std::size_t j, const double* p) {
-              handle(j, xi - p[0], yi - p[1], hwi + p[2], hhi + p[3]);
-            });
-      } else {
-        grid.for_candidates(i, xi, yi, [&](std::size_t j) {
-          handle(j, xi - state[2 * j], yi - state[2 * j + 1],
-                 hwi + half_w_[j], hhi + half_h_[j]);
-        });
-      }
+      row_.clear();
+      pair_candidates_ += collect(i, row_);
+      fold(i, row_);
     }
     return total;
   }
 
   // Phase 1 (parallel): cell i owns the pairs (i, j), j > i, and writes
-  // only its own scratch list. The grid is read-only and its candidate
-  // order is fixed by construction, so the lists are independent of the
-  // thread count.
+  // only its own list, already in fold order. The index is read-only, so
+  // the lists are independent of the thread count.
   // A block of ~32 cells of candidate enumeration amortizes one worker
   // wakeup; the fixed grain keeps the block grid thread-count-invariant.
   constexpr std::size_t kCellGrain = 32;
   pairs_.resize(n);
+  worker_candidates_.assign(pool->size(), 0);
   pool->parallel_for(
       n,
-      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
         for (std::size_t i = begin; i < end; ++i) {
-          auto& list = pairs_[i];
-          list.clear();
-          const double xi = state[2 * i];
-          const double yi = state[2 * i + 1];
-          const double hwi = half_w_[i];
-          const double hhi = half_h_[i];
-          const auto handle = [&](std::size_t j, double dx, double dy,
-                                  double tx, double ty) {
-            DensityPairTerm pair;
-            if (!density_pair_kernel(dx, dy, tx, ty, beta, tail, with_gradient,
-                                     pair)) {
-              return;
-            }
-            PairTerm term;
-            term.j = j;
-            term.area = pair.area;
-            term.ox = pair.ox;
-            term.oy = pair.oy;
-            term.sx = pair.sx;
-            term.sy = pair.sy;
-            list.push_back(term);
-          };
-          if constexpr (kPacked) {
-            grid.for_candidates_packed(
-                i, xi, yi, [&](std::size_t j, const double* p) {
-                  handle(j, xi - p[0], yi - p[1], hwi + p[2], hhi + p[3]);
-                });
-          } else {
-            grid.for_candidates(i, xi, yi, [&](std::size_t j) {
-              handle(j, xi - state[2 * j], yi - state[2 * j + 1],
-                     hwi + half_w_[j], hhi + half_h_[j]);
-            });
-          }
+          pairs_[i].clear();
+          worker_candidates_[worker] += collect(i, pairs_[i]);
         }
       },
       kCellGrain);
+  for (std::size_t count : worker_candidates_) pair_candidates_ += count;
 
-  // Phase 2 (sequential reduction in (i, candidate) order — the FP
-  // operation order of the single-thread loop above).
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const PairTerm& term : pairs_[i]) {
-      total += term.area;
-      if (fill_cache) {
-        cache_pairs_.push_back({static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(term.j), term.ox,
-                                term.oy});
-      }
-      if (with_gradient) {
-        (*gradient)[2 * i] += term.sx;
-        (*gradient)[2 * term.j] -= term.sx;
-        (*gradient)[2 * i + 1] += term.sy;
-        (*gradient)[2 * term.j + 1] -= term.sy;
-      }
-    }
-  }
+  // Phase 2 (sequential reduction in (i, fold) order — the FP operation
+  // order of the single-thread loop above).
+  for (std::size_t i = 0; i < n; ++i) fold(i, pairs_[i]);
   return total;
 }
 
@@ -278,37 +226,107 @@ double DensityModel::evaluate(const netlist::Netlist& netlist,
   // below exp(-30) and can be skipped.
   const double tail = 30.0 / beta;
   const double r_max = max_virtual_half_extent(netlist, omega);
-  const double reach = 2.0 * r_max + tail;
-  const double bucket = std::max(reach / 2.0, 1e-6);
 
+  // The macro split depends only on the cell extents: re-split when they
+  // change (always on the first call).
+  if (half_w_.size() != n) index_stale_ = true;
   half_w_.resize(n);
   half_h_.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
-    half_w_[c] = 0.5 * omega * netlist.cells[c].width;
-    half_h_[c] = 0.5 * omega * netlist.cells[c].height;
+    const double hw = 0.5 * omega * netlist.cells[c].width;
+    const double hh = 0.5 * omega * netlist.cells[c].height;
+    if (hw != half_w_[c] || hh != half_h_[c]) index_stale_ = true;
+    half_w_[c] = hw;
+    half_h_[c] = hh;
   }
   ++grid_builds_;
 
   const bool fill_cache = use_flat_grid && gradient == nullptr;
   if (fill_cache) cache_pairs_.clear();
   cache_valid_ = false;
+  const bool with_gradient = gradient != nullptr;
 
-  if (use_flat_grid) {
-    grid_.build(netlist, state, reach, bucket, pool, half_w_.data(),
-                half_h_.data());
-    const double total = evaluate_with_grid(grid_, netlist, state, gradient,
-                                            pool, tail, fill_cache);
-    if (fill_cache) {
-      cache_state_ = state;
-      cache_total_ = total;
-      cache_beta_ = beta;
-      cache_omega_ = omega;
-      cache_valid_ = true;
-    }
-    return total;
+  // Row i's pair kernel: appends candidate j (p = {x, y, half_w, half_h}
+  // of j) to `list` when the pair survives the tail; true if it did.
+  const auto row_kernel = [&](std::size_t i, std::vector<PairTerm>& list) {
+    const double xi = state[2 * i];
+    const double yi = state[2 * i + 1];
+    const double hwi = half_w_[i];
+    const double hhi = half_h_[i];
+    return [&list, xi, yi, hwi, hhi, tail, with_gradient,
+            beta = beta](std::size_t j, const double* p) {
+      DensityPairTerm term;
+      if (!density_pair_kernel(xi - p[0], yi - p[1], hwi + p[2], hhi + p[3],
+                               beta, tail, with_gradient, term)) {
+        return false;
+      }
+      list.push_back({static_cast<std::uint32_t>(j), 0, term.area, term.ox,
+                      term.oy, term.sx, term.sy});
+      return true;
+    };
+  };
+
+  if (!use_flat_grid) {
+    const double reach = 2.0 * r_max + tail;
+    const SpatialHash hash(netlist, state, reach, std::max(reach / 2.0, 1e-6));
+    return fold_rows(
+        n, gradient, pool, false,
+        [&](std::size_t i, std::vector<PairTerm>& list) {
+          std::size_t candidates = 0;
+          const auto keep = row_kernel(i, list);
+          hash.for_candidates(i, state[2 * i], state[2 * i + 1],
+                              [&](std::size_t j) {
+                                ++candidates;
+                                const double p[4] = {state[2 * j],
+                                                     state[2 * j + 1],
+                                                     half_w_[j], half_h_[j]};
+                                keep(j, p);
+                              });
+          return candidates;
+        });
   }
-  const SpatialHash hash(netlist, state, reach, bucket);
-  return evaluate_with_grid(hash, netlist, state, gradient, pool, tail, false);
+
+  if (index_stale_) {
+    index_.classify(netlist);
+    index_stale_ = false;
+  }
+  index_.build(netlist, state, half_w_.data(), half_h_.data(), r_max, tail,
+               pool);
+  const double total = fold_rows(
+      n, gradient, pool, fill_cache,
+      [&](std::size_t i, std::vector<PairTerm>& list) {
+        std::size_t candidates = 0;
+        const double xi = state[2 * i];
+        const double yi = state[2 * i + 1];
+        const auto keep = row_kernel(i, list);
+        if (!index_.has_macros()) {
+          // The coarse grid enumerates in rank order already.
+          index_.coarse().for_candidates_packed(
+              i, xi, yi, [&](std::size_t j, const double* p) {
+                ++candidates;
+                keep(j, p);
+              });
+          return candidates;
+        }
+        index_.for_candidates(i, xi, yi, [&](std::size_t j, const double* p) {
+          ++candidates;
+          if (!keep(j, p)) return;
+          if (index_.coarse_pair(i, j))
+            list.back().rank = index_.rank(j);
+          else
+            list.pop_back();
+        });
+        sort_by_rank(list);
+        return candidates;
+      });
+  if (fill_cache) {
+    cache_state_ = state;
+    cache_total_ = total;
+    cache_beta_ = beta;
+    cache_omega_ = omega;
+    cache_valid_ = true;
+  }
+  return total;
 }
 
 double exact_overlap_area(const netlist::Netlist& netlist,
@@ -317,24 +335,52 @@ double exact_overlap_area(const netlist::Netlist& netlist,
                 "state size must be 2 * cell count");
   const std::size_t n = netlist.cells.size();
   if (n < 2) return 0.0;
-  const double r_max = max_virtual_half_extent(netlist, omega);
-  const double reach = 2.0 * r_max;
-  const double bucket = std::max(reach / 2.0, 1e-6);
-  UniformGrid grid;
-  grid.build(netlist, state, reach, bucket);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<double> half_w(n);
+  std::vector<double> half_h(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    half_w[c] = 0.5 * omega * netlist.cells[c].width;
+    half_h[c] = 0.5 * omega * netlist.cells[c].height;
+  }
+  MixedSizeIndex index;
+  index.classify(netlist);
+  index.build(netlist, state, half_w.data(), half_h.data(),
+              max_virtual_half_extent(netlist, omega), 0.0);
+
+  // Overlap of row i with candidate j (p[0], p[1] hold j's center).
+  const auto overlap = [&](std::size_t i, std::size_t j, const double* p) {
     const auto& ci = netlist.cells[i];
+    const auto& cj = netlist.cells[j];
+    const double ox = std::max(
+        0.0, 0.5 * omega * (ci.width + cj.width) - std::abs(state[2 * i] - p[0]));
+    const double oy = std::max(0.0, 0.5 * omega * (ci.height + cj.height) -
+                                        std::abs(state[2 * i + 1] - p[1]));
+    return ox * oy;
+  };
+  double total = 0.0;
+  struct Term {
+    std::uint32_t rank;
+    double area;
+  };
+  std::vector<Term> row;
+  for (std::size_t i = 0; i < n; ++i) {
     const double xi = state[2 * i];
     const double yi = state[2 * i + 1];
-    grid.for_candidates(i, xi, yi, [&](std::size_t j) {
-      const auto& cj = netlist.cells[j];
-      const double ox = std::max(
-          0.0, 0.5 * omega * (ci.width + cj.width) - std::abs(xi - state[2 * j]));
-      const double oy = std::max(0.0, 0.5 * omega * (ci.height + cj.height) -
-                                          std::abs(yi - state[2 * j + 1]));
-      total += ox * oy;
+    if (!index.has_macros()) {
+      index.coarse().for_candidates_packed(
+          i, xi, yi,
+          [&](std::size_t j, const double* p) { total += overlap(i, j, p); });
+      continue;
+    }
+    // Adding a zero term leaves the sum unchanged, so only overlapping
+    // pairs need their place in the rank order.
+    row.clear();
+    index.for_candidates(i, xi, yi, [&](std::size_t j, const double* p) {
+      const double area = overlap(i, j, p);
+      if (area > 0.0 && index.coarse_pair(i, j))
+        row.push_back({index.rank(j), area});
     });
+    sort_by_rank(row);
+    for (const Term& term : row) total += term.area;
   }
   return total;
 }

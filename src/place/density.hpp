@@ -8,10 +8,21 @@
 // Our smooth overlap is the softplus of the rectilinear penetration depth:
 //   Ox = softplus_beta(tx - |xi - xj|),  tx = (wi' + wj') / 2,
 // which matches the exact overlap (tx - |d|)+ as beta grows and has the
-// sigmoid as its derivative. Pairs are enumerated through a flat-array
-// uniform grid (place/spatial_grid.hpp) owned by the model and rebinned —
-// not reallocated — on every evaluation, so the cost stays near-linear in
-// the cell count with no per-evaluation allocation.
+// sigmoid as its derivative.
+//
+// Pair enumeration (place/spatial_grid.hpp): a pair can contribute only
+// while both penetrations exceed -tail (tail = 30 / beta). Candidates come
+// from a MixedSizeIndex rebuilt — into reused buffers — on every
+// evaluation: small cells through a fine grid sized by the largest SMALL
+// extent, macros through a grid of their own. The fold order is a
+// contract: row
+// i's surviving pairs (i, j), j > i, are summed in ascending rank(j), the
+// slot of j in the coarse all-cell grid (reach 2 * r_max + tail) that the
+// single-grid enumeration used to walk. Each row's survivors are sorted
+// by that rank before they are folded into the total, the acceptance
+// cache and the gradient, so every sum is bit-identical to the
+// single-grid engine. A netlist without macros enumerates through the
+// coarse grid directly, already in rank order, with no sort.
 //
 // Evaluation modes: `gradient == nullptr` is the VALUE-ONLY hot path used
 // by the line-search trials of the placer — it skips the sigmoid terms and
@@ -20,11 +31,12 @@
 // evaluation at the accepted point reproduces the legacy
 // gradient-everywhere trajectory bit for bit.
 //
-// With a thread pool, the pair terms are computed in parallel (cell i owns
-// the pairs (i, j), j > i, and writes only its own scratch list) and then
-// reduced into the total and the gradient sequentially in (i, grid
-// candidate) order — the exact FP operation order of the single-thread
-// loop, so the result is bit-identical for any thread count.
+// With a thread pool, each row's pairs are collected and rank-sorted in
+// parallel (cell i owns the pairs (i, j), j > i, and writes only its own
+// scratch list) and then reduced into the total and the gradient
+// sequentially in (i, rank) order — the exact FP operation order of the
+// single-thread loop, so the result is bit-identical for any thread
+// count.
 #pragma once
 
 #include <cmath>
@@ -112,10 +124,10 @@ struct DensityModel {
   /// Softplus sharpness (1/um). Larger = closer to the exact hinge.
   double beta = 16.0;
   /// When false, pairs are enumerated through the legacy per-evaluation
-  /// `unordered_map` spatial hash instead of the reusable flat grid — the
-  /// pre-optimization engine kept for the determinism regression test and
-  /// the bench_perf_placer baseline. Values and gradients are identical
-  /// either way (same candidate order, same FP operations).
+  /// `unordered_map` spatial hash instead of the reusable mixed-size index
+  /// — the pre-optimization engine kept for the determinism regression
+  /// tests and the bench_perf_placer baseline. Values and gradients are
+  /// identical either way (same fold order, same FP operations).
   bool use_flat_grid = true;
 
   DensityModel() = default;
@@ -132,11 +144,18 @@ struct DensityModel {
                   util::ThreadPool* pool = nullptr) const;
 
   /// Spatial-structure rebuilds performed so far (one per evaluation —
-  /// positions change between objective calls, but the flat grid's buffers
+  /// positions change between objective calls, but the index's buffers
   /// are reused so a rebuild allocates nothing in steady state).
   std::size_t grid_builds() const { return grid_builds_; }
-  /// Rebuilds that had to grow a flat-grid buffer.
-  std::size_t grid_reallocations() const { return grid_.reallocations(); }
+  /// Rebuilds that had to grow a grid buffer.
+  std::size_t grid_reallocations() const { return index_.reallocations(); }
+
+  /// Work counters over every evaluation so far: candidate pairs the
+  /// enumeration handed to the pair kernel, and pairs kept (folded into
+  /// the value). Both are independent of the thread count; an acceptance
+  /// replay enumerates nothing and adds to neither.
+  std::size_t pair_candidates() const { return pair_candidates_; }
+  std::size_t pairs_kept() const { return pairs_kept_; }
 
   /// Logical footprint of the pair lists, acceptance cache and the flat
   /// grid's buckets in bytes (element counts, not capacities). Pair-list
@@ -151,24 +170,26 @@ struct DensityModel {
                (half_w_.size() + half_h_.size() + replay_sx_.size() +
                 replay_sy_.size() + cache_state_.size()) *
                    sizeof(double) +
-               cache_pairs_.size() * sizeof(CachedPair)) +
-           grid_.footprint_bytes();
+               cache_pairs_.size() * sizeof(CachedPair) +
+               row_.size() * sizeof(PairTerm)) +
+           index_.footprint_bytes();
   }
 
  private:
-  /// One interacting pair (i, j) found in phase 1: the smooth overlap area
-  /// and the gradient terms applied to i (and negated on j) in phase 2,
-  /// plus the pair geometry so a value-only pass can feed the acceptance
-  /// cache.
+  /// One interacting pair (i, j) of row i: the smooth overlap area and the
+  /// gradient terms applied to i (and negated on j), the 1-D overlaps a
+  /// value-only pass feeds to the acceptance cache, and rank(j), the
+  /// row's fold-order key.
   struct PairTerm {
-    std::size_t j = 0;
+    std::uint32_t j = 0;
+    std::uint32_t rank = 0;
     double area = 0.0;
     double ox = 0.0;
     double oy = 0.0;
     double sx = 0.0;
     double sy = 0.0;
   };
-  /// One surviving pair recorded by a value-only flat-grid evaluation: the
+  /// One surviving pair recorded by a value-only index evaluation: the
   /// pair plus its 1-D softplus overlaps, enough to replay the gradient at
   /// the same point without re-enumerating candidates or recomputing
   /// softplus. Kept minimal — the cache is refilled on every trial, so its
@@ -181,25 +202,34 @@ struct DensityModel {
     double ox = 0.0;
     double oy = 0.0;
   };
-  template <typename Grid>
-  double evaluate_with_grid(const Grid& grid, const netlist::Netlist& netlist,
-                            const std::vector<double>& state,
-                            std::vector<double>* gradient,
-                            util::ThreadPool* pool, double tail,
-                            bool fill_cache) const;
+  /// Folds every row's surviving pairs into the total, the acceptance
+  /// cache and the gradient, in (i, fold order). `collect(i, list)` fills
+  /// row i's pairs in fold order and returns the candidates it examined.
+  template <typename Collect>
+  double fold_rows(std::size_t n, std::vector<double>* gradient,
+                   util::ThreadPool* pool, bool fill_cache,
+                   const Collect& collect) const;
 
-  /// Per-cell pair lists, reused across evaluate() calls.
+  /// Per-cell pair lists of the pooled path, reused across evaluate()
+  /// calls; row_ is the single-thread path's one-row list.
   mutable std::vector<std::vector<PairTerm>> pairs_;
+  mutable std::vector<PairTerm> row_;
+  /// Pooled path: candidates examined per worker, summed after phase 1.
+  mutable std::vector<std::size_t> worker_candidates_;
+  mutable std::size_t pair_candidates_ = 0;
+  mutable std::size_t pairs_kept_ = 0;
   /// Virtual half extents 0.5 * omega * {width, height} per cell, refreshed
   /// each evaluation (cache-friendly vs chasing the cell structs).
   mutable std::vector<double> half_w_;
   mutable std::vector<double> half_h_;
-  /// Reusable flat grid (use_flat_grid == true).
-  mutable UniformGrid grid_;
+  /// Reusable mixed-size pair index (use_flat_grid == true), re-split
+  /// whenever the half extents change.
+  mutable MixedSizeIndex index_;
+  mutable bool index_stale_ = true;
   mutable std::size_t grid_builds_ = 0;
   /// Acceptance cache: the Armijo line search evaluates the accepted trial
   /// value-only, then the placer asks for the gradient at the SAME point.
-  /// Each flat-grid value-only evaluation records its surviving pairs and
+  /// Each index value-only evaluation records its surviving pairs and
   /// total here; a gradient call whose state matches byte for byte replays
   /// them (identical order, identical FP terms) and only pays the sigmoid
   /// work a full gradient evaluation would add on top of the value pass.
@@ -218,7 +248,11 @@ struct DensityModel {
 };
 
 /// Exact total pairwise rectangle overlap AREA of the virtual cells; the
-/// convergence criterion of Alg. 4 line 6 ("sum of overlap").
+/// convergence criterion of Alg. 4 line 6 ("sum of overlap"). Pairs are
+/// found through a MixedSizeIndex (no tail) and each row is summed in
+/// ascending coarse rank, so the sum — which the placer's and the
+/// legalizer's stopping decisions read — is bit-identical to the
+/// single-grid enumeration.
 double exact_overlap_area(const netlist::Netlist& netlist,
                           const std::vector<double>& state, double omega);
 

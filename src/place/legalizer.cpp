@@ -16,14 +16,11 @@ namespace {
 /// virtual rectangles overlap, separates them along the minimum-penetration
 /// axis (the lighter cell moving further). Shared by the quadratic and the
 /// grid-pruned sweeps so both perform the identical FP operations on every
-/// overlapping pair. Returns false (and moves nothing) for a clear pair;
-/// on a separation, *moved_i / *moved_j receive the absolute distances the
-/// two cells were displaced.
+/// overlapping pair. Returns false (and moves nothing) for a clear pair.
 inline bool separate_pair(const netlist::Netlist& netlist,
                           std::vector<double>& state,
                           const LegalizerOptions& options, std::size_t i,
-                          std::size_t j, double hwi, double hhi, double ai,
-                          double* moved_i, double* moved_j) {
+                          std::size_t j, double hwi, double hhi, double ai) {
   const double tx = hwi + 0.5 * options.omega * netlist.cells[j].width;
   const double ty = hhi + 0.5 * options.omega * netlist.cells[j].height;
   const double dx = state[2 * i] - state[2 * j];
@@ -38,22 +35,18 @@ inline bool separate_pair(const netlist::Netlist& netlist,
     const double dir = dx >= 0.0 ? 1.0 : -1.0;
     state[2 * i] += dir * move * share_i;
     state[2 * j] -= dir * move * (1.0 - share_i);
-    *moved_i = move * share_i;
-    *moved_j = move * (1.0 - share_i);
   } else {
     const double move = py + options.margin;
     const double dir = dy >= 0.0 ? 1.0 : -1.0;
     state[2 * i + 1] += dir * move * share_i;
     state[2 * j + 1] -= dir * move * (1.0 - share_i);
-    *moved_i = move * share_i;
-    *moved_j = move * (1.0 - share_i);
   }
   return true;
 }
 
 /// Quadratic reference sweep: every ordered pair, ascending (i, j).
 bool quadratic_pass(const netlist::Netlist& netlist, std::vector<double>& state,
-                    const LegalizerOptions& options) {
+                    const LegalizerOptions& options, LegalizerReport& report) {
   const std::size_t n = netlist.cells.size();
   bool any_overlap = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -61,64 +54,94 @@ bool quadratic_pass(const netlist::Netlist& netlist, std::vector<double>& state,
     const double hhi = 0.5 * options.omega * netlist.cells[i].height;
     const double ai = netlist.cells[i].area();
     for (std::size_t j = i + 1; j < n; ++j) {
-      double mi = 0.0;
-      double mj = 0.0;
-      if (separate_pair(netlist, state, options, i, j, hwi, hhi, ai, &mi, &mj))
+      ++report.pairs_checked;
+      if (separate_pair(netlist, state, options, i, j, hwi, hhi, ai)) {
         any_overlap = true;
+        ++report.separations;
+      }
     }
   }
   return any_overlap;
 }
 
-/// Grid-pruned sweep, bit-identical to quadratic_pass. Two cells can only
-/// overlap when their centers are within t_max (the largest virtual pair
-/// extent) on both axes, so a pair whose binned distance rules that out is
-/// skipped — the reference sweep would have checked it and moved nothing.
-/// Because cells drift WHILE the sweep runs, the grid is built with slack:
-/// reach = t_max + 2 * slack covers the worst case of both the queried
-/// cell and a candidate having drifted up to `slack` from their binned
-/// positions, and the grid is rebinned from the current state the moment
-/// any cell's accumulated drift exceeds the slack. Candidates are sorted
-/// so pairs are still visited in ascending j against the same evolving
-/// state as the reference sweep.
+/// Grid-pruned sweep, bit-identical to quadratic_pass. A pair the
+/// reference sweep checks and finds clear moves nothing, so visiting any
+/// superset of the overlapping pairs, in ascending j against the same
+/// evolving state, gives the same bits. Small cells and macros live in two
+/// LiveGrids that always hold the current positions: a separated cell is
+/// rebinned on the spot, in O(1). Row i's candidates are its windows into
+/// both grids. Within the row only cell i and the partners already visited
+/// move, so the candidate set stays a superset until i itself changes
+/// bucket; only then is it re-collected (the visited prefix is skipped via
+/// next_after).
 class PrunedSweep {
  public:
-  PrunedSweep(const netlist::Netlist& netlist, const LegalizerOptions& options)
-      : netlist_(netlist),
-        options_(options),
-        drift_(netlist.cells.size(), 0.0) {
-    double max_w = 0.0;
-    double max_h = 0.0;
-    for (const auto& cell : netlist.cells) {
-      max_w = std::max(max_w, cell.width);
-      max_h = std::max(max_h, cell.height);
+  PrunedSweep(const netlist::Netlist& netlist, const LegalizerOptions& options,
+              const std::vector<double>& state)
+      : netlist_(netlist), options_(options) {
+    std::vector<std::uint32_t> macros;
+    split_macros(netlist, macros, is_macro_);
+    std::vector<std::uint32_t> small;
+    double r_small = 0.0;
+    double r_max = 0.0;
+    for (std::size_t c = 0; c < netlist.cells.size(); ++c) {
+      r_max = std::max(r_max, half_extent(c));
+      if (is_macro_[c]) continue;
+      small.push_back(static_cast<std::uint32_t>(c));
+      r_small = std::max(r_small, half_extent(c));
     }
-    const double t_max = options.omega * std::max(max_w, max_h);
-    // Small slack keeps the probe window tight; separations move cells by
-    // fractions of a cell extent, so drift rarely exceeds it and the
-    // rebuild fallback below stays cheap (one O(n) rebin).
-    slack_ = std::max(0.25 * t_max, 1e-6);
-    reach_ = t_max + 2.0 * slack_;
+    // Two cells overlap only within the sum of their half extents on both
+    // axes: 2 * r_small for two small cells, r_max + r_small for a small
+    // cell and a macro — a 3 x 3 bucket window each. A macro's spans grow
+    // with its own extent; the widening covers rounding, and the floor
+    // keeps a macro's window within ~32 buckets a side when the small
+    // cells are vanishingly small.
+    small_grid_.build(state, small, netlist.cells.size(),
+                      std::max(covering_bucket(2.0 * r_small, 1),
+                               (r_max + r_small) / 32.0));
+    macro_grid_.build(state, macros, netlist.cells.size(),
+                      covering_bucket(r_max + r_small, 1));
+    spans_.assign(netlist.cells.size(), {1, 1});
+    for (std::uint32_t m : macros)
+      spans_[m] = {
+          covering_span(half_extent(m) + r_small, small_grid_.bucket()),
+          covering_span(half_extent(m) + r_max, macro_grid_.bucket())};
   }
 
-  bool pass(std::vector<double>& state) {
+  /// Rebins cell c after it moved.
+  void moved(std::size_t c, const std::vector<double>& state) {
+    (is_macro_[c] ? macro_grid_ : small_grid_)
+        .move(c, state[2 * c], state[2 * c + 1]);
+  }
+
+  bool pass(std::vector<double>& state, LegalizerReport& report) {
     const std::size_t n = netlist_.cells.size();
-    rebin(state);
     bool any_overlap = false;
     for (std::size_t i = 0; i < n; ++i) {
       const double hwi = 0.5 * options_.omega * netlist_.cells[i].width;
       const double hhi = 0.5 * options_.omega * netlist_.cells[i].height;
       const double ai = netlist_.cells[i].area();
-      bool stale = true;
       std::size_t next_after = i;  // only pairs with j > next_after remain
+      // i's bins in the small and the macro grid when cand_ was collected.
+      long long bins[4] = {0, 0, 0, 0};
+      const auto bins_of_i = [&](long long* out) {
+        out[0] = small_grid_.bin(state[2 * i]);
+        out[1] = small_grid_.bin(state[2 * i + 1]);
+        out[2] = macro_grid_.bin(state[2 * i]);
+        out[3] = macro_grid_.bin(state[2 * i + 1]);
+      };
       std::size_t idx = 0;
+      bool stale = true;
       while (true) {
         if (stale) {
+          bins_of_i(bins);
           cand_.clear();
-          grid_.for_candidates(i, state[2 * i], state[2 * i + 1],
-                               [&](std::size_t j) {
-                                 cand_.push_back(static_cast<std::uint32_t>(j));
-                               });
+          const auto collect = [&](std::size_t j) {
+            if (j > next_after) cand_.push_back(static_cast<std::uint32_t>(j));
+          };
+          const Spans& s = spans_[i];
+          small_grid_.for_window(bins[0], bins[1], s.small, s.small, collect);
+          macro_grid_.for_window(bins[2], bins[3], s.macro, s.macro, collect);
           std::sort(cand_.begin(), cand_.end());
           idx = 0;
           stale = false;
@@ -127,45 +150,39 @@ class PrunedSweep {
         if (idx == cand_.size()) break;
         const std::size_t j = cand_[idx];
         next_after = j;
-        double mi = 0.0;
-        double mj = 0.0;
-        if (separate_pair(netlist_, state, options_, i, j, hwi, hhi, ai, &mi,
-                          &mj)) {
-          any_overlap = true;
-          drift_[i] += mi;
-          drift_[j] += mj;
-          drift_max_ = std::max(drift_max_, std::max(drift_[i], drift_[j]));
-          if (drift_max_ > slack_) {
-            // Candidate sets from the old bins are no longer a guaranteed
-            // superset; rebin and re-collect for this cell (the processed
-            // prefix is skipped via next_after).
-            rebin(state);
-            stale = true;
-          }
-        }
+        ++report.pairs_checked;
+        if (!separate_pair(netlist_, state, options_, i, j, hwi, hhi, ai))
+          continue;
+        any_overlap = true;
+        ++report.separations;
+        moved(i, state);
+        moved(j, state);
+        long long now[4];
+        bins_of_i(now);
+        stale = !std::equal(now, now + 4, bins);
       }
     }
     return any_overlap;
   }
 
  private:
-  void rebin(const std::vector<double>& state) {
-    // Bucket == reach: a 3x3 probe window covers the reach, and the sweep
-    // sorts its candidates anyway, so the coarser binning costs nothing in
-    // ordering (unlike the density grid, whose bucket fixes the candidate
-    // iteration order).
-    grid_.build(netlist_, state, reach_, std::max(reach_, 1e-6));
-    std::fill(drift_.begin(), drift_.end(), 0.0);
-    drift_max_ = 0.0;
+  /// Probe spans of a row's windows into the small and the macro grid.
+  struct Spans {
+    long long small = 0;
+    long long macro = 0;
+  };
+
+  double half_extent(std::size_t c) const {
+    const auto& cell = netlist_.cells[c];
+    return 0.5 * options_.omega * std::max(cell.width, cell.height);
   }
 
   const netlist::Netlist& netlist_;
   const LegalizerOptions& options_;
-  UniformGrid grid_;
-  std::vector<double> drift_;  // per-cell |displacement| since last rebin
-  double drift_max_ = 0.0;
-  double slack_ = 0.0;
-  double reach_ = 0.0;
+  std::vector<std::uint8_t> is_macro_;
+  LiveGrid small_grid_;
+  LiveGrid macro_grid_;
+  std::vector<Spans> spans_;
   std::vector<std::uint32_t> cand_;
 };
 
@@ -178,13 +195,15 @@ LegalizerReport legalize(const netlist::Netlist& netlist,
                 "state size must be 2 * cell count");
   const std::size_t n = netlist.cells.size();
   LegalizerReport report;
-  PrunedSweep pruned(netlist, options);
+  PrunedSweep pruned(netlist, options, state);
 
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
     report.passes = pass + 1;
     const bool any_overlap = options.use_flat_grid
-                                 ? pruned.pass(state)
-                                 : quadratic_pass(netlist, state, options);
+                                 ? pruned.pass(state, report)
+                                 : quadratic_pass(netlist, state, options,
+                                                  report);
+    bool clamped = false;
     if (options.die_half > 0.0) {
       for (std::size_t i = 0; i < n; ++i) {
         const double lx = std::max(
@@ -193,26 +212,27 @@ LegalizerReport legalize(const netlist::Netlist& netlist,
         const double ly = std::max(
             0.0,
             options.die_half - 0.5 * options.omega * netlist.cells[i].height);
-        state[2 * i] = std::clamp(state[2 * i], -lx, lx);
-        state[2 * i + 1] = std::clamp(state[2 * i + 1], -ly, ly);
+        const double x = std::clamp(state[2 * i], -lx, lx);
+        const double y = std::clamp(state[2 * i + 1], -ly, ly);
+        if (x == state[2 * i] && y == state[2 * i + 1]) continue;
+        state[2 * i] = x;
+        state[2 * i + 1] = y;
+        clamped = true;
+        pruned.moved(i, state);
       }
     }
-    if (!any_overlap) {
-      report.converged = true;
-      break;
-    }
+    // A clean sweep ends the run only if the clamp did not push cells
+    // back into overlap.
+    if (!any_overlap && !clamped) break;
     if (pass % 8 == 7) {
       // Periodic exact check so we can stop early on "good enough".
-      const double ratio = overlap_ratio(netlist, state, options.omega);
-      if (ratio < options.overlap_tolerance) {
-        report.converged = true;
+      if (overlap_ratio(netlist, state, options.omega) <
+          options.overlap_tolerance)
         break;
-      }
     }
   }
   report.final_overlap_ratio = overlap_ratio(netlist, state, options.omega);
-  if (report.final_overlap_ratio < options.overlap_tolerance)
-    report.converged = true;
+  report.converged = report.final_overlap_ratio < options.overlap_tolerance;
   return report;
 }
 

@@ -2,10 +2,21 @@
 // the remaining overlap between cells").
 //
 // After the penalty loop the residual overlap is small, so a deterministic
-// pairwise push-apart relaxation suffices: every overlapping pair of
+// pairwise push-apart relaxation is applied: every overlapping pair of
 // virtual rectangles is separated along its minimum-penetration axis, the
-// lighter (smaller-area) cell moving further, until the residual overlap
-// ratio drops below the tolerance or the pass budget is exhausted.
+// lighter (smaller-area) cell moving further, and cells are clamped into
+// the die after every pass, until the residual overlap ratio drops below
+// the tolerance or the pass budget is exhausted. A pass that finds no
+// overlap ends the run only if its clamp moved no cell.
+//
+// Each pass visits pairs (i, j) in ascending (i, j) against the evolving
+// state. The pruned sweep finds row i's candidates through two live grids
+// (place/spatial_grid.hpp: LiveGrid) that hold the current positions of
+// the small cells and of the macros, rebinned in O(1) whenever a
+// separation or the clamp moves a cell; a row re-collects its candidates
+// only after cell i itself changes bucket. Any candidate superset visited
+// in ascending j gives the same bits as the quadratic reference sweep,
+// because checking a clear pair moves nothing.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +37,26 @@ struct LegalizerOptions {
   /// Half-side of the square die centered at the origin; cells are clamped
   /// inside after every pass. 0 disables clamping.
   double die_half = 0.0;
-  /// When true, each pass prunes the pair sweep through a flat uniform grid
-  /// (place/spatial_grid.hpp): only pairs close enough to possibly overlap
-  /// are checked, in the same ascending order and against the same evolving
-  /// state as the quadratic reference sweep, so the resulting placement is
+  /// When true, each pass prunes the pair sweep through the live grids
+  /// (see above): only pairs close enough to possibly overlap are checked,
+  /// in the same ascending order and against the same evolving state as
+  /// the quadratic reference sweep, so the resulting placement is
   /// BIT-identical — skipped pairs are exactly those that could not have
-  /// moved anything. False restores the all-pairs legacy sweep.
+  /// moved anything. False runs the all-pairs reference sweep, kept for
+  /// the legacy engine and the tests that compare against it.
   bool use_flat_grid = true;
 };
 
 struct LegalizerReport {
   std::size_t passes = 0;
   double final_overlap_ratio = 0.0;
+  /// final_overlap_ratio < overlap_tolerance.
   bool converged = false;
+  /// Work counters over all passes: pairs the sweep checked against the
+  /// current state, and the separations it performed. The ratio is the
+  /// sweep's useful work per attempt.
+  std::size_t pairs_checked = 0;
+  std::size_t separations = 0;
 };
 
 /// Separates overlapping cells in `state` (interleaved coordinates).

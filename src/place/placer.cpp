@@ -137,6 +137,8 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   if (lambda <= 0.0) lambda = 1.0;
 
   PlacementReport report;
+  const std::size_t candidates_at_start = density_model.pair_candidates();
+  const std::size_t kept_at_start = density_model.pairs_kept();
   const auto record = [&](const char* point, const char* action,
                           bool recovered, bool alters_result,
                           std::string detail) {
@@ -282,6 +284,9 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   report.die = placement_bounding_box(netlist, options.omega);
   report.area_um2 = report.die.area();
   report.density_grid_reallocations = density_model.grid_reallocations();
+  report.density_pair_candidates_total =
+      density_model.pair_candidates() - candidates_at_start;
+  report.density_pairs_kept_total = density_model.pairs_kept() - kept_at_start;
   if (util::metrics_enabled()) {
     util::metric_gauge("place/outer_iterations",
                        static_cast<double>(report.outer_iterations));

@@ -43,10 +43,11 @@ struct PlacerOptions {
   /// value (per-item parallel phase, sequential fixed-order reduction).
   std::size_t threads = 0;
   /// Run the pre-optimization evaluation engine: gradient on every
-  /// line-search trial and the per-evaluation unordered_map spatial hash
-  /// instead of the reusable flat grid. Produces bit-identical placements
-  /// (the determinism test asserts it) — kept as the honest baseline for
-  /// bench_perf_placer and for bisecting evaluation-engine regressions.
+  /// line-search trial, the per-evaluation unordered_map spatial hash
+  /// instead of the reusable mixed-size pair index, and the quadratic
+  /// legalizer sweep. Produces bit-identical placements (the determinism
+  /// tests assert it) — kept as the honest baseline for bench_perf_placer
+  /// and for bisecting evaluation-engine regressions.
   bool legacy_evaluation = false;
   /// Wall-clock budget for the outer penalty loop in milliseconds; 0 =
   /// unlimited (the default — clean runs never consult the clock). When
@@ -105,8 +106,15 @@ struct PlacementReport {
   std::size_t cg_value_evals_total = 0;
   std::size_t cg_gradient_evals_total = 0;
   std::size_t density_grid_builds_total = 0;
-  /// Flat-grid rebuilds that had to grow a buffer (0 in steady state).
+  /// Index rebuilds that had to grow a buffer (0 in steady state).
   std::size_t density_grid_reallocations = 0;
+  /// Density work across all outer iterations (bootstrap excluded, like
+  /// the eval totals): candidate pairs handed to the pair kernel, and the
+  /// pairs kept inside the softplus tail. Thread-count-invariant. The
+  /// legalizer's counterparts are legalization.{pairs_checked,
+  /// separations}.
+  std::size_t density_pair_candidates_total = 0;
+  std::size_t density_pairs_kept_total = 0;
   /// True when PlacerOptions::wall_budget_ms stopped the outer loop early.
   bool budget_exhausted = false;
   /// True when any recovery rung that alters the result fired (budget

@@ -65,6 +65,14 @@ bool identical_results(const FlowResult& a, const FlowResult& b) {
          a.cost.average_delay_ns == b.cost.average_delay_ns &&
          a.placement.hpwl_um == b.placement.hpwl_um &&
          a.placement.cg_value_evals_total == b.placement.cg_value_evals_total &&
+         a.placement.density_pair_candidates_total ==
+             b.placement.density_pair_candidates_total &&
+         a.placement.density_pairs_kept_total ==
+             b.placement.density_pairs_kept_total &&
+         a.placement.legalization.pairs_checked ==
+             b.placement.legalization.pairs_checked &&
+         a.placement.legalization.separations ==
+             b.placement.legalization.separations &&
          a.routing.total_wirelength_um == b.routing.total_wirelength_um &&
          a.routing.maze_invocations == b.routing.maze_invocations &&
          a.mapping.crossbars.size() == b.mapping.crossbars.size() &&

@@ -133,6 +133,13 @@ TEST(Telemetry, WritesValidArtifacts) {
   EXPECT_NE(manifest.find("\"stage\":\"placement\""), std::string::npos);
   EXPECT_NE(manifest.find("\"stage\":\"routing\""), std::string::npos);
   EXPECT_NE(manifest.find("\"name\":\"route/grid\""), std::string::npos);
+  // Placement work counters: useful work over attempts, per stage.
+  EXPECT_NE(manifest.find("\"density_pair_candidates\":"), std::string::npos);
+  EXPECT_NE(manifest.find("\"density_pairs_kept\":"), std::string::npos);
+  EXPECT_NE(manifest.find("\"legalization_pairs_checked\":"),
+            std::string::npos);
+  EXPECT_NE(manifest.find("\"legalization_separations\":"),
+            std::string::npos);
 }
 
 TEST(Telemetry, MetricsJsonlByteIdenticalAcrossThreadCounts) {

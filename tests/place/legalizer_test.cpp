@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "place/density.hpp"
+#include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
 #include "util/rng.hpp"
 
@@ -94,6 +95,166 @@ TEST(Legalizer, ReportsPassCount) {
   const auto report = legalize(net, state, {});
   EXPECT_GE(report.passes, 1u);
   EXPECT_LE(report.passes, LegalizerOptions{}.max_passes);
+}
+
+
+TEST(Legalizer, ClampUndoingTheSweepIsNotConvergence) {
+  // Both cells lie outside the die and clear of each other, so the first
+  // sweep finds nothing; the clamp then stacks them at x = 3.5. That pass
+  // must not end the run as converged: the next passes separate them.
+  netlist::Netlist net = uniform_cells(2, 1.0);
+  net.cells[0].x = 10.0;
+  net.cells[1].x = 12.0;
+  auto state = pack_positions(net);
+  LegalizerOptions options;
+  options.omega = 1.0;
+  options.die_half = 4.0;
+  const auto report = legalize(net, state, options);
+  EXPECT_GT(report.passes, 1u);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LT(overlap_ratio(net, state, 1.0), options.overlap_tolerance);
+  EXPECT_EQ(report.final_overlap_ratio, overlap_ratio(net, state, 1.0));
+}
+
+TEST(Legalizer, DieTooSmallNeverReportsConvergence) {
+  // A die that holds one cell: the clamp stacks the pair after every
+  // separation. The run uses every pass and reports the overlap left.
+  netlist::Netlist net = uniform_cells(2, 1.0);
+  net.cells[0].x = 10.0;
+  net.cells[1].x = 12.0;
+  auto state = pack_positions(net);
+  LegalizerOptions options;
+  options.omega = 1.0;
+  options.die_half = 0.5;
+  options.max_passes = 20;
+  const auto report = legalize(net, state, options);
+  EXPECT_EQ(report.passes, options.max_passes);
+  EXPECT_FALSE(report.converged);
+  EXPECT_GT(report.final_overlap_ratio, options.overlap_tolerance);
+}
+
+// --- mixed-size netlists ---------------------------------------------
+//
+// The pruned sweep finds pairs through live small-cell and macro grids;
+// it must visit every overlapping pair in the reference sweep's order, so
+// its placement matches quadratic_pass bit for bit.
+
+netlist::Netlist mixed_cells(std::size_t count, double macro_share,
+                             double spread, std::uint64_t seed) {
+  util::Rng rng(seed);
+  netlist::Netlist net;
+  for (std::size_t c = 0; c < count; ++c) {
+    netlist::Cell cell;
+    const bool macro = rng.uniform() < macro_share;
+    cell.width = macro ? rng.uniform(10.0, 20.0) : rng.uniform(1.0, 2.5);
+    cell.height = macro ? cell.width : rng.uniform(1.0, 2.5);
+    cell.x = rng.uniform(-spread, spread);
+    cell.y = rng.uniform(-spread, spread);
+    net.cells.push_back(cell);
+  }
+  return net;
+}
+
+/// Legalizes `net` with the pruned and the quadratic sweep and expects
+/// the same bits, pass count, overlap and separations.
+void expect_sweeps_identical(const netlist::Netlist& net, double die_half,
+                             std::size_t max_passes = 60) {
+  LegalizerOptions options;
+  options.die_half = die_half;
+  options.max_passes = max_passes;
+  auto pruned_state = pack_positions(net);
+  auto reference_state = pruned_state;
+  LegalizerOptions reference_options = options;
+  reference_options.use_flat_grid = false;
+  const auto pruned = legalize(net, pruned_state, options);
+  const auto reference = legalize(net, reference_state, reference_options);
+  EXPECT_EQ(pruned_state, reference_state);
+  EXPECT_EQ(pruned.passes, reference.passes);
+  EXPECT_EQ(pruned.final_overlap_ratio, reference.final_overlap_ratio);
+  EXPECT_EQ(pruned.converged, reference.converged);
+  EXPECT_EQ(pruned.separations, reference.separations);
+  EXPECT_GT(pruned.separations, 0u);
+  EXPECT_LE(pruned.pairs_checked, reference.pairs_checked);
+}
+
+TEST(LegalizerMixedSize, RandomNetlistsMatchQuadraticSweep) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto net = mixed_cells(200, 0.03 + 0.03 * static_cast<double>(seed),
+                                 25.0, seed);
+    expect_sweeps_identical(net, 0.0);
+    expect_sweeps_identical(net, 30.0);  // the clamp moves cells too
+  }
+}
+
+TEST(LegalizerMixedSize, CellsStackedAtOnePoint) {
+  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 0.0);
+  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 20.0);
+}
+
+TEST(LegalizerMixedSize, MacroStraddlingBucketEdges) {
+  // Macros centered on multiples of the small-cell bucket, small cells
+  // right at (and a hair inside) the overlap distance on each side.
+  const double r_small = 0.5 * 1.2 * 2.0;
+  const double bucket = covering_bucket(2.0 * r_small, 1);
+  netlist::Netlist net;
+  const auto add = [&](double x, double y, double w) {
+    netlist::Cell cell;
+    cell.x = x;
+    cell.y = y;
+    cell.width = w;
+    cell.height = w;
+    net.cells.push_back(cell);
+  };
+  for (int m = 0; m < 3; ++m) {
+    const double mx = bucket * 9.0 * m;
+    const double my = bucket * 4.0 * m;
+    add(mx, my, 16.0);
+    for (double eps : {-1e-9, 0.0}) {
+      for (double w : {1.0, 2.0}) {
+        const double reach = 0.5 * 1.2 * (16.0 + w) + eps;
+        add(mx + reach, my, w);
+        add(mx - reach, my + 0.25, w);
+        add(mx + 0.5, my - reach, w);
+      }
+    }
+  }
+  for (int f = 0; f < 30; ++f) add(bucket * f, -bucket * (f % 4), 1.5);
+  expect_sweeps_identical(net, 0.0);
+}
+
+TEST(LegalizerMixedSize, ExtremeCoordinates) {
+  auto net = mixed_cells(80, 0.08, 12.0, 5);
+  const auto far = mixed_cells(80, 0.08, 12.0, 6);
+  for (auto cell : far.cells) {
+    cell.x -= 1e12;
+    cell.y += 1e12;
+    net.cells.push_back(cell);
+  }
+  expect_sweeps_identical(net, 0.0);
+}
+
+TEST(LegalizerMixedSize, VanishinglySmallCellsAmongMacros) {
+  auto net = mixed_cells(150, 0.06, 30.0, 9);
+  for (auto& cell : net.cells)
+    if (cell.width < 5.0) cell.width = cell.height = 1e-7;
+  expect_sweeps_identical(net, 0.0);
+}
+
+TEST(LegalizerMixedSize, NoMacros) {
+  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 0.0);
+  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 14.0);
+}
+
+TEST(LegalizerMixedSize, PrunedSweepChecksFewPairs) {
+  const auto net = mixed_cells(400, 0.05, 40.0, 8);
+  LegalizerOptions options;
+  options.max_passes = 10;
+  auto state = pack_positions(net);
+  const auto report = legalize(net, state, options);
+  ASSERT_EQ(report.passes, 10u);
+  // Far below the n^2 / 2 pairs per pass of the reference sweep.
+  EXPECT_LT(report.pairs_checked, 10u * 400u * 399u / 2u / 20u);
+  EXPECT_GT(report.separations, 0u);
 }
 
 }  // namespace

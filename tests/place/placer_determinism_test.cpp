@@ -1,9 +1,10 @@
 // Determinism and gradient-correctness guarantees of the fast evaluation
-// engine (value-only trials + flat spatial grid + cached WA kernels):
+// engine (value-only trials + mixed-size pair index + cached WA kernels):
 //
 //  * the final placed state is BIT-identical across thread counts,
 //  * the fast engine lands on the exact bits of the legacy engine
-//    (gradient on every trial, unordered_map spatial hash),
+//    (gradient on every trial, unordered_map spatial hash, quadratic
+//    legalizer sweep), on uniform and on mixed-size netlists,
 //  * analytic gradients of WA, density, and the boundary penalty match
 //    central finite differences, and every model returns the identical
 //    value in value-only and gradient modes.
@@ -14,6 +15,7 @@
 
 #include "place/density.hpp"
 #include "place/placer.hpp"
+#include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
 #include "util/rng.hpp"
 
@@ -101,6 +103,85 @@ TEST(PlacerDeterminism, GradientEvalsNeverExceedValueEvals) {
   }
   EXPECT_LE(report.cg_gradient_evals_total, report.cg_value_evals_total);
   EXPECT_GT(report.density_grid_builds_total, 0u);
+}
+
+// --- mixed-size netlists ---------------------------------------------
+
+/// mesh_netlist with every 16th cell (6%) a 10-20 um macro among
+/// 1-2.5 um cells — the AutoNCS shape, where the density model and the
+/// legalizer enumerate pairs through the macro/small split.
+netlist::Netlist mixed_mesh_netlist(std::size_t side, std::uint64_t seed) {
+  netlist::Netlist net = mesh_netlist(side, seed);
+  util::Rng rng(seed + 100);
+  for (std::size_t c = 0; c < net.cells.size(); ++c) {
+    auto& cell = net.cells[c];
+    const bool macro = c % 16 == 5;
+    cell.width = macro ? rng.uniform(10.0, 20.0) : rng.uniform(1.0, 2.5);
+    cell.height = macro ? cell.width : rng.uniform(1.0, 2.5);
+  }
+  return net;
+}
+
+TEST(PlacerDeterminism, MixedSizeFastEngineMatchesLegacyEngineBitForBit) {
+  netlist::Netlist fast_net = mixed_mesh_netlist(8, 4);
+  netlist::Netlist legacy_net = mixed_mesh_netlist(8, 4);
+  std::vector<std::uint32_t> macros;
+  std::vector<std::uint8_t> is_macro;
+  split_macros(fast_net, macros, is_macro);
+  ASSERT_EQ(macros.size(), 4u);
+  PlacerOptions fast_options;
+  fast_options.seed = 11;
+  fast_options.threads = 1;
+  PlacerOptions legacy_options = fast_options;
+  legacy_options.legacy_evaluation = true;
+  const auto fast_report = place(fast_net, fast_options);
+  const auto legacy_report = place(legacy_net, legacy_options);
+  EXPECT_EQ(placed_state(fast_net), placed_state(legacy_net));
+  EXPECT_EQ(fast_report.hpwl_um, legacy_report.hpwl_um);
+  EXPECT_EQ(fast_report.area_um2, legacy_report.area_um2);
+  EXPECT_EQ(fast_report.legalization.passes, legacy_report.legalization.passes);
+  EXPECT_EQ(fast_report.legalization.final_overlap_ratio,
+            legacy_report.legalization.final_overlap_ratio);
+  EXPECT_EQ(fast_report.legalization.separations,
+            legacy_report.legalization.separations);
+  ASSERT_EQ(fast_report.outer.size(), legacy_report.outer.size());
+  for (std::size_t o = 0; o < fast_report.outer.size(); ++o) {
+    EXPECT_EQ(fast_report.outer[o].objective, legacy_report.outer[o].objective);
+    EXPECT_EQ(fast_report.outer[o].overlap_ratio,
+              legacy_report.outer[o].overlap_ratio);
+  }
+  // Same pairs kept; far fewer candidates and checks to find them.
+  EXPECT_LT(fast_report.legalization.pairs_checked,
+            legacy_report.legalization.pairs_checked);
+  EXPECT_GT(fast_report.density_pairs_kept_total, 0u);
+  EXPECT_LE(fast_report.density_pairs_kept_total,
+            fast_report.density_pair_candidates_total);
+}
+
+TEST(PlacerDeterminism, MixedSizeBitIdenticalAcrossThreadCounts) {
+  std::vector<std::vector<double>> results;
+  std::vector<PlacementReport> reports;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    netlist::Netlist net = mixed_mesh_netlist(8, 6);
+    PlacerOptions options;
+    options.threads = threads;
+    options.seed = 2;
+    reports.push_back(place(net, options));
+    results.push_back(placed_state(net));
+  }
+  for (std::size_t k = 1; k < results.size(); ++k) {
+    EXPECT_EQ(results[0], results[k]);
+    EXPECT_EQ(reports[0].cg_value_evals_total, reports[k].cg_value_evals_total);
+    // The work counters are thread-count-invariant too.
+    EXPECT_EQ(reports[0].density_pair_candidates_total,
+              reports[k].density_pair_candidates_total);
+    EXPECT_EQ(reports[0].density_pairs_kept_total,
+              reports[k].density_pairs_kept_total);
+    EXPECT_EQ(reports[0].legalization.pairs_checked,
+              reports[k].legalization.pairs_checked);
+    EXPECT_EQ(reports[0].legalization.separations,
+              reports[k].legalization.separations);
+  }
 }
 
 // --- finite-difference gradient checks -------------------------------
