@@ -146,12 +146,11 @@ void BM_DensityValueOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityValueOnly)->Arg(200)->Arg(1000);
 
-// WA axis kernel in isolation (one wire, one axis): range(0) pins,
-// range(1) selects value-only (0) vs with cached-exp gradient terms (1).
-// An exp-caching regression shows up here without running the placer.
+// WA axis kernel in isolation (one wire, one axis, value pass with the
+// acceptance-cache stores): range(0) pins. An exp-caching regression shows
+// up here without running the placer.
 void BM_WaAxisKernel(benchmark::State& state) {
   const auto pin_count = static_cast<std::size_t>(state.range(0));
-  const bool with_gradient = state.range(1) != 0;
   util::Rng rng(7);
   std::vector<std::size_t> pins(pin_count);
   std::vector<double> coords(2 * pin_count);
@@ -160,20 +159,19 @@ void BM_WaAxisKernel(benchmark::State& state) {
     coords[2 * k] = rng.uniform(-20.0, 20.0);
     coords[2 * k + 1] = rng.uniform(-20.0, 20.0);
   }
-  std::vector<double> contrib(pin_count);
+  std::vector<double> exp_a(pin_count);
+  std::vector<double> exp_b(pin_count);
+  double fp[4];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(place::wa_axis_terms(
-        pins, coords, 0, 2.0, 1.0, with_gradient ? contrib.data() : nullptr));
+    benchmark::DoNotOptimize(place::wa_axis_fill(
+        pins, coords, 0, 2.0, exp_a.data(), exp_b.data(), fp));
   }
 }
-BENCHMARK(BM_WaAxisKernel)
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_WaAxisKernel)->Arg(2)->Arg(8)->Arg(64);
 
 // Density pair kernel over a batch of synthetic pair geometries (about
-// half inside the softplus tail); range(0) selects value-only vs gradient.
+// half inside the softplus tail); range(0) selects the value pass alone vs
+// the value pass plus the replay's gradient terms.
 void BM_DensityPairKernel(benchmark::State& state) {
   const bool with_gradient = state.range(0) != 0;
   constexpr std::size_t kPairs = 4096;
@@ -191,9 +189,16 @@ void BM_DensityPairKernel(benchmark::State& state) {
     double acc = 0.0;
     for (std::size_t k = 0; k < kPairs; ++k) {
       place::DensityPairTerm term;
-      if (place::density_pair_kernel(dx[k], dy[k], tx[k], ty[k], kBeta, kTail,
-                                     with_gradient, term)) {
-        acc += term.area + term.sx + term.sy;
+      if (!place::density_pair_kernel(dx[k], dy[k], tx[k], ty[k], kBeta,
+                                      kTail, term))
+        continue;
+      acc += term.area;
+      if (with_gradient) {
+        double sx = 0.0;
+        double sy = 0.0;
+        place::density_pair_gradient(dx[k], dy[k], tx[k], ty[k], term.ox,
+                                     term.oy, kBeta, sx, sy);
+        acc += sx + sy;
       }
     }
     benchmark::DoNotOptimize(acc);
@@ -204,7 +209,7 @@ void BM_DensityPairKernel(benchmark::State& state) {
 BENCHMARK(BM_DensityPairKernel)->Arg(0)->Arg(1);
 
 // Flat-grid rebuild alone (counting-sort binning into reused buffers) —
-// the per-evaluation fixed cost that replaced the unordered_map build.
+// the fixed cost every density value pass pays.
 void BM_UniformGridBuild(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)), 1);

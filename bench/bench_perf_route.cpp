@@ -1,37 +1,72 @@
-// Performance study — routing-only microbenchmark: bidirectional vs
-// legacy unidirectional maze kernel.
+// Performance study — routing-only microbenchmark of the maze kernel.
 //
 // Places the selected Hopfield testbench once (FullCro mapping, so the
-// netlist and placement are fixed), then routes the SAME placed netlist
-// with both maze kernels at a single thread and reports wall-clock,
-// search effort (nodes expanded, heap pushes, window retries, frontier
-// meets), and the routing quality (wirelength, overflow) side by side.
-// The default flow config is used (the paper's single-pass flow), so the
-// warm-start seeds are exercised through wave deferrals and relaxation
-// retries. Each variant runs several repetitions and keeps the fastest
-// (the searches are deterministic, so quality and effort are identical
-// across reps — only the clock varies).
+// netlist and placement are fixed), then routes the placed netlist at one
+// thread and at the hardware's thread count, reporting wall-clock, search
+// effort (nodes expanded, heap pushes, window retries, frontier meets),
+// and the routing quality (wirelength, overflow). The default flow config
+// is used (the paper's single-pass flow), so the warm-start seeds are
+// exercised through wave deferrals and relaxation retries. Each thread
+// count runs several repetitions and keeps the fastest (the searches are
+// deterministic, so quality and effort are identical across reps — only
+// the clock varies). The two routings must be identical; the bench exits
+// nonzero otherwise. The search-effort counts are deterministic, so
+// tools/bench_gate.py compares them with the committed
+// BENCH_perf_route.json for the same testbench.
 //
 // Usage: bench_perf_route [testbench_id] [reps]
 //   testbench_id selects the Hopfield testbench (1..3, default 3 — the
-//   largest); CI smoke-runs with 1.
+//   largest, the one the committed artifact records).
 #include <cstdio>
 #include <cstdlib>
 
 #include <string>
+#include <thread>
 #include <utility>
-#include <vector>
 
 #include "autoncs/pipeline.hpp"
 #include "common.hpp"
 #include "mapping/fullcro.hpp"
 #include "nn/testbench.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
+namespace {
+
+using namespace autoncs;
+
+/// Same committed paths (every grid edge's usage), per-wire results and
+/// search counters.
+bool same_routing(const route::RoutingResult& a,
+                  const route::RoutingResult& b) {
+  if (a.wires.size() != b.wires.size()) return false;
+  for (std::size_t w = 0; w < a.wires.size(); ++w) {
+    if (a.wires[w].length_um != b.wires[w].length_um ||
+        a.wires[w].delay_ns != b.wires[w].delay_ns ||
+        a.wires[w].relaxations != b.wires[w].relaxations)
+      return false;
+  }
+  if (a.grid.nx() != b.grid.nx() || a.grid.ny() != b.grid.ny()) return false;
+  const std::size_t nx = a.grid.nx();
+  const std::size_t ny = a.grid.ny();
+  for (std::size_t e = 0; e < (nx - 1) * ny + nx * (ny - 1); ++e) {
+    const auto edge = static_cast<std::uint32_t>(e);
+    if (a.grid.edge_usage(edge) != b.grid.edge_usage(edge)) return false;
+  }
+  return a.total_wirelength_um == b.total_wirelength_um &&
+         a.total_overflow == b.total_overflow &&
+         a.maze_invocations == b.maze_invocations &&
+         a.maze_nodes_expanded == b.maze_nodes_expanded &&
+         a.maze_heap_pushes == b.maze_heap_pushes &&
+         a.maze_window_retries == b.maze_window_retries &&
+         a.maze_meets == b.maze_meets;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace autoncs;
-  bench::banner("Performance: bidirectional vs unidirectional maze kernel");
+  bench::banner("Performance: maze kernel, 1 thread vs nproc");
 
   int testbench_id = 3;  // largest testbench (N = 500)
   if (argc > 1) testbench_id = std::atoi(argv[1]);
@@ -41,23 +76,21 @@ int main(int argc, char** argv) {
 
   const auto tb = nn::build_testbench(testbench_id);
   FlowConfig config = bench::default_config();
-  config.router.threads = 1;  // single-thread kernel comparison
   const mapping::HybridMapping mapping = mapping::fullcro_mapping(
       tb.topology, {config.baseline_crossbar_size, true});
   // One placement shared by every routing run.
   const FlowResult placed = run_physical_design(mapping, config);
 
+  const std::size_t nproc = util::resolve_thread_count(0);
   struct Variant {
-    const char* name;
-    bool bidirectional;
+    std::size_t threads;
     route::RoutingResult result;
     double best_ms = 0.0;
   };
-  Variant variants[] = {{"unidirectional", false, {}, 0.0},
-                        {"bidirectional", true, {}, 0.0}};
+  Variant variants[] = {{1, {}, 0.0}, {nproc, {}, 0.0}};
   for (Variant& v : variants) {
     route::RouterOptions options = config.router;
-    options.bidirectional = v.bidirectional;
+    options.threads = v.threads;
     for (int rep = 0; rep < reps; ++rep) {
       util::WallTimer timer;
       route::RoutingResult result = route::route(placed.netlist, options);
@@ -66,18 +99,14 @@ int main(int argc, char** argv) {
       if (rep == 0) v.result = std::move(result);
     }
   }
+  const route::RoutingResult& serial = variants[0].result;
+  const bool identical = same_routing(serial, variants[1].result);
 
-  const route::RoutingResult& uni = variants[0].result;
-  const route::RoutingResult& bidi = variants[1].result;
-  const double uni_ms = variants[0].best_ms;
-  const double bidi_ms = variants[1].best_ms;
-  const double speedup = bidi_ms > 0.0 ? uni_ms / bidi_ms : 1.0;
-
-  util::ConsoleTable table({"kernel", "route (ms)", "nodes expanded",
+  util::ConsoleTable table({"threads", "route (ms)", "nodes expanded",
                             "heap pushes", "window retries", "meets",
                             "L (um)", "overflow"});
   for (const Variant& v : variants) {
-    table.add_row({v.name, util::fmt_double(v.best_ms, 1),
+    table.add_row({std::to_string(v.threads), util::fmt_double(v.best_ms, 1),
                    std::to_string(v.result.maze_nodes_expanded),
                    std::to_string(v.result.maze_heap_pushes),
                    std::to_string(v.result.maze_window_retries),
@@ -86,32 +115,24 @@ int main(int argc, char** argv) {
                    util::fmt_double(v.result.total_overflow, 1)});
   }
   std::printf("%s", table.render().c_str());
-  std::printf("bidirectional speedup over unidirectional: %.2fx\n", speedup);
-  std::printf("expected shape: the bidirectional kernel expands fewer nodes "
-              "and routes faster at equal-or-better wirelength/overflow.\n");
+  std::printf("routing identical at 1 and %zu threads: %s\n", nproc,
+              identical ? "yes" : "NO — determinism violated");
 
-  const auto ratio = [](std::uint64_t a, std::uint64_t b) {
-    return b > 0 ? static_cast<double>(a) / static_cast<double>(b) : 0.0;
-  };
   bench::write_bench_json(
       "perf_route",
-      {{"route_ms_uni", uni_ms},
-       {"route_ms_bidi", bidi_ms},
-       {"speedup_bidi", speedup},
-       {"nodes_expanded_uni", static_cast<double>(uni.maze_nodes_expanded)},
-       {"nodes_expanded_bidi", static_cast<double>(bidi.maze_nodes_expanded)},
-       {"expansion_ratio", ratio(uni.maze_nodes_expanded,
-                                 bidi.maze_nodes_expanded)},
-       {"heap_pushes_uni", static_cast<double>(uni.maze_heap_pushes)},
-       {"heap_pushes_bidi", static_cast<double>(bidi.maze_heap_pushes)},
-       {"window_retries_uni", static_cast<double>(uni.maze_window_retries)},
-       {"window_retries_bidi", static_cast<double>(bidi.maze_window_retries)},
-       {"meets_bidi", static_cast<double>(bidi.maze_meets)},
-       {"wirelength_um_uni", uni.total_wirelength_um},
-       {"wirelength_um_bidi", bidi.total_wirelength_um},
-       {"overflow_uni", uni.total_overflow},
-       {"overflow_bidi", bidi.total_overflow},
-       {"maze_invocations_uni", static_cast<double>(uni.maze_invocations)},
-       {"maze_invocations_bidi", static_cast<double>(bidi.maze_invocations)}});
-  return 0;
+      {{"testbench", static_cast<double>(testbench_id)},
+       {"route_ms", variants[0].best_ms},
+       {"route_mt_ms", variants[1].best_ms},
+       {"mt_threads", static_cast<double>(nproc)},
+       {"hardware_threads",
+        static_cast<double>(std::thread::hardware_concurrency())},
+       {"nodes_expanded", static_cast<double>(serial.maze_nodes_expanded)},
+       {"heap_pushes", static_cast<double>(serial.maze_heap_pushes)},
+       {"window_retries", static_cast<double>(serial.maze_window_retries)},
+       {"meets", static_cast<double>(serial.maze_meets)},
+       {"maze_invocations", static_cast<double>(serial.maze_invocations)},
+       {"wirelength_um", serial.total_wirelength_um},
+       {"overflow", serial.total_overflow},
+       {"deterministic", identical ? 1.0 : 0.0}});
+  return identical ? 0 : 1;
 }

@@ -91,14 +91,11 @@ void write_config_object(util::JsonWriter& w, const FlowConfig& config) {
       .field("cg_backtrack", config.placer.cg.backtrack)
       .field("cg_max_backtracks", config.placer.cg.max_backtracks)
       .field("cg_initial_step", config.placer.cg.initial_step)
-      .field("cg_value_only_trials", config.placer.cg.value_only_trials)
       .field("cg_max_recovery_restarts", config.placer.cg.max_recovery_restarts)
       .field("legalizer_margin", config.placer.legalizer.margin)
       .field("legalizer_max_passes", config.placer.legalizer.max_passes)
       .field("legalizer_overlap_tolerance",
              config.placer.legalizer.overlap_tolerance)
-      .field("legalizer_use_flat_grid", config.placer.legalizer.use_flat_grid)
-      .field("legacy_evaluation", config.placer.legacy_evaluation)
       .field("threads", config.placer.threads);
   w.end_object();
   w.field("refine_placement", config.refine_placement);
@@ -116,7 +113,6 @@ void write_config_object(util::JsonWriter& w, const FlowConfig& config) {
       .field("max_relax_steps", config.router.max_relax_steps)
       .field("margin_bins", config.router.margin_bins)
       .field("window_margin_bins", config.router.window_margin_bins)
-      .field("bidirectional", config.router.bidirectional)
       .field("strict_capacity", config.router.strict_capacity)
       .field("reroute_passes", config.router.reroute_passes)
       .field("history_weight", config.router.history_weight)

@@ -139,10 +139,8 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
       if (slope >= 0.0) break;  // gradient numerically zero
     }
 
-    // Armijo backtracking line search. With value_only_trials the Armijo
-    // test sees the same values as the legacy engine (identical FP ops),
-    // so the same trial is accepted; the gradient is then computed once,
-    // at the accepted point only.
+    // Armijo backtracking line search over value-only trials; the gradient
+    // is computed once, at the accepted point only.
     double t = step;
     double trial_value = value;
     bool accepted = false;
@@ -151,10 +149,8 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
         for (std::size_t i = begin; i < end; ++i)
           trial[i] = x[i] + t * direction[i];
       });
-      std::vector<double>* tg =
-          options.value_only_trials ? nullptr : &trial_grad;
-      trial_value = eval(trial, tg);
-      trial_value = retry_if_bad(trial_value, trial, tg);
+      trial_value = eval(trial, nullptr);
+      trial_value = retry_if_bad(trial_value, trial, nullptr);
       // A non-finite trial can never show sufficient decrease. NaN and +inf
       // already fail the comparison on their own (a plain line-search
       // overshoot rejects exactly as it always did); the explicit isfinite
@@ -168,12 +164,11 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
       t *= options.backtrack;
     }
     if (!accepted) break;  // no progress possible along this direction
-    if (options.value_only_trials) {
-      // Gradient at the accepted point. The returned value is bit-identical
-      // to trial_value (same FP operations), so trial_value is kept.
-      const double v = eval(trial, &trial_grad);
-      if (!all_finite(trial_grad)) retry_if_bad(v, trial, &trial_grad);
-    }
+    // Gradient at the accepted point. The returned value is bit-identical
+    // to trial_value (same FP operations), so trial_value is kept.
+    const double accepted_value = eval(trial, &trial_grad);
+    if (!all_finite(trial_grad))
+      retry_if_bad(accepted_value, trial, &trial_grad);
     if (!all_finite(trial_grad)) {
       // Gradient still non-finite at the accepted point: discard the trial
       // and take a damped steepest-descent restart from the last finite

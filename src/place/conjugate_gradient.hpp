@@ -3,12 +3,11 @@
 // placement iteration (Alg. 4 line 3, citing NTUplace3 [15]).
 //
 // The objective takes the gradient by POINTER: `gradient == nullptr` asks
-// for the value only. With `CgOptions::value_only_trials` (the default),
-// Armijo backtracking trials are evaluated value-only and the gradient is
-// computed once, at the accepted point — rejected trials are discarded, so
-// as long as the objective's value is computed with identical FP operations
-// in both modes, the iterate sequence is bit-identical to the legacy
-// gradient-everywhere search.
+// for the value only. Armijo backtracking trials are evaluated value-only
+// and the gradient is computed once, at the accepted point — rejected
+// trials are discarded, so the objective only has to return the same value
+// bit for bit in both modes for the iterates to be independent of which
+// calls asked for a gradient.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +31,6 @@ struct CgOptions {
   std::size_t max_backtracks = 30;
   /// First trial step of the first line search.
   double initial_step = 1.0;
-  /// Evaluate line-search trials value-only and compute the gradient once
-  /// on acceptance. False restores the legacy gradient-on-every-trial
-  /// engine (same iterates, more work) — used as the bench baseline.
-  bool value_only_trials = true;
   /// Damped steepest-descent restarts from the last finite iterate allowed
   /// when the gradient goes non-finite, before the solver gives up and
   /// returns best-so-far flagged degraded.

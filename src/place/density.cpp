@@ -1,64 +1,12 @@
 #include "place/density.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/check.hpp"
 
 namespace autoncs::place {
 
 namespace {
-
-/// Legacy uniform-grid neighbor finder: a per-evaluation `unordered_map`
-/// from packed bin coordinates to bucket vectors. Kept (behind
-/// `DensityModel::use_flat_grid == false`) as the reference engine for the
-/// determinism regression test and the bench_perf_placer baseline. Note
-/// `pack` truncates bin coordinates to 32 bits, so bins ~2^32 buckets
-/// apart alias into one bucket — harmless for values (aliased candidates
-/// fail the softplus tail check) but wasteful; the grids of
-/// place/spatial_grid.hpp keep exact 64-bit bin coordinates.
-class SpatialHash {
- public:
-  SpatialHash(const netlist::Netlist& netlist, const std::vector<double>& state,
-              double interaction_reach, double bucket)
-      : bucket_(bucket), reach_(interaction_reach) {
-    for (std::size_t c = 0; c < netlist.cells.size(); ++c) {
-      buckets_[key(state[2 * c], state[2 * c + 1])].push_back(c);
-    }
-  }
-
-  /// Calls fn(j) for every cell j > i whose center lies within the
-  /// interaction reach of cell i's center (conservative superset).
-  template <typename Fn>
-  void for_candidates(std::size_t i, double xi, double yi, Fn&& fn) const {
-    const auto span = static_cast<long long>(std::ceil(reach_ / bucket_));
-    const long long bx = coord(xi);
-    const long long by = coord(yi);
-    for (long long dx = -span; dx <= span; ++dx) {
-      for (long long dy = -span; dy <= span; ++dy) {
-        const auto it = buckets_.find(pack(bx + dx, by + dy));
-        if (it == buckets_.end()) continue;
-        for (std::size_t j : it->second) {
-          if (j > i) fn(j);
-        }
-      }
-    }
-  }
-
- private:
-  long long coord(double v) const {
-    return static_cast<long long>(std::floor(v / bucket_));
-  }
-  static std::uint64_t pack(long long x, long long y) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(y));
-  }
-  std::uint64_t key(double x, double y) const { return pack(coord(x), coord(y)); }
-
-  double bucket_;
-  double reach_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets_;
-};
 
 double max_virtual_half_extent(const netlist::Netlist& netlist, double omega) {
   double out = 0.0;
@@ -90,29 +38,19 @@ void sort_by_rank(std::vector<Term>& list) {
 }  // namespace
 
 template <typename Collect>
-double DensityModel::fold_rows(std::size_t n, std::vector<double>* gradient,
-                               util::ThreadPool* pool, bool fill_cache,
+double DensityModel::fold_rows(std::size_t n, util::ThreadPool* pool,
                                const Collect& collect) const {
   double total = 0.0;
   const auto fold = [&](std::size_t i, const std::vector<PairTerm>& list) {
     pairs_kept_ += list.size();
     for (const PairTerm& term : list) {
       total += term.area;
-      if (fill_cache) {
-        cache_pairs_.push_back(
-            {static_cast<std::uint32_t>(i), term.j, term.ox, term.oy});
-      }
-      if (gradient != nullptr) {
-        const std::size_t j = term.j;
-        (*gradient)[2 * i] += term.sx;
-        (*gradient)[2 * j] -= term.sx;
-        (*gradient)[2 * i + 1] += term.sy;
-        (*gradient)[2 * j + 1] -= term.sy;
-      }
+      cache_pairs_.push_back(
+          {static_cast<std::uint32_t>(i), term.j, term.ox, term.oy});
     }
   };
 
-  if (pool == nullptr || pool->size() == 1) {
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       row_.clear();
       pair_candidates_ += collect(i, row_);
@@ -146,105 +84,14 @@ double DensityModel::fold_rows(std::size_t n, std::vector<double>* gradient,
   return total;
 }
 
-double DensityModel::evaluate(const netlist::Netlist& netlist,
-                              const std::vector<double>& state,
-                              std::vector<double>* gradient,
-                              util::ThreadPool* pool) const {
-  AUTONCS_CHECK(state.size() == netlist.cells.size() * 2,
-                "state size must be 2 * cell count");
-  AUTONCS_CHECK(omega >= 1.0, "omega must be at least 1");
-  AUTONCS_CHECK(beta > 0.0, "beta must be positive");
-  if (gradient != nullptr) {
-    AUTONCS_CHECK(gradient->size() == state.size(),
-                  "gradient size must match the state");
-  }
-  const std::size_t n = netlist.cells.size();
-  if (n < 2) return 0.0;
-
-  // Acceptance replay: a gradient request at the exact point of the last
-  // value-only evaluation (the accepted Armijo trial) reuses that pass's
-  // surviving pairs and total. The pairs are replayed in the recorded
-  // (i, candidate) order with the recorded geometry, so the gradient is
-  // bit-identical to a full evaluation — only the enumeration, softplus,
-  // and grid-build work is skipped.
-  if (use_flat_grid && gradient != nullptr && cache_valid_ &&
-      cache_beta_ == beta && cache_omega_ == omega && cache_state_ == state) {
-    // The pair geometry is recomputed exactly as the value pass derived it:
-    // dx from the same state doubles the grid packed, tx from the same
-    // half-extent sums — identical values, so the replayed gradient terms
-    // match a full evaluation bit for bit.
-    const std::size_t pairs = cache_pairs_.size();
-    const auto pair_terms = [&](std::size_t k, DensityPairTerm& term) {
-      const CachedPair& p = cache_pairs_[k];
-      const double dx = state[2 * p.i] - state[2 * p.j];
-      const double dy = state[2 * p.i + 1] - state[2 * p.j + 1];
-      const double tx = half_w_[p.i] + half_w_[p.j];
-      const double ty = half_h_[p.i] + half_h_[p.j];
-      density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta, term);
-    };
-    if (pool != nullptr && pool->size() > 1 && pairs >= 2) {
-      // The sigmoid work parallelizes — each pair owns its scratch slot —
-      // and the scatter (whose additions alias across pairs sharing a
-      // cell) stays sequential in the recorded order, so the gradient is
-      // bit-identical to the serial replay.
-      constexpr std::size_t kReplayGrain = 1024;
-      replay_sx_.resize(pairs);
-      replay_sy_.resize(pairs);
-      pool->parallel_for(
-          pairs,
-          [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-            for (std::size_t k = begin; k < end; ++k) {
-              DensityPairTerm term;
-              pair_terms(k, term);
-              replay_sx_[k] = term.sx;
-              replay_sy_[k] = term.sy;
-            }
-          },
-          kReplayGrain);
-      for (std::size_t k = 0; k < pairs; ++k) {
-        const CachedPair& p = cache_pairs_[k];
-        (*gradient)[2 * p.i] += replay_sx_[k];
-        (*gradient)[2 * p.j] -= replay_sx_[k];
-        (*gradient)[2 * p.i + 1] += replay_sy_[k];
-        (*gradient)[2 * p.j + 1] -= replay_sy_[k];
-      }
-    } else {
-      for (std::size_t k = 0; k < pairs; ++k) {
-        const CachedPair& p = cache_pairs_[k];
-        DensityPairTerm term;
-        pair_terms(k, term);
-        (*gradient)[2 * p.i] += term.sx;
-        (*gradient)[2 * p.j] -= term.sx;
-        (*gradient)[2 * p.i + 1] += term.sy;
-        (*gradient)[2 * p.j + 1] -= term.sy;
-      }
-    }
-    return cache_total_;
-  }
-
+double DensityModel::value_pass(const netlist::Netlist& netlist,
+                                const std::vector<double>& state,
+                                util::ThreadPool* pool) const {
   // Softplus tail: beyond penetration < -tail/beta the contribution is
   // below exp(-30) and can be skipped.
   const double tail = 30.0 / beta;
   const double r_max = max_virtual_half_extent(netlist, omega);
-
-  // The macro split depends only on the cell extents: re-split when they
-  // change (always on the first call).
-  if (half_w_.size() != n) index_stale_ = true;
-  half_w_.resize(n);
-  half_h_.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    const double hw = 0.5 * omega * netlist.cells[c].width;
-    const double hh = 0.5 * omega * netlist.cells[c].height;
-    if (hw != half_w_[c] || hh != half_h_[c]) index_stale_ = true;
-    half_w_[c] = hw;
-    half_h_[c] = hh;
-  }
   ++grid_builds_;
-
-  const bool fill_cache = use_flat_grid && gradient == nullptr;
-  if (fill_cache) cache_pairs_.clear();
-  cache_valid_ = false;
-  const bool with_gradient = gradient != nullptr;
 
   // Row i's pair kernel: appends candidate j (p = {x, y, half_w, half_h}
   // of j) to `list` when the pair survives the tail; true if it did.
@@ -253,38 +100,18 @@ double DensityModel::evaluate(const netlist::Netlist& netlist,
     const double yi = state[2 * i + 1];
     const double hwi = half_w_[i];
     const double hhi = half_h_[i];
-    return [&list, xi, yi, hwi, hhi, tail, with_gradient,
-            beta = beta](std::size_t j, const double* p) {
+    return [&list, xi, yi, hwi, hhi, tail, beta = beta](std::size_t j,
+                                                        const double* p) {
       DensityPairTerm term;
       if (!density_pair_kernel(xi - p[0], yi - p[1], hwi + p[2], hhi + p[3],
-                               beta, tail, with_gradient, term)) {
+                               beta, tail, term)) {
         return false;
       }
       list.push_back({static_cast<std::uint32_t>(j), 0, term.area, term.ox,
-                      term.oy, term.sx, term.sy});
+                      term.oy});
       return true;
     };
   };
-
-  if (!use_flat_grid) {
-    const double reach = 2.0 * r_max + tail;
-    const SpatialHash hash(netlist, state, reach, std::max(reach / 2.0, 1e-6));
-    return fold_rows(
-        n, gradient, pool, false,
-        [&](std::size_t i, std::vector<PairTerm>& list) {
-          std::size_t candidates = 0;
-          const auto keep = row_kernel(i, list);
-          hash.for_candidates(i, state[2 * i], state[2 * i + 1],
-                              [&](std::size_t j) {
-                                ++candidates;
-                                const double p[4] = {state[2 * j],
-                                                     state[2 * j + 1],
-                                                     half_w_[j], half_h_[j]};
-                                keep(j, p);
-                              });
-          return candidates;
-        });
-  }
 
   if (index_stale_) {
     index_.classify(netlist);
@@ -292,8 +119,9 @@ double DensityModel::evaluate(const netlist::Netlist& netlist,
   }
   index_.build(netlist, state, half_w_.data(), half_h_.data(), r_max, tail,
                pool);
-  const double total = fold_rows(
-      n, gradient, pool, fill_cache,
+  cache_pairs_.clear();
+  return fold_rows(
+      netlist.cells.size(), pool,
       [&](std::size_t i, std::vector<PairTerm>& list) {
         std::size_t candidates = 0;
         const double xi = state[2 * i];
@@ -319,14 +147,103 @@ double DensityModel::evaluate(const netlist::Netlist& netlist,
         sort_by_rank(list);
         return candidates;
       });
-  if (fill_cache) {
+}
+
+void DensityModel::replay(const std::vector<double>& state,
+                          std::vector<double>& gradient,
+                          util::ThreadPool* pool) const {
+  // The pair geometry is recomputed exactly as the value pass derived it:
+  // dx from the same state doubles the grid packed, tx from the same
+  // half-extent sums.
+  const std::size_t pairs = cache_pairs_.size();
+  const auto pair_terms = [&](std::size_t k, double& sx, double& sy) {
+    const CachedPair& p = cache_pairs_[k];
+    const double dx = state[2 * p.i] - state[2 * p.j];
+    const double dy = state[2 * p.i + 1] - state[2 * p.j + 1];
+    const double tx = half_w_[p.i] + half_w_[p.j];
+    const double ty = half_h_[p.i] + half_h_[p.j];
+    density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta, sx, sy);
+  };
+  const auto scatter = [&](std::size_t k, double sx, double sy) {
+    const CachedPair& p = cache_pairs_[k];
+    gradient[2 * p.i] += sx;
+    gradient[2 * p.j] -= sx;
+    gradient[2 * p.i + 1] += sy;
+    gradient[2 * p.j + 1] -= sy;
+  };
+  if (pool == nullptr || pairs < 2) {
+    for (std::size_t k = 0; k < pairs; ++k) {
+      double sx = 0.0;
+      double sy = 0.0;
+      pair_terms(k, sx, sy);
+      scatter(k, sx, sy);
+    }
+    return;
+  }
+  // The sigmoid work parallelizes — each pair owns its scratch slot — and
+  // the scatter (whose additions alias across pairs sharing a cell) stays
+  // sequential in the recorded order, so the gradient is bit-identical to
+  // the serial replay.
+  constexpr std::size_t kReplayGrain = 1024;
+  replay_sx_.resize(pairs);
+  replay_sy_.resize(pairs);
+  pool->parallel_for(
+      pairs,
+      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+        for (std::size_t k = begin; k < end; ++k)
+          pair_terms(k, replay_sx_[k], replay_sy_[k]);
+      },
+      kReplayGrain);
+  for (std::size_t k = 0; k < pairs; ++k)
+    scatter(k, replay_sx_[k], replay_sy_[k]);
+}
+
+double DensityModel::evaluate(const netlist::Netlist& netlist,
+                              const std::vector<double>& state,
+                              std::vector<double>* gradient,
+                              util::ThreadPool* pool) const {
+  AUTONCS_CHECK(state.size() == netlist.cells.size() * 2,
+                "state size must be 2 * cell count");
+  AUTONCS_CHECK(omega >= 1.0, "omega must be at least 1");
+  AUTONCS_CHECK(beta > 0.0, "beta must be positive");
+  if (gradient != nullptr) {
+    AUTONCS_CHECK(gradient->size() == state.size(),
+                  "gradient size must match the state");
+  }
+  const std::size_t n = netlist.cells.size();
+  if (n < 2) return 0.0;
+  if (pool != nullptr && pool->size() == 1) pool = nullptr;
+
+  // The virtual half extents are the netlist data the value pass reads:
+  // a change re-splits the index and drops the cache.
+  bool extents_changed = half_w_.size() != n;
+  half_w_.resize(n);
+  half_h_.resize(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const double hw = 0.5 * omega * netlist.cells[c].width;
+    const double hh = 0.5 * omega * netlist.cells[c].height;
+    extents_changed = extents_changed || hw != half_w_[c] || hh != half_h_[c];
+    half_w_[c] = hw;
+    half_h_[c] = hh;
+  }
+  if (extents_changed) {
+    index_stale_ = true;
+    cache_valid_ = false;
+  }
+
+  // The cache holds this exact point when beta, omega, the half extents
+  // and the state all match the last value pass byte for byte — typically
+  // the accepted Armijo trial whose gradient CG now asks for.
+  if (!(cache_valid_ && cache_beta_ == beta && cache_omega_ == omega &&
+        cache_state_ == state)) {
+    cache_total_ = value_pass(netlist, state, pool);
     cache_state_ = state;
-    cache_total_ = total;
     cache_beta_ = beta;
     cache_omega_ = omega;
     cache_valid_ = true;
   }
-  return total;
+  if (gradient != nullptr) replay(state, *gradient, pool);
+  return cache_total_;
 }
 
 double exact_overlap_area(const netlist::Netlist& netlist,

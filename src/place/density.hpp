@@ -24,19 +24,21 @@
 // single-grid engine. A netlist without macros enumerates through the
 // coarse grid directly, already in rank order, with no sort.
 //
-// Evaluation modes: `gradient == nullptr` is the VALUE-ONLY hot path used
-// by the line-search trials of the placer — it skips the sigmoid terms and
-// every gradient scatter. The value is computed with the identical FP
-// operations in both modes, so a value-only trial followed by a gradient
-// evaluation at the accepted point reproduces the legacy
-// gradient-everywhere trajectory bit for bit.
+// Every evaluation has one shape: a VALUE PASS that enumerates the pairs
+// and records each survivor (i, j) with its 1-D softplus overlaps in the
+// acceptance cache, skipped when the cache already holds this exact point;
+// then, when a gradient is asked for, a REPLAY that derives the sigmoid
+// terms of the recorded pairs and scatters them in the recorded order.
+// The Armijo line search evaluates trials value-only and asks for the
+// gradient at the accepted trial, so each accepted step enumerates once.
 //
 // With a thread pool, each row's pairs are collected and rank-sorted in
 // parallel (cell i owns the pairs (i, j), j > i, and writes only its own
-// scratch list) and then reduced into the total and the gradient
-// sequentially in (i, rank) order — the exact FP operation order of the
-// single-thread loop, so the result is bit-identical for any thread
-// count.
+// scratch list) and then folded into the total and the cache sequentially
+// in (i, rank) order; the replay computes the per-pair sigmoid terms in
+// parallel and scatters them sequentially. Both keep the exact FP
+// operation order of the single-thread loops, so the result is
+// bit-identical for any thread count.
 #pragma once
 
 #include <cmath>
@@ -69,40 +71,20 @@ inline double density_sigmoid(double z, double beta) {
   return 1.0 / (1.0 + std::exp(-t));
 }
 
-/// One interacting pair's contribution: the smooth overlap area, the 1-D
-/// overlaps it factors into, and the gradient terms applied to cell i
-/// (negated on j).
+/// One interacting pair's value-pass terms: the smooth overlap area and the
+/// 1-D overlaps it factors into.
 struct DensityPairTerm {
   double area = 0.0;
   double ox = 0.0;
   double oy = 0.0;
-  double sx = 0.0;
-  double sy = 0.0;
 };
 
-/// Gradient terms of one surviving pair, given its geometry and the 1-D
-/// overlaps from the value pass. Split out of density_pair_kernel so the
-/// acceptance replay (gradient at a point whose value pass was cached)
-/// performs the identical FP operations as a full gradient evaluation.
-inline void density_pair_gradient(double dx, double dy, double tx, double ty,
-                                  double ox, double oy, double beta,
-                                  DensityPairTerm& out) {
-  const double zx = tx - std::abs(dx);
-  const double zy = ty - std::abs(dy);
-  out.sx = (dx > 0.0 ? -1.0 : (dx < 0.0 ? 1.0 : 0.0)) *
-           density_sigmoid(zx, beta) * oy;
-  out.sy = (dy > 0.0 ? -1.0 : (dy < 0.0 ? 1.0 : 0.0)) *
-           density_sigmoid(zy, beta) * ox;
-}
-
-/// Smooth-overlap pair kernel shared by the sequential and parallel
-/// evaluation loops (and benched in isolation by bench_micro_kernels):
-/// dx/dy are the center deltas xi - xj / yi - yj, tx/ty the virtual
-/// half-extent sums. Returns false when the pair is outside the softplus
-/// tail (contribution below exp(-30)); the gradient terms are computed
-/// only when `with_gradient` is set.
+/// Smooth-overlap pair kernel of the value pass (benched in isolation by
+/// bench_micro_kernels): dx/dy are the center deltas xi - xj / yi - yj,
+/// tx/ty the virtual half-extent sums. Returns false when the pair is
+/// outside the softplus tail (contribution below exp(-30)).
 inline bool density_pair_kernel(double dx, double dy, double tx, double ty,
-                                double beta, double tail, bool with_gradient,
+                                double beta, double tail,
                                 DensityPairTerm& out) {
   const double zx = tx - std::abs(dx);
   const double zy = ty - std::abs(dy);
@@ -112,10 +94,21 @@ inline bool density_pair_kernel(double dx, double dy, double tx, double ty,
   out.area = ox * oy;
   out.ox = ox;
   out.oy = oy;
-  if (with_gradient) {
-    density_pair_gradient(dx, dy, tx, ty, ox, oy, beta, out);
-  }
   return true;
+}
+
+/// Gradient terms of one surviving pair, given its geometry and the 1-D
+/// overlaps from the value pass: sx / sy are applied to cell i and negated
+/// on cell j.
+inline void density_pair_gradient(double dx, double dy, double tx, double ty,
+                                  double ox, double oy, double beta,
+                                  double& sx, double& sy) {
+  const double zx = tx - std::abs(dx);
+  const double zy = ty - std::abs(dy);
+  sx = (dx > 0.0 ? -1.0 : (dx < 0.0 ? 1.0 : 0.0)) *
+       density_sigmoid(zx, beta) * oy;
+  sy = (dy > 0.0 ? -1.0 : (dy < 0.0 ? 1.0 : 0.0)) *
+       density_sigmoid(zy, beta) * ox;
 }
 
 struct DensityModel {
@@ -123,27 +116,21 @@ struct DensityModel {
   double omega = 1.2;
   /// Softplus sharpness (1/um). Larger = closer to the exact hinge.
   double beta = 16.0;
-  /// When false, pairs are enumerated through the legacy per-evaluation
-  /// `unordered_map` spatial hash instead of the reusable mixed-size index
-  /// — the pre-optimization engine kept for the determinism regression
-  /// tests and the bench_perf_placer baseline. Values and gradients are
-  /// identical either way (same fold order, same FP operations).
-  bool use_flat_grid = true;
 
   DensityModel() = default;
   DensityModel(double omega_in, double beta_in) : omega(omega_in), beta(beta_in) {}
 
   /// D(x, y); accumulates into `gradient` when nonnull (caller zeroes it).
   /// `gradient == nullptr` is the cheap value-only mode (no sigmoids, no
-  /// scatter). `pool` parallelizes the pair enumeration; the scratch
-  /// buffers make this method non-reentrant, but the result is identical
-  /// with or without a pool.
+  /// scatter). `pool` parallelizes the pair enumeration and the replay;
+  /// the cache makes this method non-reentrant, but the result is
+  /// identical with or without a pool.
   double evaluate(const netlist::Netlist& netlist,
                   const std::vector<double>& state,
                   std::vector<double>* gradient,
                   util::ThreadPool* pool = nullptr) const;
 
-  /// Spatial-structure rebuilds performed so far (one per evaluation —
+  /// Spatial-structure rebuilds performed so far (one per value pass —
   /// positions change between objective calls, but the index's buffers
   /// are reused so a rebuild allocates nothing in steady state).
   std::size_t grid_builds() const { return grid_builds_; }
@@ -152,8 +139,8 @@ struct DensityModel {
 
   /// Work counters over every evaluation so far: candidate pairs the
   /// enumeration handed to the pair kernel, and pairs kept (folded into
-  /// the value). Both are independent of the thread count; an acceptance
-  /// replay enumerates nothing and adds to neither.
+  /// the value). Both are independent of the thread count; a call that
+  /// hits the acceptance cache enumerates nothing and adds to neither.
   std::size_t pair_candidates() const { return pair_candidates_; }
   std::size_t pairs_kept() const { return pairs_kept_; }
 
@@ -176,39 +163,43 @@ struct DensityModel {
   }
 
  private:
-  /// One interacting pair (i, j) of row i: the smooth overlap area and the
-  /// gradient terms applied to i (and negated on j), the 1-D overlaps a
-  /// value-only pass feeds to the acceptance cache, and rank(j), the
-  /// row's fold-order key.
+  /// One interacting pair (i, j) of row i: the smooth overlap area, the
+  /// 1-D overlaps the acceptance cache records, and rank(j), the row's
+  /// fold-order key.
   struct PairTerm {
     std::uint32_t j = 0;
     std::uint32_t rank = 0;
     double area = 0.0;
     double ox = 0.0;
     double oy = 0.0;
-    double sx = 0.0;
-    double sy = 0.0;
   };
-  /// One surviving pair recorded by a value-only index evaluation: the
-  /// pair plus its 1-D softplus overlaps, enough to replay the gradient at
-  /// the same point without re-enumerating candidates or recomputing
-  /// softplus. Kept minimal — the cache is refilled on every trial, so its
-  /// write traffic is on the hot path. The pair geometry (dx, dy, tx, ty)
-  /// is recomputed at replay from the state and half-extent arrays, which
-  /// hold the identical doubles the value pass packed into the grid.
+  /// One surviving pair recorded by the value pass: the pair plus its 1-D
+  /// softplus overlaps, enough to replay the gradient at the same point
+  /// without re-enumerating candidates or recomputing softplus. Kept
+  /// minimal — the cache is refilled on every trial, so its write traffic
+  /// is on the hot path. The pair geometry (dx, dy, tx, ty) is recomputed
+  /// at replay from the state and half-extent arrays, which hold the
+  /// identical doubles the value pass packed into the grid.
   struct CachedPair {
     std::uint32_t i = 0;
     std::uint32_t j = 0;
     double ox = 0.0;
     double oy = 0.0;
   };
-  /// Folds every row's surviving pairs into the total, the acceptance
-  /// cache and the gradient, in (i, fold order). `collect(i, list)` fills
-  /// row i's pairs in fold order and returns the candidates it examined.
+  /// Value pass: enumerates the pairs at `state`, fills the acceptance
+  /// cache and returns the total.
+  double value_pass(const netlist::Netlist& netlist,
+                    const std::vector<double>& state,
+                    util::ThreadPool* pool) const;
+  /// Folds every row's surviving pairs into the total and the acceptance
+  /// cache, in (i, fold order). `collect(i, list)` fills row i's pairs in
+  /// fold order and returns the candidates it examined.
   template <typename Collect>
-  double fold_rows(std::size_t n, std::vector<double>* gradient,
-                   util::ThreadPool* pool, bool fill_cache,
+  double fold_rows(std::size_t n, util::ThreadPool* pool,
                    const Collect& collect) const;
+  /// Gradient replay over the cached pairs (accumulates into `gradient`).
+  void replay(const std::vector<double>& state, std::vector<double>& gradient,
+              util::ThreadPool* pool) const;
 
   /// Per-cell pair lists of the pooled path, reused across evaluate()
   /// calls; row_ is the single-thread path's one-row list.
@@ -219,20 +210,19 @@ struct DensityModel {
   mutable std::size_t pair_candidates_ = 0;
   mutable std::size_t pairs_kept_ = 0;
   /// Virtual half extents 0.5 * omega * {width, height} per cell, refreshed
-  /// each evaluation (cache-friendly vs chasing the cell structs).
+  /// each evaluation (cache-friendly vs chasing the cell structs). Part of
+  /// the cache key: a change drops the cache and re-splits the index.
   mutable std::vector<double> half_w_;
   mutable std::vector<double> half_h_;
-  /// Reusable mixed-size pair index (use_flat_grid == true), re-split
-  /// whenever the half extents change.
+  /// Reusable mixed-size pair index, re-split whenever the half extents
+  /// change.
   mutable MixedSizeIndex index_;
   mutable bool index_stale_ = true;
   mutable std::size_t grid_builds_ = 0;
-  /// Acceptance cache: the Armijo line search evaluates the accepted trial
-  /// value-only, then the placer asks for the gradient at the SAME point.
-  /// Each index value-only evaluation records its surviving pairs and
-  /// total here; a gradient call whose state matches byte for byte replays
-  /// them (identical order, identical FP terms) and only pays the sigmoid
-  /// work a full gradient evaluation would add on top of the value pass.
+  /// Acceptance cache: the surviving pairs and total of the last value
+  /// pass. A call whose state, beta, omega and half extents match byte for
+  /// byte skips the value pass; a gradient request replays the pairs
+  /// (identical order, identical FP terms) and only pays the sigmoid work.
   mutable std::vector<CachedPair> cache_pairs_;
   /// Replay scratch: per cached pair the gradient terms (sx, sy), computed
   /// in parallel — each pair owns its slot — then scattered sequentially

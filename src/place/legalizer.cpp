@@ -14,9 +14,8 @@ namespace {
 
 /// Checks one ordered pair (i, j) against the CURRENT state and, when the
 /// virtual rectangles overlap, separates them along the minimum-penetration
-/// axis (the lighter cell moving further). Shared by the quadratic and the
-/// grid-pruned sweeps so both perform the identical FP operations on every
-/// overlapping pair. Returns false (and moves nothing) for a clear pair.
+/// axis (the lighter cell moving further). Returns false (and moves
+/// nothing) for a clear pair.
 inline bool separate_pair(const netlist::Netlist& netlist,
                           std::vector<double>& state,
                           const LegalizerOptions& options, std::size_t i,
@@ -44,30 +43,10 @@ inline bool separate_pair(const netlist::Netlist& netlist,
   return true;
 }
 
-/// Quadratic reference sweep: every ordered pair, ascending (i, j).
-bool quadratic_pass(const netlist::Netlist& netlist, std::vector<double>& state,
-                    const LegalizerOptions& options, LegalizerReport& report) {
-  const std::size_t n = netlist.cells.size();
-  bool any_overlap = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double hwi = 0.5 * options.omega * netlist.cells[i].width;
-    const double hhi = 0.5 * options.omega * netlist.cells[i].height;
-    const double ai = netlist.cells[i].area();
-    for (std::size_t j = i + 1; j < n; ++j) {
-      ++report.pairs_checked;
-      if (separate_pair(netlist, state, options, i, j, hwi, hhi, ai)) {
-        any_overlap = true;
-        ++report.separations;
-      }
-    }
-  }
-  return any_overlap;
-}
-
-/// Grid-pruned sweep, bit-identical to quadratic_pass. A pair the
-/// reference sweep checks and finds clear moves nothing, so visiting any
-/// superset of the overlapping pairs, in ascending j against the same
-/// evolving state, gives the same bits. Small cells and macros live in two
+/// Grid-pruned sweep, bit-identical to checking every pair (i, j) in
+/// ascending order. A clear pair moves nothing, so visiting any superset
+/// of the overlapping pairs, in ascending j against the same evolving
+/// state, gives the same bits. Small cells and macros live in two
 /// LiveGrids that always hold the current positions: a separated cell is
 /// rebinned on the spot, in O(1). Row i's candidates are its windows into
 /// both grids. Within the row only cell i and the partners already visited
@@ -199,10 +178,7 @@ LegalizerReport legalize(const netlist::Netlist& netlist,
 
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
     report.passes = pass + 1;
-    const bool any_overlap = options.use_flat_grid
-                                 ? pruned.pass(state, report)
-                                 : quadratic_pass(netlist, state, options,
-                                                  report);
+    const bool any_overlap = pruned.pass(state, report);
     bool clamped = false;
     if (options.die_half > 0.0) {
       for (std::size_t i = 0; i < n; ++i) {

@@ -9,14 +9,14 @@
 // the tolerance or the pass budget is exhausted. A pass that finds no
 // overlap ends the run only if its clamp moved no cell.
 //
-// Each pass visits pairs (i, j) in ascending (i, j) against the evolving
-// state. The pruned sweep finds row i's candidates through two live grids
+// Each pass visits the overlapping pairs (i, j) in ascending (i, j)
+// against the evolving state. Row i's candidates come from two live grids
 // (place/spatial_grid.hpp: LiveGrid) that hold the current positions of
 // the small cells and of the macros, rebinned in O(1) whenever a
 // separation or the clamp moves a cell; a row re-collects its candidates
 // only after cell i itself changes bucket. Any candidate superset visited
-// in ascending j gives the same bits as the quadratic reference sweep,
-// because checking a clear pair moves nothing.
+// in ascending j gives the same bits as checking every pair, because
+// checking a clear pair moves nothing.
 #pragma once
 
 #include <cstddef>
@@ -37,14 +37,6 @@ struct LegalizerOptions {
   /// Half-side of the square die centered at the origin; cells are clamped
   /// inside after every pass. 0 disables clamping.
   double die_half = 0.0;
-  /// When true, each pass prunes the pair sweep through the live grids
-  /// (see above): only pairs close enough to possibly overlap are checked,
-  /// in the same ascending order and against the same evolving state as
-  /// the quadratic reference sweep, so the resulting placement is
-  /// BIT-identical — skipped pairs are exactly those that could not have
-  /// moved anything. False runs the all-pairs reference sweep, kept for
-  /// the legacy engine and the tests that compare against it.
-  bool use_flat_grid = true;
 };
 
 struct LegalizerReport {

@@ -101,11 +101,8 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   std::vector<double> state = pack_positions(netlist);
 
   WaModel wl_model{options.gamma};
-  wl_model.cached_kernels = !options.legacy_evaluation;
   DensityModel density_model{options.omega, options.beta};
-  density_model.use_flat_grid = !options.legacy_evaluation;
   CgOptions cg_options = options.cg;
-  if (options.legacy_evaluation) cg_options.value_only_trials = false;
   cg_options.recovery = options.recovery;
   util::ThreadPool pool(options.threads, "place");
   util::ThreadPool* pool_ptr = pool.size() > 1 ? &pool : nullptr;
@@ -271,9 +268,6 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   LegalizerOptions legal = options.legalizer;
   legal.omega = options.omega;
   legal.die_half = die_half;
-  // The grid-pruned sweep produces bit-identical placements; the legacy
-  // engine keeps the quadratic reference sweep as its baseline.
-  legal.use_flat_grid = !options.legacy_evaluation;
   {
     AUTONCS_TRACE_SCOPE("place/legalize");
     report.legalization = legalize(netlist, state, legal);

@@ -42,13 +42,6 @@ struct PlacerOptions {
   /// 0 = hardware concurrency. The placement is bit-identical for any
   /// value (per-item parallel phase, sequential fixed-order reduction).
   std::size_t threads = 0;
-  /// Run the pre-optimization evaluation engine: gradient on every
-  /// line-search trial, the per-evaluation unordered_map spatial hash
-  /// instead of the reusable mixed-size pair index, and the quadratic
-  /// legalizer sweep. Produces bit-identical placements (the determinism
-  /// tests assert it) — kept as the honest baseline for bench_perf_placer
-  /// and for bisecting evaluation-engine regressions.
-  bool legacy_evaluation = false;
   /// Wall-clock budget for the outer penalty loop in milliseconds; 0 =
   /// unlimited (the default — clean runs never consult the clock). When
   /// the budget runs out the placer stops after the current outer

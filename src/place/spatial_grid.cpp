@@ -122,9 +122,9 @@ void UniformGrid::build(const netlist::Netlist& netlist,
   if (starts_.capacity() < buckets + 1 || ids_.capacity() < n) grew = true;
 
   // Stable counting sort: histogram, exclusive prefix, then fill in
-  // ascending cell index — each bucket lists its cells in the same order
-  // the legacy hash inserted them. x-major layout: a probe's dy column is
-  // one contiguous slot range (see for_candidates).
+  // ascending cell index — each bucket lists its cells in ascending
+  // index, the order the density fold relies on. x-major layout: a
+  // probe's dy column is one contiguous slot range (see for_candidates).
   starts_.assign(buckets + 1, 0);
   const auto bucket_of = [&](std::size_t k) {
     return static_cast<std::size_t>(bin_x_[k] - min_x_) * ny_ +

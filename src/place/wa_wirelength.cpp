@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "util/check.hpp"
@@ -26,27 +27,9 @@ void unpack_positions(const std::vector<double>& state, netlist::Netlist& netlis
   }
 }
 
-namespace {
-
-/// Per-worker scratch for the cached max-shifted exponentials. thread_local
-/// so the parallel phase-1 workers of WaModel::evaluate don't contend; the
-/// capacity converges to the largest pin count seen, so steady-state calls
-/// allocate nothing.
-struct WaExpScratch {
-  std::vector<double> a;
-  std::vector<double> b;
-};
-
-WaExpScratch& wa_exp_scratch() {
-  thread_local WaExpScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-double wa_axis_terms(const std::vector<std::size_t>& pins,
-                     const std::vector<double>& state, std::size_t axis,
-                     double gamma, double weight, double* contrib) {
+double wa_axis_fill(const std::vector<std::size_t>& pins,
+                    const std::vector<double>& state, std::size_t axis,
+                    double gamma, double* exp_a, double* exp_b, double* fp) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t pin : pins) {
@@ -55,18 +38,6 @@ double wa_axis_terms(const std::vector<std::size_t>& pins,
     hi = std::max(hi, v);
   }
   // Max-shifted exponentials: a_i = e^{(v-hi)/g}, b_i = e^{-(v-lo)/g}.
-  // On the gradient path each pin's a/b is cached here so the loop below
-  // reuses it instead of calling exp again — the stored values are the
-  // same doubles, so value-only and gradient modes agree bit for bit.
-  double* exp_a = nullptr;
-  double* exp_b = nullptr;
-  if (contrib != nullptr) {
-    WaExpScratch& scratch = wa_exp_scratch();
-    scratch.a.resize(pins.size());
-    scratch.b.resize(pins.size());
-    exp_a = scratch.a.data();
-    exp_b = scratch.b.data();
-  }
   double sum_a = 0.0;
   double sum_va = 0.0;
   double sum_b = 0.0;
@@ -79,10 +50,8 @@ double wa_axis_terms(const std::vector<std::size_t>& pins,
     const double tb = -(v - lo) / gamma;
     const double a = ta == 0.0 ? 1.0 : std::exp(ta);
     const double b = tb == 0.0 ? 1.0 : std::exp(tb);
-    if (contrib != nullptr) {
-      exp_a[k] = a;
-      exp_b[k] = b;
-    }
+    exp_a[k] = a;
+    exp_b[k] = b;
     sum_a += a;
     sum_va += v * a;
     sum_b += b;
@@ -90,102 +59,6 @@ double wa_axis_terms(const std::vector<std::size_t>& pins,
   }
   const double f_plus = sum_va / sum_a;    // smooth max
   const double f_minus = sum_vb / sum_b;   // smooth min
-  if (contrib != nullptr) {
-    for (std::size_t k = 0; k < pins.size(); ++k) {
-      const double v = state[2 * pins[k] + axis];
-      const double d_plus = exp_a[k] / sum_a * (1.0 + (v - f_plus) / gamma);
-      const double d_minus = exp_b[k] / sum_b * (1.0 - (v - f_minus) / gamma);
-      contrib[k] = weight * (d_plus - d_minus);
-    }
-  }
-  return f_plus - f_minus;
-}
-
-namespace {
-
-/// Scatter form used on the sequential path: accumulates the gradient
-/// terms directly (same terms, same order as the parallel reduction),
-/// reusing the cached exponentials of the value pass.
-double wa_axis(const std::vector<std::size_t>& pins,
-               const std::vector<double>& state, std::size_t axis, double gamma,
-               double weight, std::vector<double>* gradient) {
-  if (gradient == nullptr) {
-    return wa_axis_terms(pins, state, axis, gamma, weight, nullptr);
-  }
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t pin : pins) {
-    const double v = state[2 * pin + axis];
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  WaExpScratch& scratch = wa_exp_scratch();
-  scratch.a.resize(pins.size());
-  scratch.b.resize(pins.size());
-  double* exp_a = scratch.a.data();
-  double* exp_b = scratch.b.data();
-  double sum_a = 0.0;
-  double sum_va = 0.0;
-  double sum_b = 0.0;
-  double sum_vb = 0.0;
-  for (std::size_t k = 0; k < pins.size(); ++k) {
-    const double v = state[2 * pins[k] + axis];
-    const double ta = (v - hi) / gamma;
-    const double tb = -(v - lo) / gamma;
-    const double a = ta == 0.0 ? 1.0 : std::exp(ta);
-    const double b = tb == 0.0 ? 1.0 : std::exp(tb);
-    exp_a[k] = a;
-    exp_b[k] = b;
-    sum_a += a;
-    sum_va += v * a;
-    sum_b += b;
-    sum_vb += v * b;
-  }
-  const double f_plus = sum_va / sum_a;
-  const double f_minus = sum_vb / sum_b;
-  for (std::size_t k = 0; k < pins.size(); ++k) {
-    const double v = state[2 * pins[k] + axis];
-    const double d_plus = exp_a[k] / sum_a * (1.0 + (v - f_plus) / gamma);
-    const double d_minus = exp_b[k] / sum_b * (1.0 - (v - f_minus) / gamma);
-    (*gradient)[2 * pins[k] + axis] += weight * (d_plus - d_minus);
-  }
-  return f_plus - f_minus;
-}
-
-/// Value pass that additionally records the acceptance-cache terms: the
-/// per-pin max-shifted exponentials into exp_a / exp_b and
-/// {f_plus, f_minus, sum_a, sum_b} into fp. FP operations are identical to
-/// the value-only wa_axis_terms — the stores are of doubles it computes
-/// anyway — so a cached trial value matches an uncached one bit for bit.
-double wa_axis_fill(const std::vector<std::size_t>& pins,
-                    const std::vector<double>& state, std::size_t axis,
-                    double gamma, double* exp_a, double* exp_b, double* fp) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t pin : pins) {
-    const double v = state[2 * pin + axis];
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  double sum_a = 0.0;
-  double sum_va = 0.0;
-  double sum_b = 0.0;
-  double sum_vb = 0.0;
-  for (std::size_t k = 0; k < pins.size(); ++k) {
-    const double v = state[2 * pins[k] + axis];
-    const double ta = (v - hi) / gamma;
-    const double tb = -(v - lo) / gamma;
-    const double a = ta == 0.0 ? 1.0 : std::exp(ta);
-    const double b = tb == 0.0 ? 1.0 : std::exp(tb);
-    exp_a[k] = a;
-    exp_b[k] = b;
-    sum_a += a;
-    sum_va += v * a;
-    sum_b += b;
-    sum_vb += v * b;
-  }
-  const double f_plus = sum_va / sum_a;
-  const double f_minus = sum_vb / sum_b;
   fp[0] = f_plus;
   fp[1] = f_minus;
   fp[2] = sum_a;
@@ -193,50 +66,7 @@ double wa_axis_fill(const std::vector<std::size_t>& pins,
   return f_plus - f_minus;
 }
 
-/// Pre-optimization per-wire kernel (the engine as of the telemetry PR),
-/// kept verbatim behind `WaModel::cached_kernels == false` so the
-/// bench_perf_placer baseline pays the original costs: the gradient loop
-/// recomputes every exponential instead of reusing the value pass, and
-/// exp(0) goes through libm. Same inputs, same libm calls, same operation
-/// order — the results are bit-identical to the cached kernel.
-double wa_axis_legacy(const std::vector<std::size_t>& pins,
-                      const std::vector<double>& state, std::size_t axis,
-                      double gamma, double weight,
-                      std::vector<double>* gradient) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t pin : pins) {
-    const double v = state[2 * pin + axis];
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  double sum_a = 0.0;
-  double sum_va = 0.0;
-  double sum_b = 0.0;
-  double sum_vb = 0.0;
-  for (std::size_t pin : pins) {
-    const double v = state[2 * pin + axis];
-    const double a = std::exp((v - hi) / gamma);
-    const double b = std::exp(-(v - lo) / gamma);
-    sum_a += a;
-    sum_va += v * a;
-    sum_b += b;
-    sum_vb += v * b;
-  }
-  const double f_plus = sum_va / sum_a;
-  const double f_minus = sum_vb / sum_b;
-  if (gradient != nullptr) {
-    for (std::size_t pin : pins) {
-      const double v = state[2 * pin + axis];
-      const double a = std::exp((v - hi) / gamma);
-      const double b = std::exp(-(v - lo) / gamma);
-      const double d_plus = a / sum_a * (1.0 + (v - f_plus) / gamma);
-      const double d_minus = b / sum_b * (1.0 - (v - f_minus) / gamma);
-      (*gradient)[2 * pin + axis] += weight * (d_plus - d_minus);
-    }
-  }
-  return f_plus - f_minus;
-}
+namespace {
 
 /// Work per dispatched block of the pooled loops, sized so one block is
 /// worth a wakeup: ~64 wires of exponentials, ~256 cells of gather adds.
@@ -245,35 +75,145 @@ constexpr std::size_t kCellGrain = 256;
 
 }  // namespace
 
-void WaModel::build_pin_index(const netlist::Netlist& netlist) const {
-  const std::size_t cells = netlist.cells.size();
+bool WaModel::sync_wires(const netlist::Netlist& netlist) const {
   const std::size_t wires = netlist.wires.size();
-  const std::size_t entries = offsets_[wires];
-  if (pin_index_cells_ == cells && pin_index_wires_ == wires &&
-      pin_index_entries_ == entries && !cell_off_.empty()) {
-    return;
+  bool same = cells_ == netlist.cells.size() &&
+              offsets_.size() == wires + 1 && weights_.size() == wires;
+  for (std::size_t w = 0; w < wires && same; ++w) {
+    const auto& wire = netlist.wires[w];
+    const auto off = static_cast<std::ptrdiff_t>(offsets_[w]);
+    same = weights_[w] == wire.weight &&
+           offsets_[w + 1] - offsets_[w] == wire.pins.size() &&
+           std::equal(wire.pins.begin(), wire.pins.end(), pins_.begin() + off);
   }
-  cell_off_.assign(cells + 1, 0);
-  for (const auto& wire : netlist.wires)
-    for (std::size_t pin : wire.pins) ++cell_off_[pin + 1];
-  for (std::size_t c = 0; c < cells; ++c) cell_off_[c + 1] += cell_off_[c];
+  if (same) return true;
+  cells_ = netlist.cells.size();
+  offsets_.assign(1, 0);
+  pins_.clear();
+  weights_.clear();
+  for (const auto& wire : netlist.wires) {
+    pins_.insert(pins_.end(), wire.pins.begin(), wire.pins.end());
+    offsets_.push_back(pins_.size());
+    weights_.push_back(wire.weight);
+  }
+  pin_index_valid_ = false;
+  return false;
+}
+
+void WaModel::build_pin_index() const {
+  if (pin_index_valid_) return;
+  const std::size_t wires = offsets_.size() - 1;
+  const std::size_t entries = pins_.size();
+  cell_off_.assign(cells_ + 1, 0);
+  for (std::size_t pin : pins_) ++cell_off_[pin + 1];
+  for (std::size_t c = 0; c < cells_; ++c) cell_off_[c + 1] += cell_off_[c];
   cell_wire_.resize(entries);
   cell_slot_.resize(entries);
   std::vector<std::size_t> cursor(cell_off_.begin(), cell_off_.end() - 1);
   // Scanning wires then pins in ascending order leaves every cell's entry
   // list sorted (wire, pin) ascending — the exact order the sequential
-  // scatter loop adds into that cell's gradient entries.
+  // replay adds into that cell's gradient entries.
   for (std::size_t w = 0; w < wires; ++w) {
-    const auto& pins = netlist.wires[w].pins;
-    for (std::size_t k = 0; k < pins.size(); ++k) {
-      const std::size_t at = cursor[pins[k]]++;
+    for (std::size_t slot = offsets_[w]; slot < offsets_[w + 1]; ++slot) {
+      const std::size_t at = cursor[pins_[slot]]++;
       cell_wire_[at] = static_cast<std::uint32_t>(w);
-      cell_slot_[at] = static_cast<std::uint32_t>(offsets_[w] + k);
+      cell_slot_[at] = static_cast<std::uint32_t>(slot);
     }
   }
-  pin_index_cells_ = cells;
-  pin_index_wires_ = wires;
-  pin_index_entries_ = entries;
+  pin_index_valid_ = true;
+}
+
+void WaModel::fill(const netlist::Netlist& netlist,
+                   const std::vector<double>& state,
+                   util::ThreadPool* pool) const {
+  // Each wire owns its cache slots, so the pass parallelizes; the total is
+  // folded sequentially in wire order (the FP operation order of the
+  // single-thread loop, independent of the thread count).
+  const std::size_t wires = netlist.wires.size();
+  cache_fp_.resize(8 * wires);
+  cache_ax_.resize(pins_.size());
+  cache_bx_.resize(pins_.size());
+  cache_ay_.resize(pins_.size());
+  cache_by_.resize(pins_.size());
+  const auto fill_wire = [&](std::size_t w) {
+    const auto& pins = netlist.wires[w].pins;
+    const std::size_t off = offsets_[w];
+    double* fp = &cache_fp_[8 * w];
+    return weights_[w] *
+           (wa_axis_fill(pins, state, 0, gamma, &cache_ax_[off],
+                         &cache_bx_[off], fp) +
+            wa_axis_fill(pins, state, 1, gamma, &cache_ay_[off],
+                         &cache_by_[off], fp + 4));
+  };
+  double total = 0.0;
+  if (pool != nullptr) {
+    wire_value_.resize(wires);
+    pool->parallel_for(
+        wires,
+        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+          for (std::size_t w = begin; w < end; ++w)
+            wire_value_[w] = fill_wire(w);
+        },
+        kWireGrain);
+    for (std::size_t w = 0; w < wires; ++w) total += wire_value_[w];
+  } else {
+    for (std::size_t w = 0; w < wires; ++w) total += fill_wire(w);
+  }
+  cache_state_ = state;
+  cache_gamma_ = gamma;
+  cache_value_ = total;
+  cache_valid_ = true;
+}
+
+void WaModel::replay(const netlist::Netlist& netlist,
+                     const std::vector<double>& state,
+                     std::vector<double>& gradient,
+                     util::ThreadPool* pool) const {
+  // d WA / d v per pin, from the recorded exponentials and sums.
+  const auto term = [&](double exp_a, double exp_b, const double* fp,
+                        double v) {
+    const double d_plus = exp_a / fp[2] * (1.0 + (v - fp[0]) / gamma);
+    const double d_minus = exp_b / fp[3] * (1.0 - (v - fp[1]) / gamma);
+    return d_plus - d_minus;
+  };
+  if (pool != nullptr) {
+    build_pin_index();
+    pool->parallel_for(
+        cells_,
+        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+          for (std::size_t c = begin; c < end; ++c) {
+            const double vx = state[2 * c];
+            const double vy = state[2 * c + 1];
+            for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
+              const std::size_t w = cell_wire_[e];
+              const std::size_t slot = cell_slot_[e];
+              const double* fp = &cache_fp_[8 * w];
+              gradient[2 * c] +=
+                  weights_[w] * term(cache_ax_[slot], cache_bx_[slot], fp, vx);
+              gradient[2 * c + 1] += weights_[w] * term(cache_ay_[slot],
+                                                        cache_by_[slot],
+                                                        fp + 4, vy);
+            }
+          }
+        },
+        kCellGrain);
+    return;
+  }
+  for (std::size_t w = 0; w < netlist.wires.size(); ++w) {
+    const auto& pins = netlist.wires[w].pins;
+    const std::size_t off = offsets_[w];
+    const double* fp = &cache_fp_[8 * w];
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      const std::size_t x = 2 * pins[k];
+      gradient[x] += weights_[w] * term(cache_ax_[off + k], cache_bx_[off + k],
+                                        fp, state[x]);
+    }
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      const std::size_t y = 2 * pins[k] + 1;
+      gradient[y] += weights_[w] * term(cache_ay_[off + k], cache_by_[off + k],
+                                        fp + 4, state[y]);
+    }
+  }
 }
 
 double WaModel::evaluate(const netlist::Netlist& netlist,
@@ -287,183 +227,17 @@ double WaModel::evaluate(const netlist::Netlist& netlist,
     AUTONCS_CHECK(gradient->size() == state.size(),
                   "gradient size must match the state");
   }
-  const std::size_t wires = netlist.wires.size();
-  const bool pooled = pool != nullptr && pool->size() > 1 && wires >= 2;
-  if (!cached_kernels) {
-    // Reference engine: original uncached kernel (sequential only — the
-    // legacy baseline is a single-thread configuration).
-    double total = 0.0;
-    for (const auto& wire : netlist.wires) {
-      total +=
-          wire.weight *
-          (wa_axis_legacy(wire.pins, state, 0, gamma, wire.weight, gradient) +
-           wa_axis_legacy(wire.pins, state, 1, gamma, wire.weight, gradient));
-    }
-    return total;
-  }
-
-  offsets_.resize(wires + 1);
-  offsets_[0] = 0;
-  for (std::size_t w = 0; w < wires; ++w)
-    offsets_[w + 1] = offsets_[w] + netlist.wires[w].pins.size();
-
-  if (gradient != nullptr && cache_valid_ && cache_gamma_ == gamma &&
-      cache_state_ == state) {
-    // Acceptance replay: gradient at the exact point of the last
-    // value-only evaluation (the accepted Armijo trial). Only the
-    // gradient loops run, over the recorded exponentials and sums — the
-    // identical doubles the full kernel would recompute. The pooled form
-    // gathers per CELL through the inverse pin index: each gradient entry
-    // receives exactly the additions of the sequential wire-major loop,
-    // in the same (wire, pin) ascending order, so both forms are
-    // bit-identical to an uncached evaluation.
-    const auto replay_cell = [&](std::size_t c) {
-      const double vx = state[2 * c];
-      const double vy = state[2 * c + 1];
-      for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
-        const std::size_t w = cell_wire_[e];
-        const std::size_t slot = cell_slot_[e];
-        const double weight = netlist.wires[w].weight;
-        const double* fp = &cache_fp_[8 * w];
-        const double dx_plus =
-            cache_ax_[slot] / fp[2] * (1.0 + (vx - fp[0]) / gamma);
-        const double dx_minus =
-            cache_bx_[slot] / fp[3] * (1.0 - (vx - fp[1]) / gamma);
-        (*gradient)[2 * c] += weight * (dx_plus - dx_minus);
-        const double dy_plus =
-            cache_ay_[slot] / fp[6] * (1.0 + (vy - fp[4]) / gamma);
-        const double dy_minus =
-            cache_by_[slot] / fp[7] * (1.0 - (vy - fp[5]) / gamma);
-        (*gradient)[2 * c + 1] += weight * (dy_plus - dy_minus);
-      }
-    };
-    if (pooled) {
-      build_pin_index(netlist);
-      pool->parallel_for(
-          netlist.cells.size(),
-          [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-            for (std::size_t c = begin; c < end; ++c) replay_cell(c);
-          },
-          kCellGrain);
-    } else {
-      for (std::size_t w = 0; w < wires; ++w) {
-        const auto& wire = netlist.wires[w];
-        const std::size_t off = offsets_[w];
-        const double* fp = &cache_fp_[8 * w];
-        for (std::size_t k = 0; k < wire.pins.size(); ++k) {
-          const double v = state[2 * wire.pins[k]];
-          const double d_plus =
-              cache_ax_[off + k] / fp[2] * (1.0 + (v - fp[0]) / gamma);
-          const double d_minus =
-              cache_bx_[off + k] / fp[3] * (1.0 - (v - fp[1]) / gamma);
-          (*gradient)[2 * wire.pins[k]] += wire.weight * (d_plus - d_minus);
-        }
-        for (std::size_t k = 0; k < wire.pins.size(); ++k) {
-          const double v = state[2 * wire.pins[k] + 1];
-          const double d_plus =
-              cache_ay_[off + k] / fp[6] * (1.0 + (v - fp[4]) / gamma);
-          const double d_minus =
-              cache_by_[off + k] / fp[7] * (1.0 - (v - fp[5]) / gamma);
-          (*gradient)[2 * wire.pins[k] + 1] += wire.weight * (d_plus - d_minus);
-        }
-      }
-    }
-    // The cached total IS the fold of wire.weight * ((fp0-fp1)+(fp4-fp5))
-    // in wire order — recomputing it would reproduce it bit for bit.
-    return cache_value_;
-  }
-
-  if (gradient == nullptr) {
-    // Value-only trial: fill the acceptance cache as a side effect. Each
-    // wire owns its cache slots, so the fill parallelizes; the total is
-    // folded sequentially in wire order (the FP operation order of the
-    // single-thread loop, independent of the thread count).
-    cache_fp_.resize(8 * wires);
-    cache_ax_.resize(offsets_[wires]);
-    cache_bx_.resize(offsets_[wires]);
-    cache_ay_.resize(offsets_[wires]);
-    cache_by_.resize(offsets_[wires]);
-    cache_valid_ = false;
-    const auto fill_wire = [&](std::size_t w) {
-      const auto& wire = netlist.wires[w];
-      const std::size_t off = offsets_[w];
-      double* fp = &cache_fp_[8 * w];
-      return wire.weight *
-             (wa_axis_fill(wire.pins, state, 0, gamma, &cache_ax_[off],
-                           &cache_bx_[off], fp) +
-              wa_axis_fill(wire.pins, state, 1, gamma, &cache_ay_[off],
-                           &cache_by_[off], fp + 4));
-    };
-    double total = 0.0;
-    if (pooled) {
-      wire_value_.resize(wires);
-      pool->parallel_for(
-          wires,
-          [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-            for (std::size_t w = begin; w < end; ++w)
-              wire_value_[w] = fill_wire(w);
-          },
-          kWireGrain);
-      for (std::size_t w = 0; w < wires; ++w) total += wire_value_[w];
-    } else {
-      for (std::size_t w = 0; w < wires; ++w) total += fill_wire(w);
-    }
-    cache_state_ = state;
-    cache_gamma_ = gamma;
-    cache_value_ = total;
-    cache_valid_ = true;
-    return total;
-  }
-
-  if (!pooled) {
-    double total = 0.0;
-    for (const auto& wire : netlist.wires) {
-      total += wire.weight *
-               (wa_axis(wire.pins, state, 0, gamma, wire.weight, gradient) +
-                wa_axis(wire.pins, state, 1, gamma, wire.weight, gradient));
-    }
-    return total;
-  }
-
-  // Full gradient evaluation off the cache (e.g. the lambda_0 probe).
-  // Phase 1 (parallel): each wire computes its value and per-pin gradient
-  // terms into its own slots.
-  wire_value_.resize(wires);
-  contrib_x_.resize(offsets_[wires]);
-  contrib_y_.resize(offsets_[wires]);
-  pool->parallel_for(
-      wires,
-      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-        for (std::size_t w = begin; w < end; ++w) {
-          const auto& wire = netlist.wires[w];
-          double* cx = contrib_x_.data() + offsets_[w];
-          double* cy = contrib_y_.data() + offsets_[w];
-          wire_value_[w] =
-              wire.weight *
-              (wa_axis_terms(wire.pins, state, 0, gamma, wire.weight, cx) +
-               wa_axis_terms(wire.pins, state, 1, gamma, wire.weight, cy));
-        }
-      },
-      kWireGrain);
-
-  // Phase 2: the total folds sequentially in wire order; the gradient is
-  // gathered in parallel per cell — entry (wire, pin) ascending, the
-  // identical addition sequence of the sequential scatter.
-  build_pin_index(netlist);
-  pool->parallel_for(
-      netlist.cells.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-        for (std::size_t c = begin; c < end; ++c) {
-          for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
-            (*gradient)[2 * c] += contrib_x_[cell_slot_[e]];
-            (*gradient)[2 * c + 1] += contrib_y_[cell_slot_[e]];
-          }
-        }
-      },
-      kCellGrain);
-  double total = 0.0;
-  for (std::size_t w = 0; w < wires; ++w) total += wire_value_[w];
-  return total;
+  if (pool != nullptr && (pool->size() == 1 || netlist.wires.size() < 2))
+    pool = nullptr;
+  // The cache holds this exact point when the wires, gamma and state all
+  // match the last value pass byte for byte — typically the accepted
+  // Armijo trial whose gradient CG now asks for.
+  const bool same_wires = sync_wires(netlist);
+  if (!(same_wires && cache_valid_ && cache_gamma_ == gamma &&
+        cache_state_ == state))
+    fill(netlist, state, pool);
+  if (gradient != nullptr) replay(netlist, state, *gradient, pool);
+  return cache_value_;
 }
 
 namespace {

@@ -35,8 +35,8 @@ void GridGraph::build_adjacency() {
   adjacency_offsets_.assign(nodes + 1, 0);
   adjacency_.clear();
   adjacency_.reserve(4 * nodes);
-  // Fixed neighbor order (east, west, north, south) matches the legacy
-  // kernel's expansion order, so searches relax edges identically.
+  // Fixed neighbor order (east, west, north, south): the maze kernel's
+  // expansion order, part of its deterministic tie-breaking.
   for (std::size_t node = 0; node < nodes; ++node) {
     const std::size_t ix = node % nx_;
     const std::size_t iy = node / nx_;

@@ -9,28 +9,18 @@ namespace autoncs::route {
 
 namespace {
 
-/// Legacy heap order: min-heap on priority alone (exact legacy
-/// replication for the unidirectional kernel).
-struct HeapOrder {
-  bool operator()(const MazeQueueEntry& a, const MazeQueueEntry& b) const {
-    return a.priority > b.priority;  // min-heap
-  }
-};
-
-/// Bidirectional heap order: lowest priority first; priority ties pop
-/// the DEEPEST entry (highest g — commit to the frontier's current
-/// corridor instead of ping-ponging between equally promising ones),
-/// and remaining ties pop the MOST RECENT push (a depth-first march
-/// across equal-cost plateaus, like the legacy kernel's plateau
-/// behavior, instead of flooding them breadth-first). Both rules only
-/// pick among equal-priority entries, so the returned cost is
-/// unaffected — but the equal-cost path SHAPE they select measurably
-/// improves aggregate wirelength/overflow once thousands of segment
-/// routes interact (see bench_perf_route). seq is unique within a
-/// search pass, so the pop sequence — and with it the committed path —
-/// is a total order, a pure function of the grid state independent of
-/// thread count.
-struct BidiHeapOrder {
+/// Frontier heap order: lowest priority first; priority ties pop the
+/// DEEPEST entry (highest g — commit to the frontier's current corridor
+/// instead of ping-ponging between equally promising ones), and remaining
+/// ties pop the MOST RECENT push (a depth-first march across equal-cost
+/// plateaus instead of a breadth-first flood). Both rules only pick among
+/// equal-priority entries, so the returned cost is unaffected — but the
+/// equal-cost path SHAPE they select measurably improves aggregate
+/// wirelength/overflow once thousands of segment routes interact. seq is
+/// unique within a search pass, so the pop sequence — and with it the
+/// committed path — is a total order, a pure function of the grid state
+/// independent of thread count.
+struct FrontierOrder {
   bool operator()(const MazeQueueEntry& a, const MazeQueueEntry& b) const {
     if (a.priority != b.priority) return a.priority > b.priority;
     if (a.cost != b.cost) return a.cost < b.cost;  // deeper first
@@ -75,112 +65,16 @@ struct EdgeCostModel {
   }
 };
 
-std::optional<std::vector<BinRef>> maze_route_unidirectional(
-    const GridGraph& grid, BinRef source, BinRef target,
-    const MazeOptions& options, MazeWorkspace& workspace) {
-  const std::size_t nx = grid.nx();
-  const std::size_t ny = grid.ny();
-  const auto node_of = [nx](BinRef b) { return b.iy * nx + b.ix; };
-  const std::size_t start = node_of(source);
-  const std::size_t goal = node_of(target);
-  const std::size_t nodes = nx * ny;
+}  // namespace
 
-  const double bin = grid.bin_um();
-  const EdgeCostModel edge_cost{bin, 1.0 / grid.edge_capacity(),
-                                options.congestion_penalty,
-                                options.history_weight,
-                                options.capacity_limit_factor *
-                                    grid.edge_capacity()};
-  MazeStats& stats = workspace.stats();
-
-  // One A* pass restricted to the inclusive window (the full grid when the
-  // window spans it). Returns true when the goal was reached.
-  const auto search = [&](const Window& window) {
-    workspace.prepare(nodes);
-    auto& open = workspace.heap();
-    const auto push = [&open, &stats](MazeQueueEntry entry) {
-      open.push_back(entry);
-      std::push_heap(open.begin(), open.end(), HeapOrder{});
-      ++stats.heap_pushes;
-    };
-    const auto heuristic = [&](std::size_t ix, std::size_t iy) {
-      const double dx =
-          static_cast<double>(ix) - static_cast<double>(target.ix);
-      const double dy =
-          static_cast<double>(iy) - static_cast<double>(target.iy);
-      return (std::abs(dx) + std::abs(dy)) * bin;
-    };
-    workspace.record(start, 0.0, nodes);
-    push({heuristic(source.ix, source.iy), 0.0, start});
-
-    while (!open.empty()) {
-      const MazeQueueEntry entry = open.front();
-      std::pop_heap(open.begin(), open.end(), HeapOrder{});
-      open.pop_back();
-      if (entry.cost > workspace.best(entry.node)) continue;
-      ++stats.nodes_expanded;
-      if (entry.node == goal) break;
-
-      const GridNeighbor* neighbors = grid.neighbors(entry.node);
-      const std::size_t count = grid.neighbor_count(entry.node);
-      for (std::size_t k = 0; k < count; ++k) {
-        const GridNeighbor& n = neighbors[k];
-        if (!window.contains(n.ix, n.iy)) continue;
-        const double usage = grid.edge_usage(n.edge);
-        if (edge_blocked(usage, edge_cost.limit)) continue;
-        const double g =
-            entry.cost + edge_cost(usage, grid.edge_history(n.edge));
-        if (g < workspace.best(n.node)) {
-          workspace.record(n.node, g, entry.node);
-          push({g + heuristic(n.ix, n.iy), g, n.node});
-        }
-      }
-    }
-    return std::isfinite(workspace.best(goal));
-  };
-
-  const Window full = make_window(0, 0, nx - 1, ny - 1, 0, nx, ny);
-  bool found = false;
-  bool windowed = false;
-  if (options.window_margin_bins != MazeOptions::kNoWindow) {
-    const Window window = make_window(
-        std::min(source.ix, target.ix), std::min(source.iy, target.iy),
-        std::max(source.ix, target.ix), std::max(source.iy, target.iy),
-        options.window_margin_bins, nx, ny);
-    windowed = window.lo_x > full.lo_x || window.lo_y > full.lo_y ||
-               window.hi_x < full.hi_x || window.hi_y < full.hi_y;
-    found = search(window);
-  } else {
-    found = search(full);
-  }
-  // Congestion can force detours outside the window; retry unrestricted so
-  // a net is reported unroutable only when the FULL grid has no path.
-  if (!found && windowed) {
-    ++stats.window_retries;
-    found = search(full);
-  }
-  if (!found) return std::nullopt;
-  std::vector<BinRef> path;
-  // Manhattan lower bound on the hop count — exact for detour-free routes,
-  // which are the common case, so backtracking rarely reallocates.
-  path.reserve((source.ix > target.ix ? source.ix - target.ix
-                                      : target.ix - source.ix) +
-               (source.iy > target.iy ? source.iy - target.iy
-                                      : target.iy - source.iy) +
-               1);
-  for (std::size_t node = goal;;) {
-    path.push_back({node % nx, node / nx});
-    if (node == start) break;
-    node = workspace.parent(node);
-    AUTONCS_CHECK(node < nodes, "broken parent chain in maze route");
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::optional<std::vector<BinRef>> maze_route_bidirectional(
-    const GridGraph& grid, BinRef source, BinRef target,
-    const MazeOptions& options, MazeWorkspace& workspace) {
+std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,
+                                              BinRef source, BinRef target,
+                                              const MazeOptions& options,
+                                              MazeWorkspace& workspace) {
+  AUTONCS_CHECK(source.ix < grid.nx() && source.iy < grid.ny(),
+                "source bin out of range");
+  AUTONCS_CHECK(target.ix < grid.nx() && target.iy < grid.ny(),
+                "target bin out of range");
   const std::size_t nx = grid.nx();
   const std::size_t ny = grid.ny();
   const auto node_of = [nx](BinRef b) { return b.iy * nx + b.ix; };
@@ -251,7 +145,7 @@ std::optional<std::vector<BinRef>> maze_route_bidirectional(
 
   // One balanced two-frontier pass inside the window.
   const auto search = [&](const Window& window) {
-    workspace.prepare(nodes, 2);
+    workspace.prepare(nodes);
     SearchOutcome out;
     out.best_meet = seed_bound;
 
@@ -261,7 +155,7 @@ std::optional<std::vector<BinRef>> maze_route_bidirectional(
       entry.seq = push_seq++;
       auto& open = workspace.heap(d);
       open.push_back(entry);
-      std::push_heap(open.begin(), open.end(), BidiHeapOrder{});
+      std::push_heap(open.begin(), open.end(), FrontierOrder{});
       ++stats.heap_pushes;
     };
     // Meet bookkeeping: a node labeled by both frontiers witnesses a real
@@ -307,7 +201,7 @@ std::optional<std::vector<BinRef>> maze_route_bidirectional(
                                                : MazeWorkspace::kBackward;
       auto& open = workspace.heap(dir);
       const MazeQueueEntry entry = open.front();
-      std::pop_heap(open.begin(), open.end(), BidiHeapOrder{});
+      std::pop_heap(open.begin(), open.end(), FrontierOrder{});
       open.pop_back();
       if (entry.cost > workspace.best(entry.node, dir)) continue;  // stale
       ++stats.nodes_expanded;
@@ -340,8 +234,7 @@ std::optional<std::vector<BinRef>> maze_route_bidirectional(
 
   // Window schedule: start from the endpoints' (and seed path's) bounding
   // box plus the configured margin, then grow the margin geometrically on
-  // failure until the window covers the grid — no full-grid fallback
-  // pass. Like the legacy kernel's windowed pass, a windowed SUCCESS is
+  // failure until the window covers the grid. A windowed SUCCESS is
   // accepted as-is (exact within the window); keeping detours window-
   // local also spreads congestion better than globally-cheapest detours,
   // which pile onto the same few corridors.
@@ -401,23 +294,6 @@ std::optional<std::vector<BinRef>> maze_route_bidirectional(
     path.push_back({node % nx, node / nx});
   }
   return path;
-}
-
-}  // namespace
-
-std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,
-                                              BinRef source, BinRef target,
-                                              const MazeOptions& options,
-                                              MazeWorkspace& workspace) {
-  AUTONCS_CHECK(source.ix < grid.nx() && source.iy < grid.ny(),
-                "source bin out of range");
-  AUTONCS_CHECK(target.ix < grid.nx() && target.iy < grid.ny(),
-                "target bin out of range");
-  return options.bidirectional
-             ? maze_route_bidirectional(grid, source, target, options,
-                                        workspace)
-             : maze_route_unidirectional(grid, source, target, options,
-                                         workspace);
 }
 
 std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,

@@ -5,9 +5,9 @@
 // caller relaxes the limit for wires that cannot be routed
 // (FastRoute-style rip-up avoidance [17]).
 //
-// ## Bidirectional kernel (default)
+// ## Bidirectional kernel
 //
-// The default kernel runs two opposing searches — forward from the source,
+// The kernel runs two opposing searches — forward from the source,
 // backward from the target — with balanced expansion (the frontier with
 // the cheaper top entry advances). Both searches order their heaps by the
 // Ikeda balanced potential p(v) = (dist(v,target) - dist(v,source))/2 *
@@ -19,23 +19,20 @@
 //
 //     top_f + top_b >= best_meet
 //
-// is EXACT: the returned path has minimal cost, equal to what the
-// unidirectional kernel finds. Ties in the heaps break toward the
-// deepest entry, then the most recent push (see MazeQueueEntry::seq),
-// making the search — and the committed path — a pure function of the
-// grid state, bit-identical across thread counts. All search state (both best/parent/stamp sets, both heaps) lives
-// in the per-worker MazeWorkspace; grid nodes carry nothing.
+// is EXACT: the returned path has minimal cost, equal to what a plain
+// Dijkstra search finds. Ties in the heaps break toward the deepest
+// entry, then the most recent push (see MazeQueueEntry::seq), making the
+// search — and the committed path — a pure function of the grid state,
+// bit-identical across thread counts. All search state (both
+// best/parent/stamp sets, both heaps) lives in the per-worker
+// MazeWorkspace; grid nodes carry nothing.
 //
-// A windowed bidirectional search that fails GROWS its window
-// geometrically (the margin doubles per retry) instead of paying one
-// wasted windowed pass followed by a full-grid pass; a windowed success
-// is accepted as-is — exact within the window, like the legacy kernel's
-// windowed pass. A seed path (the segment's previous route, see
-// MazeOptions::seed_path) warm-starts the window and the initial meet
-// bound so relax retries and negotiated reroutes terminate early. Setting
-// MazeOptions::bidirectional = false selects the legacy unidirectional
-// kernel (single windowed pass, then a full-grid fallback on failure) for
-// exact legacy replication.
+// A windowed search that fails GROWS its window geometrically (the margin
+// doubles per retry) until the window covers the grid; a windowed success
+// is accepted as-is (exact within the window). A seed path (the segment's
+// previous route, see MazeOptions::seed_path) warm-starts the window and
+// the initial meet bound so relax retries and negotiated reroutes
+// terminate early.
 //
 // ## Capacity invariant (shared by routing and negotiated rerouting)
 //
@@ -77,22 +74,18 @@ struct MazeOptions {
   /// Sentinel for window_margin_bins: search the whole grid.
   static constexpr std::size_t kNoWindow = static_cast<std::size_t>(-1);
   /// Restrict the search to the source/target bounding box expanded by
-  /// this many bins on each side. The bidirectional kernel grows a failed
-  /// window geometrically (margin doubles per retry) until it covers the
-  /// grid, so routability is unchanged; the legacy unidirectional kernel
-  /// retries a failed windowed search once on the full grid.
+  /// this many bins on each side. A failed window grows geometrically
+  /// (margin doubles per retry) until it covers the grid, so routability
+  /// is unchanged.
   std::size_t window_margin_bins = kNoWindow;
-  /// Bidirectional meet-in-the-middle kernel (default). false selects the
-  /// legacy unidirectional A* for exact legacy replication.
-  bool bidirectional = true;
   /// Optional warm-start path from a previous route of the same segment
   /// (same source/target). Seeds the initial search window with the
   /// path's bounding box, and — when every seed edge is unblocked under
   /// the current limit — seeds the initial meet bound with the seed
   /// path's cost, so a reroute that cannot improve on its old path
   /// terminates as soon as the frontiers prove it optimal and returns the
-  /// seed path itself. Never changes the returned path's cost. Ignored by
-  /// the unidirectional kernel. Not owned; must outlive the call.
+  /// seed path itself. Never changes the returned path's cost. Not owned;
+  /// must outlive the call.
   const std::vector<BinRef>* seed_path = nullptr;
 };
 
@@ -113,12 +106,9 @@ struct MazeQueueEntry {
   double priority = 0.0;  // g + heuristic (potential)
   double cost = 0.0;      // g
   std::size_t node = 0;
-  /// Push sequence number within one search pass — the bidirectional
-  /// kernel breaks (priority, cost) ties toward the most recent push
-  /// (the deterministic equivalent of the legacy heap's plateau
-  /// behavior, which marches depth-first across equal-cost plateaus
-  /// instead of flooding them). Unused by the legacy unidirectional
-  /// kernel.
+  /// Push sequence number within one search pass — (priority, cost) ties
+  /// break toward the most recent push, a depth-first march across
+  /// equal-cost plateaus instead of a breadth-first flood.
   std::uint64_t seq = 0;
 };
 
@@ -131,8 +121,8 @@ struct MazeStats {
   std::uint64_t nodes_expanded = 0;
   /// Entries pushed onto either frontier's heap.
   std::uint64_t heap_pushes = 0;
-  /// Window enlargements: geometric growth steps (bidirectional) or
-  /// full-grid fallbacks after a failed windowed pass (unidirectional).
+  /// Window enlargements: geometric growth steps after a failed windowed
+  /// pass.
   std::uint64_t window_retries = 0;
   /// Searches that terminated through the meet-in-the-middle rule with a
   /// frontier meet (excludes searches settled purely by a seed bound).
@@ -141,19 +131,17 @@ struct MazeStats {
 
 /// Reusable scratch for maze_route: per-direction best-cost/parent arrays
 /// and open heaps survive across calls, and a generation stamp makes each
-/// reset O(1) instead of O(nx * ny). The backward direction's buffers are
-/// only touched by the bidirectional kernel. One workspace serves one
-/// thread; the parallel router keeps a workspace per pool worker.
+/// reset O(1) instead of O(nx * ny). One workspace serves one thread; the
+/// parallel router keeps a workspace per pool worker.
 class MazeWorkspace {
  public:
   enum Direction : std::size_t { kForward = 0, kBackward = 1 };
 
-  /// Sizes the buffers for `nodes` grid nodes and invalidates all entries
-  /// from previous searches (constant time unless the grid size changed).
-  /// `directions` is 1 for a unidirectional search, 2 for bidirectional.
-  void prepare(std::size_t nodes, std::size_t directions = 1) {
-    for (std::size_t d = 0; d < directions; ++d) {
-      Side& side = sides_[d];
+  /// Sizes both directions' buffers for `nodes` grid nodes and invalidates
+  /// all entries from previous searches (constant time unless the grid
+  /// size changed).
+  void prepare(std::size_t nodes) {
+    for (Side& side : sides_) {
       if (side.stamp.size() != nodes) {
         side.best.assign(nodes, 0.0);
         side.parent.assign(nodes, nodes);
@@ -165,7 +153,7 @@ class MazeWorkspace {
     }
   }
 
-  double best(std::size_t node, Direction d = kForward) const {
+  double best(std::size_t node, Direction d) const {
     const Side& side = sides_[d];
     return side.stamp[node] == side.generation
                ? side.best[node]
@@ -175,18 +163,17 @@ class MazeWorkspace {
     const Side& side = sides_[d];
     return side.stamp[node] == side.generation;
   }
-  std::size_t parent(std::size_t node, Direction d = kForward) const {
+  std::size_t parent(std::size_t node, Direction d) const {
     return sides_[d].parent[node];
   }
-  void record(std::size_t node, double cost, std::size_t from,
-              Direction d = kForward) {
+  void record(std::size_t node, double cost, std::size_t from, Direction d) {
     Side& side = sides_[d];
     side.stamp[node] = side.generation;
     side.best[node] = cost;
     side.parent[node] = from;
   }
 
-  std::vector<MazeQueueEntry>& heap(Direction d = kForward) {
+  std::vector<MazeQueueEntry>& heap(Direction d) {
     return sides_[d].heap;
   }
 

@@ -46,9 +46,9 @@ struct Attempt {
 /// disabled and exhaustion returns an empty attempt (path == nullopt) for
 /// the caller to report as partial routing. `seed` (a previous route of
 /// the same segment, or null) warm-starts every rung of the ladder — it
-/// cannot change which rung succeeds, because the bidirectional window
-/// schedule always reaches the full grid, so rung success is full-grid
-/// routability under that rung's limit with or without the seed.
+/// cannot change which rung succeeds, because the window schedule always
+/// reaches the full grid, so rung success is full-grid routability under
+/// that rung's limit with or without the seed.
 /// `sabotage` (decided deterministically in sequential setup code by the
 /// router.force_overflow fault point) skips the constrained ladder as if
 /// every rung had failed.
@@ -57,9 +57,12 @@ Attempt route_segment(const GridGraph& grid, BinRef source, BinRef target,
                       MazeWorkspace& workspace, bool sabotage = false,
                       const std::vector<BinRef>* seed = nullptr) {
   Attempt out;
-  MazeOptions maze{options.congestion_penalty, options.capacity_limit_factor,
-                   history_weight, options.window_margin_bins,
-                   options.bidirectional, seed};
+  MazeOptions maze;
+  maze.congestion_penalty = options.congestion_penalty;
+  maze.capacity_limit_factor = options.capacity_limit_factor;
+  maze.history_weight = history_weight;
+  maze.window_margin_bins = options.window_margin_bins;
+  maze.seed_path = seed;
   if (!sabotage) {
     for (std::size_t attempt = 0; attempt <= options.max_relax_steps;
          ++attempt) {

@@ -80,15 +80,10 @@ struct RouterOptions {
   /// Maze window: each segment's search is restricted to its bounding box
   /// expanded by this many bins (MazeOptions::kNoWindow = whole grid). A
   /// failed windowed search grows the margin geometrically until the
-  /// window covers the grid (legacy unidirectional kernel: one full-grid
-  /// retry), so routability — including unroutable-net handling — is
-  /// unchanged; only searches whose congested detour exceeds the margin
-  /// pay extra passes.
+  /// window covers the grid, so routability — including unroutable-net
+  /// handling — is unchanged; only searches whose congested detour exceeds
+  /// the margin pay extra passes.
   std::size_t window_margin_bins = 16;
-  /// Bidirectional meet-in-the-middle maze kernel (see maze_router.hpp);
-  /// false selects the legacy unidirectional A* for exact legacy
-  /// replication. Both kernels return equal-cost paths.
-  bool bidirectional = true;
   /// Worker threads for the speculative routing waves; 0 = hardware
   /// concurrency. The routing result is bit-identical for any value.
   std::size_t threads = 0;

@@ -194,14 +194,10 @@ TEST_F(CheckpointTest, ConfigHashCoversPlacerAndRouterKnobs) {
       {"legalizer.max_passes", [](FlowConfig& c) { c.placer.legalizer.max_passes += 1; }},
       {"legalizer.overlap_tolerance",
        [](FlowConfig& c) { c.placer.legalizer.overlap_tolerance *= 2.0; }},
-      {"legalizer.use_flat_grid",
-       [](FlowConfig& c) { c.placer.legalizer.use_flat_grid = !c.placer.legalizer.use_flat_grid; }},
       {"cg.armijo_c1", [](FlowConfig& c) { c.placer.cg.armijo_c1 *= 2.0; }},
       {"cg.backtrack", [](FlowConfig& c) { c.placer.cg.backtrack *= 0.5; }},
       {"cg.max_backtracks", [](FlowConfig& c) { c.placer.cg.max_backtracks += 1; }},
       {"cg.initial_step", [](FlowConfig& c) { c.placer.cg.initial_step *= 2.0; }},
-      {"cg.value_only_trials",
-       [](FlowConfig& c) { c.placer.cg.value_only_trials = !c.placer.cg.value_only_trials; }},
       {"cg.max_recovery_restarts",
        [](FlowConfig& c) { c.placer.cg.max_recovery_restarts += 1; }},
       {"router.strict_capacity",

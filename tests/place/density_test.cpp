@@ -2,17 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
 #include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
+#include "support/golden.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 namespace {
+
+/// Frozen value, gradient digest, pairs kept and candidates of the
+/// spatial-hash engine for one case of tests/data/density_references.txt.
+struct Reference {
+  double value = 0.0;
+  std::string gradient;
+  std::size_t kept = 0;
+  std::size_t candidates = 0;
+};
+
+Reference reference(const std::string& name) {
+  static const auto table =
+      testing::read_table("density_references.txt", 1);
+  const auto it = table.find(name);
+  if (it == table.end() || it->second.size() != 4) {
+    ADD_FAILURE() << "no density reference for " << name;
+    return {};
+  }
+  return {testing::parse_double(it->second[0]), it->second[1],
+          testing::parse_u64(it->second[2]), testing::parse_u64(it->second[3])};
+}
+
+/// Smooth-overlap sum over ALL pairs, O(n^2), with no spatial pruning and
+/// no tail check: the independent oracle for the pair set. (The softplus
+/// is the model's own, which is exactly 0 below exp(-30).)
+double all_pairs_density(const netlist::Netlist& net,
+                         const std::vector<double>& state, double omega,
+                         double beta) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < net.cells.size(); ++i)
+    for (std::size_t j = i + 1; j < net.cells.size(); ++j) {
+      const auto& a = net.cells[i];
+      const auto& b = net.cells[j];
+      const double zx = 0.5 * omega * (a.width + b.width) -
+                        std::abs(state[2 * i] - state[2 * j]);
+      const double zy = 0.5 * omega * (a.height + b.height) -
+                        std::abs(state[2 * i + 1] - state[2 * j + 1]);
+      total += density_softplus(zx, beta) * density_softplus(zy, beta);
+    }
+  return total;
+}
 
 netlist::Netlist boxes(const std::vector<std::array<double, 4>>& specs) {
   // Each spec: {x, y, width, height}.
@@ -107,7 +150,7 @@ TEST(DensityModel, GradientMatchesFiniteDifferences) {
 }
 
 TEST(DensityModel, MatchesBruteForcePairSum) {
-  // The spatial hash must not miss any interacting pair.
+  // The pair index must not miss any interacting pair.
   util::Rng rng(5);
   netlist::Netlist net;
   for (int c = 0; c < 40; ++c) {
@@ -145,6 +188,39 @@ TEST(DensityModel, MatchesBruteForcePairSum) {
   EXPECT_NEAR(fast, brute, 1e-9 + 1e-9 * brute);
 }
 
+TEST(DensityModel, CacheKeyCoversCellExtents) {
+  // A model that evaluated 1 um cells must not replay that pass for the
+  // same positions once the cells are 4 um: the half extents are part of
+  // the cache key.
+  util::Rng rng(17);
+  netlist::Netlist small;
+  for (int c = 0; c < 12; ++c) {
+    netlist::Cell cell;
+    cell.x = rng.uniform(-6.0, 6.0);
+    cell.y = rng.uniform(-6.0, 6.0);
+    cell.width = 1.0;
+    cell.height = 1.0;
+    small.cells.push_back(cell);
+  }
+  netlist::Netlist large = small;
+  for (auto& cell : large.cells) cell.width = cell.height = 4.0;
+  const auto state = pack_positions(small);
+
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const DensityModel model{1.2, 8.0};
+    model.evaluate(small, state, nullptr, p);  // fills the cache
+    std::vector<double> gradient(state.size(), 0.0);
+    const double value = model.evaluate(large, state, &gradient, p);
+
+    const DensityModel fresh{1.2, 8.0};
+    std::vector<double> fresh_gradient(state.size(), 0.0);
+    EXPECT_EQ(value, fresh.evaluate(large, state, &fresh_gradient, p));
+    EXPECT_EQ(gradient, fresh_gradient);
+    EXPECT_GT(value, 1.0);
+  }
+}
+
 TEST(DensityModel, SingleCellIsZero) {
   const auto net = boxes({{0, 0, 3, 3}});
   const auto state = pack_positions(net);
@@ -162,8 +238,8 @@ TEST(DensityModel, InvalidParametersThrow) {
 }
 
 TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
-  // Regression for the legacy SpatialHash::pack 32-bit truncation: bins
-  // exactly 2^32 buckets apart aliased into one hash bucket. The flat
+  // Regression for a spatial hash that truncated bin coordinates to 32
+  // bits: bins exactly 2^32 buckets apart aliased into one bucket. The
   // grid keeps 64-bit bin coordinates (and falls back to its sparse
   // layout for a spread this wide), so two overlapping clusters separated
   // by an astronomical offset must contribute exactly two local overlaps
@@ -206,32 +282,35 @@ TEST(DensityModel, FlatGridMatchesLegacyHashBitForBit) {
     net.cells.push_back(cell);
   }
   const auto state = pack_positions(net);
-  DensityModel flat{1.2, 8.0};
-  DensityModel legacy{1.2, 8.0};
-  legacy.use_flat_grid = false;
-  std::vector<double> flat_grad(state.size(), 0.0);
-  std::vector<double> legacy_grad(state.size(), 0.0);
-  const double flat_value = flat.evaluate(net, state, &flat_grad);
-  const double legacy_value = legacy.evaluate(net, state, &legacy_grad);
-  EXPECT_EQ(flat_value, legacy_value);  // identical candidate order -> bits
-  EXPECT_EQ(flat_grad, legacy_grad);
+  const Reference ref = reference("uniform80");
+  DensityModel model{1.2, 8.0};
+  std::vector<double> grad(state.size(), 0.0);
+  const double value = model.evaluate(net, state, &grad);
+  EXPECT_EQ(value, ref.value);
+  EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient);
+  EXPECT_EQ(model.pairs_kept(), ref.kept);
   // Value-only mode returns the same bits as the gradient mode.
-  EXPECT_EQ(flat.evaluate(net, state, nullptr), flat_value);
-  // Buffer reuse: repeated evaluations rebuild but do not regrow.
-  const std::size_t reallocs = flat.grid_reallocations();
-  for (int r = 0; r < 3; ++r) flat.evaluate(net, state, nullptr);
-  EXPECT_EQ(flat.grid_reallocations(), reallocs);
-  EXPECT_GE(flat.grid_builds(), 5u);
+  DensityModel value_only{1.2, 8.0};
+  EXPECT_EQ(value_only.evaluate(net, state, nullptr), value);
+  // Buffer reuse: repeated value passes rebuild but do not regrow.
+  const std::size_t reallocs = value_only.grid_reallocations();
+  auto moved = state;
+  for (int r = 0; r < 3; ++r) {
+    moved[0] += 0.125;
+    value_only.evaluate(net, moved, nullptr);
+  }
+  EXPECT_EQ(value_only.grid_reallocations(), reallocs);
+  EXPECT_EQ(value_only.grid_builds(), 4u);
 }
-
 
 // --- mixed-size netlists ---------------------------------------------
 //
 // AutoNCS netlists mix a few crossbar macros (10-20 um) with many small
 // neurons and synapses (1-2.5 um). The density model finds pairs through
 // a fine grid over the small cells plus a macro grid, and must fold them
-// in the exact order of the single all-cell grid; the legacy SpatialHash
-// engine walks that order directly, so the two must agree bit for bit.
+// in the exact order of the single all-cell grid. The frozen references
+// in tests/data/density_references.txt were recorded from an engine that
+// walked that order directly, so the model must match them bit for bit.
 
 /// `count` cells of 1-2.5 um in a square of half side `spread`, about
 /// `macro_share` of them macros of 10-20 um.
@@ -258,43 +337,49 @@ std::size_t macro_count(const netlist::Netlist& net) {
   return macros.size();
 }
 
-/// The index engine at 1, 2 and 8 threads against the SpatialHash engine:
-/// identical value and gradient bits, and the value-only pass, its
-/// acceptance replay and the work counters independent of the threads.
-void expect_matches_hash(const netlist::Netlist& net, double beta) {
+/// The model at 1, 2 and 8 threads against the frozen reference `name`:
+/// identical value and gradient bits, the value-only pass and the
+/// gradient replay at the same point independent of the threads, the
+/// same pair set as the reference, and the value within 1e-12 relative of
+/// the all-pairs oracle.
+void expect_matches_reference(const netlist::Netlist& net, double beta,
+                              const std::string& name) {
   const auto state = pack_positions(net);
-  DensityModel legacy{1.2, beta};
-  legacy.use_flat_grid = false;
-  std::vector<double> legacy_grad(state.size(), 0.0);
-  const double legacy_value = legacy.evaluate(net, state, &legacy_grad);
-
+  const Reference ref = reference(name);
   std::size_t candidates = 0;
-  std::size_t kept = 0;
   for (std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     util::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+    // Gradient with no cache hit: a value pass, then the replay.
     DensityModel model{1.2, beta};
     std::vector<double> grad(state.size(), 0.0);
-    EXPECT_EQ(model.evaluate(net, state, &grad, pool_ptr), legacy_value)
-        << threads << " threads";
-    EXPECT_EQ(grad, legacy_grad) << threads << " threads";
-    // Value-only pass, then the replayed gradient at the same point.
-    EXPECT_EQ(model.evaluate(net, state, nullptr, pool_ptr), legacy_value);
+    EXPECT_EQ(model.evaluate(net, state, &grad, pool_ptr), ref.value)
+        << name << ", " << threads << " threads";
+    EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient)
+        << name << ", " << threads << " threads";
+    EXPECT_EQ(model.pairs_kept(), ref.kept) << name;
+    // Value-only pass, then the replayed gradient at the same point: the
+    // cache hits, so neither call enumerates again.
+    DensityModel trial{1.2, beta};
+    EXPECT_EQ(trial.evaluate(net, state, nullptr, pool_ptr), ref.value);
+    EXPECT_EQ(trial.evaluate(net, state, nullptr, pool_ptr), ref.value);
     std::vector<double> replay(state.size(), 0.0);
-    EXPECT_EQ(model.evaluate(net, state, &replay, pool_ptr), legacy_value);
-    EXPECT_EQ(replay, legacy_grad) << threads << " threads";
+    EXPECT_EQ(trial.evaluate(net, state, &replay, pool_ptr), ref.value);
+    EXPECT_EQ(replay, grad) << name << ", " << threads << " threads";
+    EXPECT_EQ(trial.pairs_kept(), ref.kept) << name;
+    EXPECT_EQ(trial.grid_builds(), 1u) << name;
     if (threads == 1) {
       candidates = model.pair_candidates();
-      kept = model.pairs_kept();
-      EXPECT_LE(kept, candidates);
+      EXPECT_LE(ref.kept, candidates) << name;
     } else {
-      EXPECT_EQ(model.pair_candidates(), candidates) << threads << " threads";
-      EXPECT_EQ(model.pairs_kept(), kept) << threads << " threads";
+      EXPECT_EQ(model.pair_candidates(), candidates)
+          << name << ", " << threads << " threads";
     }
   }
-  // The legacy engine keeps the same pairs. (Two of the three calls above
-  // enumerated; the replay enumerates nothing.)
-  EXPECT_EQ(2 * legacy.pairs_kept(), kept);
+  // The tail cut drops pair terms below exp(-30) / beta each, so the
+  // tolerance is relative with a floor at unit scale.
+  const double oracle = all_pairs_density(net, state, 1.2, beta);
+  EXPECT_NEAR(ref.value, oracle, 1e-12 * std::max(oracle, 1.0)) << name;
 }
 
 /// exact_overlap_area must reproduce, bit for bit, the single-grid sum:
@@ -370,8 +455,9 @@ TEST(MixedSizeDensity, RandomNetlistsMatchHashBitForBit) {
     const auto net = mixed_netlist(240, 0.03 + 0.03 * static_cast<double>(seed),
                                    40.0, seed);
     ASSERT_GT(macro_count(net), 0u);
-    expect_matches_hash(net, 16.0);
-    expect_matches_hash(net, 4.0);  // wide softplus tail
+    const std::string name = "random_s" + std::to_string(seed);
+    expect_matches_reference(net, 16.0, name + "_b16");
+    expect_matches_reference(net, 4.0, name + "_b4");  // wide softplus tail
     expect_overlap_exact(net);
   }
 }
@@ -379,7 +465,7 @@ TEST(MixedSizeDensity, RandomNetlistsMatchHashBitForBit) {
 TEST(MixedSizeDensity, CellsStackedAtOnePoint) {
   auto net = mixed_netlist(120, 0.08, 0.0, 4);
   ASSERT_GT(macro_count(net), 0u);
-  expect_matches_hash(net, 16.0);
+  expect_matches_reference(net, 16.0, "stacked");
   expect_overlap_exact(net);
 }
 
@@ -413,7 +499,7 @@ TEST(MixedSizeDensity, MacroStraddlingBucketEdges) {
     specs.push_back({bucket * f, bucket * (f % 5), 1.0 + 0.025 * f, 1.5});
   const auto net = boxes(specs);
   ASSERT_EQ(macro_count(net), 3u);
-  expect_matches_hash(net, beta);
+  expect_matches_reference(net, beta, "straddling");
   expect_overlap_exact(net);
 }
 
@@ -430,7 +516,7 @@ TEST(MixedSizeDensity, PairOutsideTheSingleGridWindowStaysOut) {
   ASSERT_EQ(macro_count(net), 2u);
   const double zx = 0.6 * (10 + 10) - std::abs(specs[0][0] - specs[1][0]);
   ASSERT_EQ(zx, -30.0 / 16.0);
-  expect_matches_hash(net, 16.0);
+  expect_matches_reference(net, 16.0, "outside_window");
 }
 
 TEST(MixedSizeDensity, ExtremeCoordinatesTakeTheSparsePath) {
@@ -444,7 +530,7 @@ TEST(MixedSizeDensity, ExtremeCoordinatesTakeTheSparsePath) {
     net.cells.push_back(cell);
   }
   ASSERT_GT(macro_count(net), 0u);
-  expect_matches_hash(net, 16.0);
+  expect_matches_reference(net, 16.0, "extreme");
   expect_overlap_exact(net);
 }
 
@@ -455,29 +541,29 @@ TEST(MixedSizeDensity, VanishinglySmallCellsAmongMacros) {
   for (auto& cell : net.cells)
     if (cell.width < 5.0) cell.width = cell.height = 1e-7;
   ASSERT_GT(macro_count(net), 0u);
-  expect_matches_hash(net, 16.0);
+  expect_matches_reference(net, 16.0, "vanishing");
   expect_overlap_exact(net);
 }
 
 TEST(MixedSizeDensity, NoMacrosMatchesHashBitForBit) {
   const auto net = mixed_netlist(200, 0.0, 20.0, 7);
   ASSERT_EQ(macro_count(net), 0u);
-  expect_matches_hash(net, 16.0);
+  expect_matches_reference(net, 16.0, "no_macros");
   expect_overlap_exact(net);
 }
 
 TEST(MixedSizeDensity, FineGridSkipsFarSmallCells) {
   // The point of the split: with macros present, small cells stop probing
-  // the macro-sized window, so most candidates survive the tail.
+  // the macro-sized window, so most candidates survive the tail. The
+  // reference engine, which probed one macro-sized window for every cell,
+  // examined more than twice the candidates for the same pairs.
   const auto net = mixed_netlist(600, 0.05, 60.0, 8);
-  DensityModel flat{1.2, 16.0};
-  DensityModel legacy{1.2, 16.0};
-  legacy.use_flat_grid = false;
+  const Reference ref = reference("fine_grid");
+  DensityModel model{1.2, 16.0};
   const auto state = pack_positions(net);
-  EXPECT_EQ(flat.evaluate(net, state, nullptr),
-            legacy.evaluate(net, state, nullptr));
-  EXPECT_EQ(flat.pairs_kept(), legacy.pairs_kept());
-  EXPECT_LT(2 * flat.pair_candidates(), legacy.pair_candidates());
+  EXPECT_EQ(model.evaluate(net, state, nullptr), ref.value);
+  EXPECT_EQ(model.pairs_kept(), ref.kept);
+  EXPECT_LT(2 * model.pair_candidates(), ref.candidates);
 }
 
 }  // namespace

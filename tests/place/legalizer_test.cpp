@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "place/density.hpp"
 #include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
+#include "support/golden.hpp"
 #include "util/rng.hpp"
 
 namespace autoncs::place {
@@ -136,8 +139,68 @@ TEST(Legalizer, DieTooSmallNeverReportsConvergence) {
 // --- mixed-size netlists ---------------------------------------------
 //
 // The pruned sweep finds pairs through live small-cell and macro grids;
-// it must visit every overlapping pair in the reference sweep's order, so
-// its placement matches quadratic_pass bit for bit.
+// it must visit every overlapping pair in ascending (i, j) against the
+// evolving state, so its placement matches an all-pairs sweep bit for
+// bit. Two references check it: the test-local quadratic legalizer below,
+// and values frozen in tests/data/legalizer_references.txt.
+
+/// Test-local reference legalizer: the pass loop of legalize() with a
+/// quadratic sweep over every ordered pair (i, j), ascending, against the
+/// current state. Written out independently of the library's sweep.
+LegalizerReport quadratic_legalize(const netlist::Netlist& net,
+                                   std::vector<double>& state,
+                                   const LegalizerOptions& options) {
+  const std::size_t n = net.cells.size();
+  const double omega = options.omega;
+  LegalizerReport report;
+  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+    report.passes = pass + 1;
+    bool any_overlap = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& ci = net.cells[i];
+      for (std::size_t j = i + 1; j < n; ++j) {
+        ++report.pairs_checked;
+        const auto& cj = net.cells[j];
+        const double dx = state[2 * i] - state[2 * j];
+        const double dy = state[2 * i + 1] - state[2 * j + 1];
+        const double px =
+            (0.5 * omega * ci.width + 0.5 * omega * cj.width) - std::abs(dx);
+        const double py =
+            (0.5 * omega * ci.height + 0.5 * omega * cj.height) - std::abs(dy);
+        if (px <= 0.0 || py <= 0.0) continue;
+        any_overlap = true;
+        ++report.separations;
+        const double share_i = cj.area() / (ci.area() + cj.area());
+        const std::size_t axis = px <= py ? 0 : 1;
+        const double move = (axis == 0 ? px : py) + options.margin;
+        const double dir = (axis == 0 ? dx : dy) >= 0.0 ? 1.0 : -1.0;
+        state[2 * i + axis] += dir * move * share_i;
+        state[2 * j + axis] -= dir * move * (1.0 - share_i);
+      }
+    }
+    bool clamped = false;
+    if (options.die_half > 0.0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double lx = std::max(
+            0.0, options.die_half - 0.5 * omega * net.cells[i].width);
+        const double ly = std::max(
+            0.0, options.die_half - 0.5 * omega * net.cells[i].height);
+        const double x = std::clamp(state[2 * i], -lx, lx);
+        const double y = std::clamp(state[2 * i + 1], -ly, ly);
+        clamped = clamped || x != state[2 * i] || y != state[2 * i + 1];
+        state[2 * i] = x;
+        state[2 * i + 1] = y;
+      }
+    }
+    if (!any_overlap && !clamped) break;
+    if (pass % 8 == 7 &&
+        overlap_ratio(net, state, omega) < options.overlap_tolerance)
+      break;
+  }
+  report.final_overlap_ratio = overlap_ratio(net, state, omega);
+  report.converged = report.final_overlap_ratio < options.overlap_tolerance;
+  return report;
+}
 
 netlist::Netlist mixed_cells(std::size_t count, double macro_share,
                              double spread, std::uint64_t seed) {
@@ -155,40 +218,55 @@ netlist::Netlist mixed_cells(std::size_t count, double macro_share,
   return net;
 }
 
-/// Legalizes `net` with the pruned and the quadratic sweep and expects
-/// the same bits, pass count, overlap and separations.
+/// Legalizes `net` (60 passes at most) and expects the same bits, pass
+/// count, overlap and separations as the quadratic legalizer and as the
+/// frozen reference `name`, with fewer pairs checked.
 void expect_sweeps_identical(const netlist::Netlist& net, double die_half,
-                             std::size_t max_passes = 60) {
+                             const std::string& name) {
   LegalizerOptions options;
   options.die_half = die_half;
-  options.max_passes = max_passes;
+  options.max_passes = 60;
   auto pruned_state = pack_positions(net);
   auto reference_state = pruned_state;
-  LegalizerOptions reference_options = options;
-  reference_options.use_flat_grid = false;
   const auto pruned = legalize(net, pruned_state, options);
-  const auto reference = legalize(net, reference_state, reference_options);
-  EXPECT_EQ(pruned_state, reference_state);
-  EXPECT_EQ(pruned.passes, reference.passes);
-  EXPECT_EQ(pruned.final_overlap_ratio, reference.final_overlap_ratio);
-  EXPECT_EQ(pruned.converged, reference.converged);
-  EXPECT_EQ(pruned.separations, reference.separations);
-  EXPECT_GT(pruned.separations, 0u);
-  EXPECT_LE(pruned.pairs_checked, reference.pairs_checked);
+  const auto reference =
+      quadratic_legalize(net, reference_state, options);
+  EXPECT_EQ(pruned_state, reference_state) << name;
+  EXPECT_EQ(pruned.passes, reference.passes) << name;
+  EXPECT_EQ(pruned.final_overlap_ratio, reference.final_overlap_ratio) << name;
+  EXPECT_EQ(pruned.converged, reference.converged) << name;
+  EXPECT_EQ(pruned.separations, reference.separations) << name;
+  EXPECT_GT(pruned.separations, 0u) << name;
+  EXPECT_LE(pruned.pairs_checked, reference.pairs_checked) << name;
+
+  static const auto frozen =
+      testing::read_table("legalizer_references.txt", 1);
+  const auto it = frozen.find(name);
+  ASSERT_TRUE(it != frozen.end() && it->second.size() == 6)
+      << "no legalizer reference for " << name;
+  const auto& f = it->second;
+  EXPECT_EQ(testing::hex(testing::digest(pruned_state)), f[0]) << name;
+  EXPECT_EQ(pruned.passes, testing::parse_u64(f[1])) << name;
+  EXPECT_EQ(pruned.final_overlap_ratio, testing::parse_double(f[2])) << name;
+  EXPECT_EQ(pruned.converged, f[3] == "1") << name;
+  EXPECT_EQ(pruned.separations, testing::parse_u64(f[4])) << name;
+  EXPECT_EQ(reference.pairs_checked, testing::parse_u64(f[5])) << name;
 }
 
 TEST(LegalizerMixedSize, RandomNetlistsMatchQuadraticSweep) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const auto net = mixed_cells(200, 0.03 + 0.03 * static_cast<double>(seed),
                                  25.0, seed);
-    expect_sweeps_identical(net, 0.0);
-    expect_sweeps_identical(net, 30.0);  // the clamp moves cells too
+    const std::string name = "random_s" + std::to_string(seed);
+    expect_sweeps_identical(net, 0.0, name + "_open");
+    expect_sweeps_identical(net, 30.0, name + "_die30");  // clamp moves too
   }
 }
 
 TEST(LegalizerMixedSize, CellsStackedAtOnePoint) {
-  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 0.0);
-  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 20.0);
+  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 0.0, "stacked_open");
+  expect_sweeps_identical(mixed_cells(120, 0.08, 0.0, 4), 20.0,
+                          "stacked_die20");
 }
 
 TEST(LegalizerMixedSize, MacroStraddlingBucketEdges) {
@@ -219,7 +297,7 @@ TEST(LegalizerMixedSize, MacroStraddlingBucketEdges) {
     }
   }
   for (int f = 0; f < 30; ++f) add(bucket * f, -bucket * (f % 4), 1.5);
-  expect_sweeps_identical(net, 0.0);
+  expect_sweeps_identical(net, 0.0, "straddling");
 }
 
 TEST(LegalizerMixedSize, ExtremeCoordinates) {
@@ -230,19 +308,21 @@ TEST(LegalizerMixedSize, ExtremeCoordinates) {
     cell.y += 1e12;
     net.cells.push_back(cell);
   }
-  expect_sweeps_identical(net, 0.0);
+  expect_sweeps_identical(net, 0.0, "extreme");
 }
 
 TEST(LegalizerMixedSize, VanishinglySmallCellsAmongMacros) {
   auto net = mixed_cells(150, 0.06, 30.0, 9);
   for (auto& cell : net.cells)
     if (cell.width < 5.0) cell.width = cell.height = 1e-7;
-  expect_sweeps_identical(net, 0.0);
+  expect_sweeps_identical(net, 0.0, "vanishing");
 }
 
 TEST(LegalizerMixedSize, NoMacros) {
-  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 0.0);
-  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 14.0);
+  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 0.0,
+                          "no_macros_open");
+  expect_sweeps_identical(mixed_cells(200, 0.0, 12.0, 7), 14.0,
+                          "no_macros_die14");
 }
 
 TEST(LegalizerMixedSize, PrunedSweepChecksFewPairs) {
@@ -252,7 +332,7 @@ TEST(LegalizerMixedSize, PrunedSweepChecksFewPairs) {
   auto state = pack_positions(net);
   const auto report = legalize(net, state, options);
   ASSERT_EQ(report.passes, 10u);
-  // Far below the n^2 / 2 pairs per pass of the reference sweep.
+  // Far below the n^2 / 2 pairs per pass of an all-pairs sweep.
   EXPECT_LT(report.pairs_checked, 10u * 400u * 399u / 2u / 20u);
   EXPECT_GT(report.separations, 0u);
 }

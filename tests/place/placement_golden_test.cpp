@@ -9,43 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 
 #include "autoncs/pipeline.hpp"
 #include "nn/testbench.hpp"
-
-#ifndef AUTONCS_TEST_DATA_DIR
-#error "AUTONCS_TEST_DATA_DIR must point at tests/data"
-#endif
+#include "support/golden.hpp"
 
 namespace autoncs {
 namespace {
 
-class Fnv1a {
- public:
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double v) { add(&v, sizeof v); }
-  void add(std::uint64_t v) { add(&v, sizeof v); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 /// FNV-1a over the placed x/y of every cell, then hpwl_um, area_um2,
 /// legalization.{passes, final_overlap_ratio} and cg_value_evals_total.
 std::uint64_t placement_digest(const FlowResult& result) {
-  Fnv1a h;
+  testing::Fnv1a h;
   for (const auto& cell : result.netlist.cells) {
     h.add(cell.x);
     h.add(cell.y);
@@ -59,27 +35,6 @@ std::uint64_t placement_digest(const FlowResult& result) {
   return h.value();
 }
 
-std::map<std::string, std::string> expected_digests() {
-  std::ifstream in(std::string(AUTONCS_TEST_DATA_DIR) +
-                   "/placement_digests.txt");
-  std::map<std::string, std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string flow, bench, digest;
-    fields >> flow >> bench >> digest;
-    out[flow + " " + bench] = digest;
-  }
-  return out;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 void expect_golden(const std::string& flow, int testbench) {
   const nn::ConnectionMatrix network =
       nn::build_testbench(testbench, 2015).topology;
@@ -88,10 +43,11 @@ void expect_golden(const std::string& flow, int testbench) {
   const FlowResult result = flow == "autoncs" ? run_autoncs(network, config)
                                               : run_fullcro(network, config);
   const std::string key = flow + " tb" + std::to_string(testbench);
-  const auto expected = expected_digests();
+  const auto expected = testing::read_table("placement_digests.txt", 2);
   const auto it = expected.find(key);
-  EXPECT_EQ(it == expected.end() ? "(missing)" : it->second,
-            hex(placement_digest(result)))
+  EXPECT_EQ(it == expected.end() || it->second.empty() ? "(missing)"
+                                                       : it->second[0],
+            testing::hex(placement_digest(result)))
       << key;
 }
 

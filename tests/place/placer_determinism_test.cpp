@@ -1,10 +1,11 @@
-// Determinism and gradient-correctness guarantees of the fast evaluation
-// engine (value-only trials + mixed-size pair index + cached WA kernels):
+// Determinism and gradient-correctness guarantees of the placer's
+// evaluation engine (value-only trials + acceptance replay + mixed-size
+// pair index):
 //
 //  * the final placed state is BIT-identical across thread counts,
-//  * the fast engine lands on the exact bits of the legacy engine
-//    (gradient on every trial, unordered_map spatial hash, quadratic
-//    legalizer sweep), on uniform and on mixed-size netlists,
+//  * the placer lands on the exact bits frozen from the engine it
+//    replaced (gradient on every trial, per-evaluation spatial hash,
+//    all-pairs legalizer sweep), on uniform and on mixed-size netlists,
 //  * analytic gradients of WA, density, and the boundary penalty match
 //    central finite differences, and every model returns the identical
 //    value in value-only and gradient modes.
@@ -17,6 +18,7 @@
 #include "place/placer.hpp"
 #include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
+#include "support/golden.hpp"
 #include "util/rng.hpp"
 
 namespace autoncs::place {
@@ -50,6 +52,41 @@ std::vector<double> placed_state(const netlist::Netlist& net) {
   return pack_positions(net);
 }
 
+/// Checks a placement against the frozen reference `name` of
+/// tests/data/placer_references.txt: the placed state with its summary
+/// figures, and the per-outer-iteration trajectory.
+void expect_matches_frozen(const std::string& name,
+                           const netlist::Netlist& net,
+                           const PlacementReport& report) {
+  static const auto frozen = testing::read_table("placer_references.txt", 1);
+  const auto it = frozen.find(name);
+  ASSERT_TRUE(it != frozen.end() && it->second.size() == 4)
+      << "no placer reference for " << name;
+  std::vector<double> placement = placed_state(net);
+  for (const double v :
+       {report.hpwl_um, report.area_um2,
+        static_cast<double>(report.outer_iterations),
+        static_cast<double>(report.legalization.passes),
+        report.legalization.final_overlap_ratio,
+        static_cast<double>(report.legalization.separations)})
+    placement.push_back(v);
+  std::vector<double> trajectory;
+  for (const auto& outer : report.outer) {
+    trajectory.push_back(outer.objective);
+    trajectory.push_back(outer.overlap_ratio);
+    trajectory.push_back(static_cast<double>(outer.cg_iterations));
+  }
+  EXPECT_EQ(testing::hex(testing::digest(placement)), it->second[0]) << name;
+  EXPECT_EQ(testing::hex(testing::digest(trajectory)), it->second[1]) << name;
+  // Far fewer legalizer checks than the all-pairs sweep, and never more
+  // gradients than an engine that computed one on every trial.
+  EXPECT_LT(report.legalization.pairs_checked,
+            testing::parse_u64(it->second[2]))
+      << name;
+  EXPECT_LE(report.cg_gradient_evals_total, testing::parse_u64(it->second[3]))
+      << name;
+}
+
 TEST(PlacerDeterminism, BitIdenticalAcrossThreadCounts) {
   std::vector<std::vector<double>> results;
   std::vector<PlacementReport> reports;
@@ -69,27 +106,11 @@ TEST(PlacerDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PlacerDeterminism, FastEngineMatchesLegacyEngineBitForBit) {
-  netlist::Netlist fast_net = mesh_netlist(6, 9);
-  netlist::Netlist legacy_net = mesh_netlist(6, 9);
-  PlacerOptions fast_options;
-  fast_options.seed = 3;
-  PlacerOptions legacy_options = fast_options;
-  legacy_options.legacy_evaluation = true;
-  const auto fast_report = place(fast_net, fast_options);
-  const auto legacy_report = place(legacy_net, legacy_options);
-  EXPECT_EQ(placed_state(fast_net), placed_state(legacy_net));
-  EXPECT_EQ(fast_report.hpwl_um, legacy_report.hpwl_um);
-  EXPECT_EQ(fast_report.outer_iterations, legacy_report.outer_iterations);
-  // Both engines walk the same iterate sequence, so they accept the same
-  // number of steps; the fast engine just skips trial gradients.
-  ASSERT_EQ(fast_report.outer.size(), legacy_report.outer.size());
-  for (std::size_t o = 0; o < fast_report.outer.size(); ++o) {
-    EXPECT_EQ(fast_report.outer[o].objective, legacy_report.outer[o].objective);
-    EXPECT_EQ(fast_report.outer[o].cg_iterations,
-              legacy_report.outer[o].cg_iterations);
-  }
-  EXPECT_LE(fast_report.cg_gradient_evals_total,
-            legacy_report.cg_gradient_evals_total);
+  netlist::Netlist net = mesh_netlist(6, 9);
+  PlacerOptions options;
+  options.seed = 3;
+  const auto report = place(net, options);
+  expect_matches_frozen("mesh", net, report);
 }
 
 TEST(PlacerDeterminism, GradientEvalsNeverExceedValueEvals) {
@@ -123,39 +144,19 @@ netlist::Netlist mixed_mesh_netlist(std::size_t side, std::uint64_t seed) {
 }
 
 TEST(PlacerDeterminism, MixedSizeFastEngineMatchesLegacyEngineBitForBit) {
-  netlist::Netlist fast_net = mixed_mesh_netlist(8, 4);
-  netlist::Netlist legacy_net = mixed_mesh_netlist(8, 4);
+  netlist::Netlist net = mixed_mesh_netlist(8, 4);
   std::vector<std::uint32_t> macros;
   std::vector<std::uint8_t> is_macro;
-  split_macros(fast_net, macros, is_macro);
+  split_macros(net, macros, is_macro);
   ASSERT_EQ(macros.size(), 4u);
-  PlacerOptions fast_options;
-  fast_options.seed = 11;
-  fast_options.threads = 1;
-  PlacerOptions legacy_options = fast_options;
-  legacy_options.legacy_evaluation = true;
-  const auto fast_report = place(fast_net, fast_options);
-  const auto legacy_report = place(legacy_net, legacy_options);
-  EXPECT_EQ(placed_state(fast_net), placed_state(legacy_net));
-  EXPECT_EQ(fast_report.hpwl_um, legacy_report.hpwl_um);
-  EXPECT_EQ(fast_report.area_um2, legacy_report.area_um2);
-  EXPECT_EQ(fast_report.legalization.passes, legacy_report.legalization.passes);
-  EXPECT_EQ(fast_report.legalization.final_overlap_ratio,
-            legacy_report.legalization.final_overlap_ratio);
-  EXPECT_EQ(fast_report.legalization.separations,
-            legacy_report.legalization.separations);
-  ASSERT_EQ(fast_report.outer.size(), legacy_report.outer.size());
-  for (std::size_t o = 0; o < fast_report.outer.size(); ++o) {
-    EXPECT_EQ(fast_report.outer[o].objective, legacy_report.outer[o].objective);
-    EXPECT_EQ(fast_report.outer[o].overlap_ratio,
-              legacy_report.outer[o].overlap_ratio);
-  }
-  // Same pairs kept; far fewer candidates and checks to find them.
-  EXPECT_LT(fast_report.legalization.pairs_checked,
-            legacy_report.legalization.pairs_checked);
-  EXPECT_GT(fast_report.density_pairs_kept_total, 0u);
-  EXPECT_LE(fast_report.density_pairs_kept_total,
-            fast_report.density_pair_candidates_total);
+  PlacerOptions options;
+  options.seed = 11;
+  options.threads = 1;
+  const auto report = place(net, options);
+  expect_matches_frozen("mixed_mesh", net, report);
+  EXPECT_GT(report.density_pairs_kept_total, 0u);
+  EXPECT_LE(report.density_pairs_kept_total,
+            report.density_pair_candidates_total);
 }
 
 TEST(PlacerDeterminism, MixedSizeBitIdenticalAcrossThreadCounts) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 namespace {
@@ -126,6 +127,53 @@ TEST(WaModel, WeightScalesValueAndGradient) {
   EXPECT_NEAR(value, 3.0 * unit_value, 1e-9);
   for (std::size_t i = 0; i < gradient.size(); ++i)
     EXPECT_NEAR(gradient[i], 3.0 * unit_gradient[i], 1e-9);
+}
+
+/// A model that evaluated `before` must answer for `after` exactly like a
+/// fresh model: the acceptance cache may only replay when the wires the
+/// value pass read are unchanged.
+void expect_cache_follows_netlist(const netlist::Netlist& before,
+                                  const netlist::Netlist& after,
+                                  util::ThreadPool* pool) {
+  const auto state = pack_positions(before);
+  const WaModel model{0.5};
+  model.evaluate(before, state, nullptr, pool);  // fills the cache
+  std::vector<double> gradient(state.size(), 0.0);
+  const double value = model.evaluate(after, state, &gradient, pool);
+
+  const WaModel fresh{0.5};
+  std::vector<double> fresh_gradient(state.size(), 0.0);
+  EXPECT_EQ(value, fresh.evaluate(after, state, &fresh_gradient, pool));
+  EXPECT_EQ(gradient, fresh_gradient);
+  EXPECT_EQ(model.evaluate(after, state, nullptr, pool), value);
+}
+
+TEST(WaModel, CacheKeyCoversWirePinsAndWeights) {
+  netlist::Netlist net = simple_netlist(5);
+  for (std::size_t c = 0; c < 5; ++c) {
+    net.cells[c].x = 1.5 * static_cast<double>(c);
+    net.cells[c].y = static_cast<double>((c * 3) % 5);
+  }
+  net.wires.push_back({{0, 1}, 3.0, 0.0});
+  net.wires.push_back({{1, 2, 4}, 1.0, 0.0});
+  net.wires.push_back({{3, 4}, 2.0, 0.0});
+
+  netlist::Netlist reweighted = net;
+  reweighted.wires[0].weight = 1.0;
+  netlist::Netlist rewired = net;  // same pin counts, different pins
+  rewired.wires[1].pins = {0, 2, 3};
+  netlist::Netlist grown = net;
+  grown.wires.push_back({{0, 4}, 1.0, 0.0});
+  netlist::Netlist shrunk = net;
+  shrunk.wires.pop_back();
+
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    expect_cache_follows_netlist(net, reweighted, p);
+    expect_cache_follows_netlist(net, rewired, p);
+    expect_cache_follows_netlist(net, grown, p);
+    expect_cache_follows_netlist(net, shrunk, p);
+  }
 }
 
 TEST(WaModel, InvalidGammaThrows) {

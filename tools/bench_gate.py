@@ -19,15 +19,17 @@ Additional artifacts are validated when passed:
     all values finite, ``deterministic`` == 1.
   * ``--table1 BENCH_table1_cost.json`` — the three reduction ratios
     present and finite.
-  * ``--route BENCH_perf_route.json`` — required keys present, all
-    values finite, and ``speedup_bidi`` >= ``--min-route-speedup``
-    (default 1.0: the bidirectional kernel must never be slower than
-    the legacy unidirectional kernel; the committed artifact shows well
-    above the floor, which stays loose so smoke runs on slow shared
-    runners don't flap).
+  * ``--route BENCH_perf_route.json [--route-baseline OLD.json]`` —
+    required keys present, all values finite, and ``deterministic`` == 1
+    (routing identical at 1 thread and at nproc). With a baseline
+    artifact, the deterministic search-effort counts ``nodes_expanded``
+    and ``heap_pushes`` must not exceed the baseline's; both artifacts
+    must record the same ``testbench``, otherwise the gate fails as not
+    comparable.
   * ``--placer BENCH_perf_placer.json [--placer-baseline OLD.json]`` —
-    required keys present and finite; with a baseline artifact, the
-    disabled-instrumentation overhead gate compares ``fast_ms`` and fails
+    required keys present and finite, ``bit_identical`` == 1 (1-thread
+    and 8-thread placements identical); with a baseline artifact, the
+    disabled-instrumentation overhead gate compares ``place_ms`` and fails
     when the new run is more than ``--max-placer-regress`` (default 2%)
     slower. The comparison only applies when both artifacts measured the
     same problem size (``largest_n``); otherwise it is reported as
@@ -36,7 +38,7 @@ Additional artifacts are validated when passed:
 Usage: bench_gate.py BENCH_perf_threads.json [--min-speedup X]
        [--min-speedup-oversubscribed Y]
        [--clustering FILE] [--table1 FILE]
-       [--route FILE [--min-route-speedup S]]
+       [--route FILE [--route-baseline FILE]]
        [--placer FILE [--placer-baseline FILE] [--max-placer-regress R]]
 """
 
@@ -141,35 +143,56 @@ def gate_route(args, failures: list[str]) -> None:
     if metrics is None:
         return
     keys = [
-        "route_ms_uni", "route_ms_bidi", "speedup_bidi",
-        "nodes_expanded_uni", "nodes_expanded_bidi", "expansion_ratio",
-        "heap_pushes_uni", "heap_pushes_bidi",
-        "window_retries_uni", "window_retries_bidi", "meets_bidi",
-        "wirelength_um_uni", "wirelength_um_bidi",
-        "overflow_uni", "overflow_bidi",
-        "maze_invocations_uni", "maze_invocations_bidi",
+        "testbench", "route_ms", "route_mt_ms", "nodes_expanded",
+        "heap_pushes", "window_retries", "meets", "maze_invocations",
+        "wirelength_um", "overflow", "deterministic",
     ]
     if not require_finite(metrics, keys, args.route, failures):
         return
-    speedup = metrics["speedup_bidi"]
-    if speedup < args.min_route_speedup:
+    if metrics["deterministic"] != 1:
         failures.append(
-            f"{args.route}: speedup_bidi = {speedup:.3f} < "
-            f"{args.min_route_speedup:.2f} (bidirectional kernel must not "
-            "be slower than the legacy kernel)"
+            f"{args.route}: deterministic = {metrics['deterministic']!r} "
+            "(routing must be identical at 1 thread and at nproc)"
         )
-    else:
-        print(
-            f"{args.route}: keys present, values finite, speedup_bidi = "
-            f"{speedup:.3f} >= {args.min_route_speedup:.2f} OK"
+        return
+    print(f"{args.route}: keys present, values finite, deterministic OK")
+
+    if not args.route_baseline:
+        return
+    baseline = load_metrics(args.route_baseline, failures)
+    if baseline is None:
+        return
+    effort = ["nodes_expanded", "heap_pushes"]
+    if not require_finite(
+        baseline, ["testbench"] + effort, args.route_baseline, failures
+    ):
+        return
+    if baseline["testbench"] != metrics["testbench"]:
+        failures.append(
+            f"route effort gate: testbench {metrics['testbench']} vs "
+            f"baseline testbench {baseline['testbench']} — not comparable "
+            "(run bench_perf_route on the committed testbench)"
         )
+        return
+    for key in effort:
+        if metrics[key] > baseline[key]:
+            failures.append(
+                f"{args.route}: {key} = {metrics[key]:.0f} exceeds the "
+                f"baseline's {baseline[key]:.0f} (testbench "
+                f"{metrics['testbench']:.0f})"
+            )
+        else:
+            print(
+                f"route {key} = {metrics[key]:.0f} <= baseline "
+                f"{baseline[key]:.0f} OK"
+            )
 
 
 def gate_placer(args, failures: list[str]) -> None:
     metrics = load_metrics(args.placer, failures)
     if metrics is None:
         return
-    keys = ["largest_n", "fast_ms", "speedup", "bit_identical"]
+    keys = ["largest_n", "place_ms", "bit_identical"]
     if not require_finite(metrics, keys, args.placer, failures):
         return
     if metrics["bit_identical"] != 1:
@@ -185,7 +208,7 @@ def gate_placer(args, failures: list[str]) -> None:
     if baseline is None:
         return
     if not require_finite(
-        baseline, ["largest_n", "fast_ms"], args.placer_baseline, failures
+        baseline, ["largest_n", "place_ms"], args.placer_baseline, failures
     ):
         return
     if baseline["largest_n"] != metrics["largest_n"]:
@@ -195,19 +218,19 @@ def gate_placer(args, failures: list[str]) -> None:
             "current) — not comparable, skipped"
         )
         return
-    if baseline["fast_ms"] <= 0:
-        print("placer overhead gate: baseline fast_ms <= 0, skipped")
+    if baseline["place_ms"] <= 0:
+        print("placer overhead gate: baseline place_ms <= 0, skipped")
         return
-    regress = metrics["fast_ms"] / baseline["fast_ms"] - 1.0
+    regress = metrics["place_ms"] / baseline["place_ms"] - 1.0
     if regress > args.max_placer_regress:
         failures.append(
-            f"placer fast_ms regressed {regress * 100.0:.2f}% "
-            f"({baseline['fast_ms']:.1f} ms -> {metrics['fast_ms']:.1f} ms; "
+            f"placer place_ms regressed {regress * 100.0:.2f}% "
+            f"({baseline['place_ms']:.1f} ms -> {metrics['place_ms']:.1f} ms; "
             f"limit {args.max_placer_regress * 100.0:.1f}%)"
         )
     else:
         print(
-            f"placer fast_ms within budget: {regress * 100.0:+.2f}% vs "
+            f"placer place_ms within budget: {regress * 100.0:+.2f}% vs "
             f"baseline (limit +{args.max_placer_regress * 100.0:.1f}%)"
         )
 
@@ -234,21 +257,19 @@ def main() -> int:
     parser.add_argument("--table1", help="also validate BENCH_table1_cost.json")
     parser.add_argument("--route", help="also validate BENCH_perf_route.json")
     parser.add_argument(
-        "--min-route-speedup",
-        type=float,
-        default=1.0,
-        help="speedup_bidi floor for the --route artifact",
+        "--route-baseline",
+        help="committed BENCH_perf_route.json for the search-effort gate",
     )
     parser.add_argument("--placer", help="also validate BENCH_perf_placer.json")
     parser.add_argument(
         "--placer-baseline",
-        help="pre-change BENCH_perf_placer.json for the overhead gate",
+        help="committed BENCH_perf_placer.json for the overhead gate",
     )
     parser.add_argument(
         "--max-placer-regress",
         type=float,
         default=0.02,
-        help="max fractional fast_ms regression vs --placer-baseline",
+        help="max fractional place_ms regression vs --placer-baseline",
     )
     args = parser.parse_args()
 
