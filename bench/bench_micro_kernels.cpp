@@ -5,6 +5,9 @@
 // bench_fig4 covers end to end).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "clustering/gcp.hpp"
 #include "clustering/msc.hpp"
 #include "linalg/kmeans.hpp"
@@ -13,6 +16,7 @@
 #include "place/wa_wirelength.hpp"
 #include "route/maze_router.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -170,8 +174,9 @@ void BM_WaAxisKernel(benchmark::State& state) {
 BENCHMARK(BM_WaAxisKernel)->Arg(2)->Arg(8)->Arg(64);
 
 // Density pair kernel over a batch of synthetic pair geometries (about
-// half inside the softplus tail); range(0) selects the value pass alone vs
-// the value pass plus the replay's gradient terms.
+// half inside the softplus tail), in the value pass's shape: the tail
+// test keeps the penetration depths, then a tight softplus loop. range(0)
+// selects the value terms alone vs those plus the replay's gradient terms.
 void BM_DensityPairKernel(benchmark::State& state) {
   const bool with_gradient = state.range(0) != 0;
   constexpr std::size_t kPairs = 4096;
@@ -185,19 +190,33 @@ void BM_DensityPairKernel(benchmark::State& state) {
     tx[k] = rng.uniform(0.5, 4.0);
     ty[k] = rng.uniform(0.5, 4.0);
   }
+  std::vector<std::size_t> kept;
+  std::vector<double> ox, oy;
   for (auto _ : state) {
-    double acc = 0.0;
+    kept.clear();
+    ox.clear();
+    oy.clear();
     for (std::size_t k = 0; k < kPairs; ++k) {
-      place::DensityPairTerm term;
-      if (!place::density_pair_kernel(dx[k], dy[k], tx[k], ty[k], kBeta,
-                                      kTail, term))
-        continue;
-      acc += term.area;
-      if (with_gradient) {
+      const double zx = tx[k] - std::abs(dx[k]);
+      const double zy = ty[k] - std::abs(dy[k]);
+      if (zx < -kTail || zy < -kTail) continue;
+      kept.push_back(k);
+      ox.push_back(zx);
+      oy.push_back(zy);
+    }
+    double acc = 0.0;
+    for (std::size_t p = 0; p < kept.size(); ++p) {
+      ox[p] = place::density_softplus(ox[p], kBeta);
+      oy[p] = place::density_softplus(oy[p], kBeta);
+      acc += ox[p] * oy[p];
+    }
+    if (with_gradient) {
+      for (std::size_t p = 0; p < kept.size(); ++p) {
+        const std::size_t k = kept[p];
         double sx = 0.0;
         double sy = 0.0;
-        place::density_pair_gradient(dx[k], dy[k], tx[k], ty[k], term.ox,
-                                     term.oy, kBeta, sx, sy);
+        place::density_pair_gradient(dx[k], dy[k], tx[k], ty[k], ox[p], oy[p],
+                                     kBeta, sx, sy);
         acc += sx + sy;
       }
     }
@@ -207,6 +226,41 @@ void BM_DensityPairKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(kPairs));
 }
 BENCHMARK(BM_DensityPairKernel)->Arg(0)->Arg(1);
+
+// One density value pass (sweep, softplus kernel, fold) on a tb3-sized
+// mixed netlist: 15 crossbar macros of 7.6-19.9 um among 497 neurons of
+// 2.24 um and 404 synapses of 0.84 um, at about the cell density of a
+// placement in CG. Two states alternate, so no call hits the acceptance
+// cache; range(0) is the thread count.
+void BM_DensityValuePass(benchmark::State& state) {
+  util::Rng rng(9);
+  netlist::Netlist net;
+  for (std::size_t c = 0; c < 916; ++c) {
+    netlist::Cell cell;
+    const bool macro = c % 61 == 0;
+    cell.width = cell.height =
+        macro ? rng.uniform(7.6, 19.9) : (c % 2 == 0 ? 2.24 : 0.84);
+    cell.x = rng.uniform(-50.0, 50.0);
+    cell.y = rng.uniform(-50.0, 50.0);
+    net.cells.push_back(cell);
+  }
+  const auto first = place::pack_positions(net);
+  auto second = first;
+  second[0] += 0.25;
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  util::ThreadPool* pool_ptr = pool.size() > 1 ? &pool : nullptr;
+  const place::DensityModel model{1.2, 16.0};
+  bool flip = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.evaluate(net, flip ? second : first, nullptr, pool_ptr));
+    flip = !flip;
+  }
+  state.counters["pairs_kept_per_pass"] =
+      static_cast<double>(model.pairs_kept()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DensityValuePass)->Arg(1)->Arg(4);
 
 // Flat-grid rebuild alone (counting-sort binning into reused buffers) —
 // the fixed cost every density value pass pays.

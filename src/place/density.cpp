@@ -1,88 +1,99 @@
 #include "place/density.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.hpp"
+#include "util/trace.hpp"
 
 namespace autoncs::place {
 
 namespace {
 
-double max_virtual_half_extent(const netlist::Netlist& netlist, double omega) {
-  double out = 0.0;
-  for (const auto& cell : netlist.cells) {
-    out = std::max(out, 0.5 * omega * std::max(cell.width, cell.height));
-  }
-  return out;
-}
-
-/// Sorts a row's pairs by rank (ranks are distinct). Rows hold a handful
-/// of pairs, where insertion sort beats std::sort's setup.
-template <typename Term>
-void sort_by_rank(std::vector<Term>& list) {
-  if (list.size() > 32) {
-    std::sort(list.begin(), list.end(), [](const Term& a, const Term& b) {
-      return a.rank < b.rank;
-    });
+/// Sorts a row's pairs by their fold keys (distinct: a key holds the
+/// partner's id). Rows hold a handful of pairs, where insertion sort beats
+/// std::sort's setup. A macro's row may hold hundreds: std::sort orders
+/// their positions, and `row` (scratch) gathers the pairs.
+template <typename Pair>
+void sort_row(std::uint64_t* keys, Pair* pairs, std::size_t count,
+              std::vector<std::uint32_t>& order, std::vector<Pair>& row) {
+  if (count > 32) {
+    order.resize(count);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+    row.assign(pairs, pairs + count);
+    for (std::size_t k = 0; k < count; ++k) pairs[k] = row[order[k]];
     return;
   }
-  for (std::size_t a = 1; a < list.size(); ++a) {
-    if (list[a - 1].rank < list[a].rank) continue;
-    const Term term = list[a];
+  for (std::size_t a = 1; a < count; ++a) {
+    const std::uint64_t key = keys[a];
+    if (keys[a - 1] < key) continue;
+    const Pair pair = pairs[a];
     std::size_t b = a;
-    for (; b > 0 && list[b - 1].rank > term.rank; --b) list[b] = list[b - 1];
-    list[b] = term;
+    for (; b > 0 && keys[b - 1] > key; --b) {
+      keys[b] = keys[b - 1];
+      pairs[b] = pairs[b - 1];
+    }
+    keys[b] = key;
+    pairs[b] = pair;
   }
+}
+
+/// Phase 3 of a pass: groups the pairs of `blocks`, taken in block
+/// order, by row i into `out` (a stable counting sort; `row_end` and
+/// `keys` are scratch), sorts each row by the index's fold key and
+/// returns the sum of ox * oy in that order. Rows are independent, so
+/// `pool` may sort them in parallel; the sum stays sequential.
+template <typename Pair>
+double fold_rows(const std::vector<std::vector<Pair>>& blocks,
+                 const MixedSizeIndex& index, std::size_t n,
+                 std::vector<std::uint32_t>& row_end,
+                 std::vector<std::uint64_t>& keys, std::vector<Pair>& out,
+                 util::ThreadPool* pool) {
+  row_end.assign(n + 1, 0);
+  std::size_t pairs = 0;
+  for (const auto& block : blocks) {
+    pairs += block.size();
+    for (const Pair& p : block) ++row_end[p.i + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) row_end[i + 1] += row_end[i];
+  out.resize(pairs);
+  keys.resize(pairs);
+  // Scattering advances row_end[i] from the start of row i to its end.
+  for (const auto& block : blocks) {
+    for (const Pair& p : block) {
+      const std::uint32_t at = row_end[p.i]++;
+      out[at] = p;
+      keys[at] = index.fold_key(p.i, p.j);
+    }
+  }
+  const auto sort_rows = [&](std::size_t first, std::size_t last) {
+    std::vector<std::uint32_t> order;
+    std::vector<Pair> row;
+    for (std::size_t i = first; i < last; ++i) {
+      const std::size_t begin = i == 0 ? 0 : row_end[i - 1];
+      sort_row(keys.data() + begin, out.data() + begin, row_end[i] - begin,
+               order, row);
+    }
+  };
+  if (pool == nullptr) {
+    sort_rows(0, n);
+  } else {
+    constexpr std::size_t kRowGrain = 256;
+    pool->parallel_for(
+        n,
+        [&](std::size_t first, std::size_t last, std::size_t /*worker*/) {
+          sort_rows(first, last);
+        },
+        kRowGrain);
+  }
+  double total = 0.0;
+  for (const Pair& p : out) total += p.ox * p.oy;
+  return total;
 }
 
 }  // namespace
-
-template <typename Collect>
-double DensityModel::fold_rows(std::size_t n, util::ThreadPool* pool,
-                               const Collect& collect) const {
-  double total = 0.0;
-  const auto fold = [&](std::size_t i, const std::vector<PairTerm>& list) {
-    pairs_kept_ += list.size();
-    for (const PairTerm& term : list) {
-      total += term.area;
-      cache_pairs_.push_back(
-          {static_cast<std::uint32_t>(i), term.j, term.ox, term.oy});
-    }
-  };
-
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      row_.clear();
-      pair_candidates_ += collect(i, row_);
-      fold(i, row_);
-    }
-    return total;
-  }
-
-  // Phase 1 (parallel): cell i owns the pairs (i, j), j > i, and writes
-  // only its own list, already in fold order. The index is read-only, so
-  // the lists are independent of the thread count.
-  // A block of ~32 cells of candidate enumeration amortizes one worker
-  // wakeup; the fixed grain keeps the block grid thread-count-invariant.
-  constexpr std::size_t kCellGrain = 32;
-  pairs_.resize(n);
-  worker_candidates_.assign(pool->size(), 0);
-  pool->parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        for (std::size_t i = begin; i < end; ++i) {
-          pairs_[i].clear();
-          worker_candidates_[worker] += collect(i, pairs_[i]);
-        }
-      },
-      kCellGrain);
-  for (std::size_t count : worker_candidates_) pair_candidates_ += count;
-
-  // Phase 2 (sequential reduction in (i, fold) order — the FP operation
-  // order of the single-thread loop above).
-  for (std::size_t i = 0; i < n; ++i) fold(i, pairs_[i]);
-  return total;
-}
 
 double DensityModel::value_pass(const netlist::Netlist& netlist,
                                 const std::vector<double>& state,
@@ -90,63 +101,55 @@ double DensityModel::value_pass(const netlist::Netlist& netlist,
   // Softplus tail: beyond penetration < -tail/beta the contribution is
   // below exp(-30) and can be skipped.
   const double tail = 30.0 / beta;
-  const double r_max = max_virtual_half_extent(netlist, omega);
   ++grid_builds_;
-
-  // Row i's pair kernel: appends candidate j (p = {x, y, half_w, half_h}
-  // of j) to `list` when the pair survives the tail; true if it did.
-  const auto row_kernel = [&](std::size_t i, std::vector<PairTerm>& list) {
-    const double xi = state[2 * i];
-    const double yi = state[2 * i + 1];
-    const double hwi = half_w_[i];
-    const double hhi = half_h_[i];
-    return [&list, xi, yi, hwi, hhi, tail, beta = beta](std::size_t j,
-                                                        const double* p) {
-      DensityPairTerm term;
-      if (!density_pair_kernel(xi - p[0], yi - p[1], hwi + p[2], hhi + p[3],
-                               beta, tail, term)) {
-        return false;
-      }
-      list.push_back({static_cast<std::uint32_t>(j), 0, term.area, term.ox,
-                      term.oy});
-      return true;
-    };
-  };
-
   if (index_stale_) {
     index_.classify(netlist);
     index_stale_ = false;
   }
-  index_.build(netlist, state, half_w_.data(), half_h_.data(), r_max, tail,
-               pool);
-  cache_pairs_.clear();
-  return fold_rows(
-      netlist.cells.size(), pool,
-      [&](std::size_t i, std::vector<PairTerm>& list) {
-        std::size_t candidates = 0;
-        const double xi = state[2 * i];
-        const double yi = state[2 * i + 1];
-        const auto keep = row_kernel(i, list);
-        if (!index_.has_macros()) {
-          // The coarse grid enumerates in rank order already.
-          index_.coarse().for_candidates_packed(
-              i, xi, yi, [&](std::size_t j, const double* p) {
-                ++candidates;
-                keep(j, p);
-              });
-          return candidates;
-        }
-        index_.for_candidates(i, xi, yi, [&](std::size_t j, const double* p) {
-          ++candidates;
-          if (!keep(j, p)) return;
-          if (index_.coarse_pair(i, j))
-            list.back().rank = index_.rank(j);
-          else
-            list.pop_back();
-        });
-        sort_by_rank(list);
-        return candidates;
-      });
+  index_.build(netlist, state, half_w_.data(), half_h_.data(), tail, pool);
+
+  // Phases 1-2 of one block: the sweep records each kept pair with its
+  // penetration depths (zx, zy) in the overlap slots, then the kernel
+  // turns them into softplus overlaps in place.
+  const std::size_t blocks = index_.blocks();
+  block_pairs_.resize(blocks);
+  block_candidates_.resize(blocks);
+  const auto run_block = [&](std::size_t b) {
+    std::vector<CachedPair>& out = block_pairs_[b];
+    out.clear();
+    std::size_t candidates = 0;
+    index_.sweep(b, [&](std::size_t i, std::size_t j, const double* pi,
+                        const double* pj) {
+      ++candidates;
+      const double zx = (pi[2] + pj[2]) - std::abs(pi[0] - pj[0]);
+      const double zy = (pi[3] + pj[3]) - std::abs(pi[1] - pj[1]);
+      if (zx < -tail || zy < -tail || !index_.coarse_pair(i, j)) return;
+      out.push_back({static_cast<std::uint32_t>(i),
+                     static_cast<std::uint32_t>(j), zx, zy});
+    });
+    for (CachedPair& p : out) {
+      p.ox = density_softplus(p.ox, beta);
+      p.oy = density_softplus(p.oy, beta);
+    }
+    block_candidates_[b] = candidates;
+  };
+  if (pool == nullptr) {
+    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
+  } else {
+    pool->parallel_for(
+        blocks,
+        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+          for (std::size_t b = begin; b < end; ++b) run_block(b);
+        },
+        1);
+  }
+  for (std::size_t count : block_candidates_) pair_candidates_ += count;
+
+  // Phase 3: the fold writes the cache in (i, key) order.
+  const double total = fold_rows(block_pairs_, index_, netlist.cells.size(),
+                                 row_end_, fold_keys_, cache_pairs_, pool);
+  pairs_kept_ += cache_pairs_.size();
+  return total;
 }
 
 void DensityModel::replay(const std::vector<double>& state,
@@ -236,13 +239,17 @@ double DensityModel::evaluate(const netlist::Netlist& netlist,
   // the accepted Armijo trial whose gradient CG now asks for.
   if (!(cache_valid_ && cache_beta_ == beta && cache_omega_ == omega &&
         cache_state_ == state)) {
+    AUTONCS_TRACE_SCOPE("place/density");
     cache_total_ = value_pass(netlist, state, pool);
     cache_state_ = state;
     cache_beta_ = beta;
     cache_omega_ = omega;
     cache_valid_ = true;
   }
-  if (gradient != nullptr) replay(state, *gradient, pool);
+  if (gradient != nullptr) {
+    AUTONCS_TRACE_SCOPE("place/density_replay");
+    replay(state, *gradient, pool);
+  }
   return cache_total_;
 }
 
@@ -260,46 +267,35 @@ double exact_overlap_area(const netlist::Netlist& netlist,
   }
   MixedSizeIndex index;
   index.classify(netlist);
-  index.build(netlist, state, half_w.data(), half_h.data(),
-              max_virtual_half_extent(netlist, omega), 0.0);
+  index.build(netlist, state, half_w.data(), half_h.data(), 0.0);
 
-  // Overlap of row i with candidate j (p[0], p[1] hold j's center).
-  const auto overlap = [&](std::size_t i, std::size_t j, const double* p) {
-    const auto& ci = netlist.cells[i];
-    const auto& cj = netlist.cells[j];
-    const double ox = std::max(
-        0.0, 0.5 * omega * (ci.width + cj.width) - std::abs(state[2 * i] - p[0]));
-    const double oy = std::max(0.0, 0.5 * omega * (ci.height + cj.height) -
-                                        std::abs(state[2 * i + 1] - p[1]));
-    return ox * oy;
+  // Adding a zero term leaves the sum unchanged, so only overlapping
+  // pairs need their place in the fold order.
+  struct Pair {
+    std::uint32_t i;
+    std::uint32_t j;
+    double ox;
+    double oy;
   };
-  double total = 0.0;
-  struct Term {
-    std::uint32_t rank;
-    double area;
-  };
-  std::vector<Term> row;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = state[2 * i];
-    const double yi = state[2 * i + 1];
-    if (!index.has_macros()) {
-      index.coarse().for_candidates_packed(
-          i, xi, yi,
-          [&](std::size_t j, const double* p) { total += overlap(i, j, p); });
-      continue;
-    }
-    // Adding a zero term leaves the sum unchanged, so only overlapping
-    // pairs need their place in the rank order.
-    row.clear();
-    index.for_candidates(i, xi, yi, [&](std::size_t j, const double* p) {
-      const double area = overlap(i, j, p);
-      if (area > 0.0 && index.coarse_pair(i, j))
-        row.push_back({index.rank(j), area});
+  std::vector<std::vector<Pair>> kept(1);
+  for (std::size_t b = 0; b < index.blocks(); ++b) {
+    index.sweep(b, [&](std::size_t i, std::size_t j, const double* pi,
+                       const double* pj) {
+      const auto& ci = netlist.cells[i];
+      const auto& cj = netlist.cells[j];
+      const double ox = std::max(0.0, 0.5 * omega * (ci.width + cj.width) -
+                                          std::abs(pi[0] - pj[0]));
+      const double oy = std::max(0.0, 0.5 * omega * (ci.height + cj.height) -
+                                          std::abs(pi[1] - pj[1]));
+      if (ox * oy > 0.0 && index.coarse_pair(i, j))
+        kept[0].push_back({static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(j), ox, oy});
     });
-    sort_by_rank(row);
-    for (const Term& term : row) total += term.area;
   }
-  return total;
+  std::vector<std::uint32_t> row_end;
+  std::vector<std::uint64_t> keys;
+  std::vector<Pair> rows;
+  return fold_rows(kept, index, n, row_end, keys, rows, nullptr);
 }
 
 double overlap_ratio(const netlist::Netlist& netlist,

@@ -14,31 +14,38 @@
 // while both penetrations exceed -tail (tail = 30 / beta). Candidates come
 // from a MixedSizeIndex rebuilt — into reused buffers — on every
 // evaluation: small cells through a fine grid sized by the largest SMALL
-// extent, macros through a grid of their own. The fold order is a
-// contract: row
-// i's surviving pairs (i, j), j > i, are summed in ascending rank(j), the
-// slot of j in the coarse all-cell grid (reach 2 * r_max + tail) that the
-// single-grid enumeration used to walk. Each row's survivors are sorted
-// by that rank before they are folded into the total, the acceptance
-// cache and the gradient, so every sum is bit-identical to the
-// single-grid engine. A netlist without macros enumerates through the
-// coarse grid directly, already in rank order, with no sort.
+// extent, macros through a grid of their own.
 //
-// Every evaluation has one shape: a VALUE PASS that enumerates the pairs
-// and records each survivor (i, j) with its 1-D softplus overlaps in the
-// acceptance cache, skipped when the cache already holds this exact point;
-// then, when a gradient is asked for, a REPLAY that derives the sigmoid
-// terms of the recorded pairs and scatters them in the recorded order.
-// The Armijo line search evaluates trials value-only and asks for the
-// gradient at the accepted trial, so each accepted step enumerates once.
+// Every evaluation has one shape: a VALUE PASS that records each
+// survivor (i, j), i < j, with its 1-D softplus overlaps in the
+// acceptance cache, skipped when the cache already holds this exact
+// point; then, when a gradient is asked for, a REPLAY that derives the
+// sigmoid terms of the recorded pairs and scatters them in the recorded
+// order. The Armijo line search evaluates trials value-only and asks for
+// the gradient at the accepted trial, so each accepted step enumerates
+// once. The value pass runs in three flat phases:
+//  1. Sweep: the index yields every candidate pair once, block by block
+//     (fine-grid slot ranges, then one block per macro); a pair inside
+//     the tail and the coarse window goes into its block's buffer with
+//     its penetration depths.
+//  2. Kernel: a tight loop turns the buffer's depths into softplus
+//     overlaps in place.
+//  3. Fold: a stable counting sort groups all blocks' survivors by row i
+//     straight into the cache; each row is sorted by the fold key.
+// The fold order is a contract: row i's pairs (i, j) are summed in
+// ascending (cbx_j, cby_j, j) — j's bin in the coarse all-cell grid
+// (reach 2 * r_max + tail, bucket reach / 2), then its id — the order
+// the single-grid enumeration visited them in. The key is a total order,
+// so the cache, the total and the replayed gradient are bit-identical to
+// that engine whichever grid, block or thread found a pair.
 //
-// With a thread pool, each row's pairs are collected and rank-sorted in
-// parallel (cell i owns the pairs (i, j), j > i, and writes only its own
-// scratch list) and then folded into the total and the cache sequentially
-// in (i, rank) order; the replay computes the per-pair sigmoid terms in
-// parallel and scatters them sequentially. Both keep the exact FP
-// operation order of the single-thread loops, so the result is
-// bit-identical for any thread count.
+// With a thread pool, phases 1-2 run over the same fixed block grid in
+// parallel (each block owns its buffer); the fold groups and sums
+// sequentially and sorts its rows, which are independent, in parallel.
+// The replay computes the per-pair sigmoid terms in parallel and scatters
+// them sequentially. Both keep the exact FP operation order of the
+// single-thread loops, so the result is bit-identical for any thread
+// count.
 #pragma once
 
 #include <cmath>
@@ -71,32 +78,6 @@ inline double density_sigmoid(double z, double beta) {
   return 1.0 / (1.0 + std::exp(-t));
 }
 
-/// One interacting pair's value-pass terms: the smooth overlap area and the
-/// 1-D overlaps it factors into.
-struct DensityPairTerm {
-  double area = 0.0;
-  double ox = 0.0;
-  double oy = 0.0;
-};
-
-/// Smooth-overlap pair kernel of the value pass (benched in isolation by
-/// bench_micro_kernels): dx/dy are the center deltas xi - xj / yi - yj,
-/// tx/ty the virtual half-extent sums. Returns false when the pair is
-/// outside the softplus tail (contribution below exp(-30)).
-inline bool density_pair_kernel(double dx, double dy, double tx, double ty,
-                                double beta, double tail,
-                                DensityPairTerm& out) {
-  const double zx = tx - std::abs(dx);
-  const double zy = ty - std::abs(dy);
-  if (zx < -tail || zy < -tail) return false;
-  const double ox = density_softplus(zx, beta);
-  const double oy = density_softplus(zy, beta);
-  out.area = ox * oy;
-  out.ox = ox;
-  out.oy = oy;
-  return true;
-}
-
 /// Gradient terms of one surviving pair, given its geometry and the 1-D
 /// overlaps from the value pass: sx / sy are applied to cell i and negated
 /// on cell j.
@@ -124,7 +105,8 @@ struct DensityModel {
   /// `gradient == nullptr` is the cheap value-only mode (no sigmoids, no
   /// scatter). `pool` parallelizes the pair enumeration and the replay;
   /// the cache makes this method non-reentrant, but the result is
-  /// identical with or without a pool.
+  /// identical with or without a pool. The value pass and the replay are
+  /// traced as place/density and place/density_replay.
   double evaluate(const netlist::Netlist& netlist,
                   const std::vector<double>& state,
                   std::vector<double>* gradient,
@@ -138,48 +120,39 @@ struct DensityModel {
   std::size_t grid_reallocations() const { return index_.reallocations(); }
 
   /// Work counters over every evaluation so far: candidate pairs the
-  /// enumeration handed to the pair kernel, and pairs kept (folded into
-  /// the value). Both are independent of the thread count; a call that
-  /// hits the acceptance cache enumerates nothing and adds to neither.
+  /// sweep handed to the tail test (each unordered pair once), and pairs
+  /// kept (folded into the value). Both are independent of the thread
+  /// count; a call that hits the acceptance cache enumerates nothing and
+  /// adds to neither.
   std::size_t pair_candidates() const { return pair_candidates_; }
   std::size_t pairs_kept() const { return pairs_kept_; }
 
-  /// Logical footprint of the pair lists, acceptance cache and the flat
-  /// grid's buckets in bytes (element counts, not capacities). Pair-list
+  /// Logical footprint of the block buffers, acceptance cache and the
+  /// index's grids in bytes (element counts, not capacities). Buffer
   /// lengths track the final accepted state so the value is reproducible,
   /// but it is recorded manifest-only alongside the WA model's caches.
   double footprint_bytes() const {
-    double pair_bytes = 0.0;
-    for (const auto& list : pairs_)
-      pair_bytes += static_cast<double>(list.size() * sizeof(PairTerm));
-    return pair_bytes +
-           static_cast<double>(
+    std::size_t pairs = cache_pairs_.size();
+    for (const auto& block : block_pairs_) pairs += block.size();
+    return static_cast<double>(
                (half_w_.size() + half_h_.size() + replay_sx_.size() +
                 replay_sy_.size() + cache_state_.size()) *
                    sizeof(double) +
-               cache_pairs_.size() * sizeof(CachedPair) +
-               row_.size() * sizeof(PairTerm)) +
+               pairs * sizeof(CachedPair) +
+               row_end_.size() * sizeof(std::uint32_t) +
+               fold_keys_.size() * sizeof(std::uint64_t) +
+               block_candidates_.size() * sizeof(std::size_t)) +
            index_.footprint_bytes();
   }
 
  private:
-  /// One interacting pair (i, j) of row i: the smooth overlap area, the
-  /// 1-D overlaps the acceptance cache records, and rank(j), the row's
-  /// fold-order key.
-  struct PairTerm {
-    std::uint32_t j = 0;
-    std::uint32_t rank = 0;
-    double area = 0.0;
-    double ox = 0.0;
-    double oy = 0.0;
-  };
-  /// One surviving pair recorded by the value pass: the pair plus its 1-D
-  /// softplus overlaps, enough to replay the gradient at the same point
-  /// without re-enumerating candidates or recomputing softplus. Kept
-  /// minimal — the cache is refilled on every trial, so its write traffic
-  /// is on the hot path. The pair geometry (dx, dy, tx, ty) is recomputed
-  /// at replay from the state and half-extent arrays, which hold the
-  /// identical doubles the value pass packed into the grid.
+  /// One surviving pair (i, j), i < j, recorded by the value pass: the
+  /// pair plus its 1-D softplus overlaps, enough to replay the gradient at
+  /// the same point without re-enumerating candidates or recomputing
+  /// softplus. Kept minimal — the cache is refilled on every trial, so its
+  /// write traffic is on the hot path. The pair geometry (dx, dy, tx, ty)
+  /// is recomputed at replay from the state and half-extent arrays, which
+  /// hold the identical doubles the value pass packed into the grid.
   struct CachedPair {
     std::uint32_t i = 0;
     std::uint32_t j = 0;
@@ -191,22 +164,19 @@ struct DensityModel {
   double value_pass(const netlist::Netlist& netlist,
                     const std::vector<double>& state,
                     util::ThreadPool* pool) const;
-  /// Folds every row's surviving pairs into the total and the acceptance
-  /// cache, in (i, fold order). `collect(i, list)` fills row i's pairs in
-  /// fold order and returns the candidates it examined.
-  template <typename Collect>
-  double fold_rows(std::size_t n, util::ThreadPool* pool,
-                   const Collect& collect) const;
   /// Gradient replay over the cached pairs (accumulates into `gradient`).
   void replay(const std::vector<double>& state, std::vector<double>& gradient,
               util::ThreadPool* pool) const;
 
-  /// Per-cell pair lists of the pooled path, reused across evaluate()
-  /// calls; row_ is the single-thread path's one-row list.
-  mutable std::vector<std::vector<PairTerm>> pairs_;
-  mutable std::vector<PairTerm> row_;
-  /// Pooled path: candidates examined per worker, summed after phase 1.
-  mutable std::vector<std::size_t> worker_candidates_;
+  /// Phases 1-2 scratch, one buffer per sweep block, reused across
+  /// evaluate() calls: the block's kept pairs (depths, then overlaps) and
+  /// the candidates it examined.
+  mutable std::vector<std::vector<CachedPair>> block_pairs_;
+  mutable std::vector<std::size_t> block_candidates_;
+  /// Fold scratch: per row the end of its range in the cache, per cached
+  /// pair its fold key.
+  mutable std::vector<std::uint32_t> row_end_;
+  mutable std::vector<std::uint64_t> fold_keys_;
   mutable std::size_t pair_candidates_ = 0;
   mutable std::size_t pairs_kept_ = 0;
   /// Virtual half extents 0.5 * omega * {width, height} per cell, refreshed
@@ -219,10 +189,11 @@ struct DensityModel {
   mutable MixedSizeIndex index_;
   mutable bool index_stale_ = true;
   mutable std::size_t grid_builds_ = 0;
-  /// Acceptance cache: the surviving pairs and total of the last value
-  /// pass. A call whose state, beta, omega and half extents match byte for
-  /// byte skips the value pass; a gradient request replays the pairs
-  /// (identical order, identical FP terms) and only pays the sigmoid work.
+  /// Acceptance cache: the surviving pairs, in fold order, and total of
+  /// the last value pass. A call whose state, beta, omega and half extents
+  /// match byte for byte skips the value pass; a gradient request replays
+  /// the pairs (identical order, identical FP terms) and only pays the
+  /// sigmoid work.
   mutable std::vector<CachedPair> cache_pairs_;
   /// Replay scratch: per cached pair the gradient terms (sx, sy), computed
   /// in parallel — each pair owns its slot — then scattered sequentially
@@ -238,11 +209,11 @@ struct DensityModel {
 };
 
 /// Exact total pairwise rectangle overlap AREA of the virtual cells; the
-/// convergence criterion of Alg. 4 line 6 ("sum of overlap"). Pairs are
-/// found through a MixedSizeIndex (no tail) and each row is summed in
-/// ascending coarse rank, so the sum — which the placer's and the
-/// legalizer's stopping decisions read — is bit-identical to the
-/// single-grid enumeration.
+/// convergence criterion of Alg. 4 line 6 ("sum of overlap"). Pairs come
+/// from the density model's sweep (no tail) and each row is summed in the
+/// same fold order, so the sum — which the placer's and the legalizer's
+/// stopping decisions read — is bit-identical to the single-grid
+/// enumeration.
 double exact_overlap_area(const netlist::Netlist& netlist,
                           const std::vector<double>& state, double omega);
 

@@ -99,6 +99,8 @@ void UniformGrid::build(const netlist::Netlist& netlist,
   const double height = static_cast<double>(max_y_ - min_y_) + 1.0;
   dense_ = width * height <= dense_bucket_cap(n);
 
+  if (ids_.capacity() < n) grew = true;
+  ids_.resize(n);
   if (!dense_) {
     if (entries_.capacity() < n) grew = true;
     entries_.resize(n);
@@ -111,7 +113,10 @@ void UniformGrid::build(const netlist::Netlist& netlist,
                 if (a.by != b.by) return a.by < b.by;
                 return a.id < b.id;
               });
-    for (std::size_t k = 0; k < n; ++k) pack_slot(k, entries_[k].id);
+    for (std::size_t k = 0; k < n; ++k) {
+      ids_[k] = entries_[k].id;
+      pack_slot(k, entries_[k].id);
+    }
     if (grew) ++reallocs_;
     return;
   }
@@ -119,12 +124,12 @@ void UniformGrid::build(const netlist::Netlist& netlist,
   ny_ = static_cast<std::size_t>(max_y_ - min_y_) + 1;
   const auto buckets =
       ny_ * (static_cast<std::size_t>(max_x_ - min_x_) + 1);
-  if (starts_.capacity() < buckets + 1 || ids_.capacity() < n) grew = true;
+  if (starts_.capacity() < buckets + 1) grew = true;
 
   // Stable counting sort: histogram, exclusive prefix, then fill in
   // ascending cell index — each bucket lists its cells in ascending
   // index, the order the density fold relies on. x-major layout: a
-  // probe's dy column is one contiguous slot range (see for_candidates).
+  // probe's dy column is one contiguous slot range (see for_window).
   starts_.assign(buckets + 1, 0);
   const auto bucket_of = [&](std::size_t k) {
     return static_cast<std::size_t>(bin_x_[k] - min_x_) * ny_ +
@@ -133,7 +138,6 @@ void UniformGrid::build(const netlist::Netlist& netlist,
   for (std::size_t k = 0; k < n; ++k) ++starts_[bucket_of(k) + 1];
   for (std::size_t b = 0; b < buckets; ++b) starts_[b + 1] += starts_[b];
   cursor_.assign(starts_.begin(), starts_.end() - 1);
-  ids_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t slot = cursor_[bucket_of(k)]++;
     const std::size_t c = id_of(k);
@@ -141,16 +145,6 @@ void UniformGrid::build(const netlist::Netlist& netlist,
     pack_slot(slot, c);
   }
   if (grew) ++reallocs_;
-}
-
-void UniformGrid::ranks(std::vector<std::uint32_t>& rank) const {
-  if (dense_) {
-    for (std::size_t k = 0; k < ids_.size(); ++k)
-      rank[ids_[k]] = static_cast<std::uint32_t>(k);
-  } else {
-    for (std::size_t k = 0; k < entries_.size(); ++k)
-      rank[entries_[k].id] = static_cast<std::uint32_t>(k);
-  }
 }
 
 void split_macros(const netlist::Netlist& netlist,
@@ -176,31 +170,33 @@ void split_macros(const netlist::Netlist& netlist,
 }
 
 void MixedSizeIndex::classify(const netlist::Netlist& netlist) {
-  split_macros(netlist, macros_, is_macro_);
-  const std::size_t n = netlist.cells.size();
+  std::vector<std::uint8_t> is_macro;
+  split_macros(netlist, macros_, is_macro);
   small_.clear();
-  macro_slot_.assign(n, 0);
-  for (std::size_t c = 0; c < n; ++c)
-    if (!is_macro_[c]) small_.push_back(static_cast<std::uint32_t>(c));
-  for (std::size_t m = 0; m < macros_.size(); ++m)
-    macro_slot_[macros_[m]] = static_cast<std::uint32_t>(m);
-  rank_.resize(n);
+  for (std::size_t c = 0; c < is_macro.size(); ++c)
+    if (!is_macro[c]) small_.push_back(static_cast<std::uint32_t>(c));
+  coarse_.resize(netlist.cells.size());
   spans_.resize(macros_.size());
 }
 
 void MixedSizeIndex::build(const netlist::Netlist& netlist,
                            const std::vector<double>& state,
                            const double* half_w, const double* half_h,
-                           double r_max, double tail, util::ThreadPool* pool) {
-  AUTONCS_CHECK(is_macro_.size() == netlist.cells.size(),
+                           double tail, util::ThreadPool* pool) {
+  AUTONCS_CHECK(coarse_.size() == netlist.cells.size(),
                 "classify() the netlist before building the index");
+  double r_max = 0.0;
+  for (std::size_t c = 0; c < coarse_.size(); ++c)
+    r_max = std::max(r_max, std::max(half_w[c], half_h[c]));
   // The coarse grid is the single all-cell grid: probe span 2 at bucket
-  // reach / 2. Without macros it is the whole index.
+  // reach / 2. Only its bins are needed — the fold key and the window.
   const double coarse_reach = 2.0 * r_max + tail;
-  coarse_.build(netlist, state, coarse_reach,
-                std::max(coarse_reach / 2.0, 1e-6), pool, half_w, half_h);
-  if (macros_.empty()) return;
-  coarse_.ranks(rank_);
+  const double coarse_bucket = std::max(coarse_reach / 2.0, 1e-6);
+  coarse_span_ = static_cast<long long>(std::ceil(coarse_reach / coarse_bucket));
+  for (std::size_t c = 0; c < coarse_.size(); ++c)
+    coarse_[c] = {static_cast<long long>(std::floor(state[2 * c] / coarse_bucket)),
+                  static_cast<long long>(
+                      std::floor(state[2 * c + 1] / coarse_bucket))};
 
   double r_small = 0.0;
   for (std::uint32_t c : small_)
@@ -217,8 +213,8 @@ void MixedSizeIndex::build(const netlist::Netlist& netlist,
                     &macros_);
   // A macro's partners lie within its own half extent plus the largest
   // half extent of the other group (plus the tail).
-  for (std::size_t m = 0; m < macros_.size(); ++m) {
-    const std::size_t c = macros_[m];
+  for (std::size_t m = 0; m < macro_grid_.size(); ++m) {
+    const std::size_t c = macro_grid_.id(m);
     spans_[m] = {covering_span(half_w[c] + r_small + tail, fine_.bucket()),
                  covering_span(half_h[c] + r_small + tail, fine_.bucket()),
                  covering_span(half_w[c] + r_max + tail, macro_grid_.bucket()),

@@ -9,22 +9,24 @@
 // are split once per netlist (split_macros): macros, those larger than
 // 3x the median extent, get a grid of their own; the
 // small cells are binned in a fine grid whose reach comes from the
-// largest SMALL extent. A small cell probes its fine-grid window and its
-// macro-grid window; a macro probes both with windows widened by its own
-// extent. Any split yields a superset of the interacting pairs, so
-// correctness never depends on where the split falls, and with no macros
-// the scheme is the single grid of old.
+// largest SMALL extent. Small-small pairs come from a half-shell sweep of
+// the fine grid; a macro probes both grids with windows widened by its
+// own extent, so small-macro pairs are found from the macro side only.
+// Any split yields a superset of the interacting pairs, so correctness
+// never depends on where the split falls, and with no macros every cell
+// is in the fine grid.
 //
 //  * UniformGrid — static CSR buckets over cell centers, rebuilt per
 //    evaluation into reused buffers (stable counting sort, or a sorted
 //    sparse list when the bins span an extreme coordinate range).
-//  * MixedSizeIndex — the static split over three UniformGrids, for the
-//    density model and exact_overlap_area: fine (small cells), macro
-//    (macros) and COARSE (all cells, reach = 2 * largest half extent +
-//    tail). The coarse grid's slot order is the fold-order contract: a
-//    cell's pair terms are summed in ascending coarse slot of the partner
-//    (rank()), the order the single-grid enumeration visited them in, so
-//    sums stay bit-identical whichever grid found the pair.
+//  * MixedSizeIndex — the static split over two UniformGrids, for the
+//    density model and exact_overlap_area: fine (small cells) and macro
+//    (macros), plus each cell's bin in the COARSE all-cell grid (reach =
+//    2 * largest half extent + tail) that is never built. Those bins are
+//    the fold-order contract: a cell's pair terms are summed in ascending
+//    (coarse bx, coarse by, partner id), the order the single-grid
+//    enumeration visited them in, so sums stay bit-identical whichever
+//    grid found the pair.
 //  * LiveGrid — hashed buckets with O(1) moves, so the legalizer's grids
 //    always hold the current positions while its sweep separates cells.
 #pragma once
@@ -32,6 +34,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -66,89 +70,65 @@ inline long long covering_span(double reach, double bucket) {
 class UniformGrid {
  public:
   /// Rebins the cells of `netlist` at the positions in `state` — all of
-  /// them, or only `cells` (ascending ids) when given. Queries must use the
-  /// same `interaction_reach` the grid was built with. `pool` parallelizes
+  /// them, or only `cells` (ascending ids) when given. `interaction_reach`
+  /// sets the half-shell sweep's span. `pool` parallelizes
   /// the per-cell bin-coordinate pass; the counting sort is sequential
   /// (O(n + buckets), stable in cell index). Buffers are reused across
   /// builds — steady-state rebuilds allocate nothing.
   ///
   /// `aux_a` / `aux_b` (optional, indexed by cell id) are per-cell
   /// payloads packed next to each cell's coordinates in bucket order, so a
-  /// `for_candidates_packed` scan streams {x, y, aux_a, aux_b} from one
-  /// contiguous array instead of gathering through the cell index — the
-  /// packed doubles are copies of the caller's values, so consumers see
-  /// the identical bits either way.
+  /// scan streams {x, y, aux_a, aux_b} from one contiguous array instead
+  /// of gathering through the cell index — the packed doubles are copies
+  /// of the caller's values, so consumers see the identical bits either
+  /// way.
   void build(const netlist::Netlist& netlist, const std::vector<double>& state,
              double interaction_reach, double bucket,
              util::ThreadPool* pool = nullptr, const double* aux_a = nullptr,
              const double* aux_b = nullptr,
              const std::vector<std::uint32_t>* cells = nullptr);
 
-  /// Calls fn(j, p) for every binned cell j > i whose center lies within
-  /// the interaction reach of (xi, yi) (conservative superset), p being
-  /// j's packed slot {x, y, aux_a, aux_b} (see build) — copies of the
-  /// build-time values.
-  ///
-  /// The probe visits buckets dx-outer / dy-inner, and the dense table is
-  /// laid out x-major, so the dy column at each dx is ONE contiguous CSR
-  /// slot range (the sparse list, sorted by (bx, by), is likewise one
-  /// lower_bound per column). Candidates therefore arrive in ascending
-  /// slot — the order ranks() of a full build reports.
-  template <typename Fn>
-  void for_candidates_packed(std::size_t i, double xi, double yi,
-                             Fn&& fn) const {
-    for_candidates_packed(i, xi, yi, span_, span_, fn);
-  }
+  /// Binned cells; slot k in [0, size()) runs in (bx, by, id) order.
+  std::size_t size() const { return ids_.size(); }
+  /// Cell id and packed payload {x, y, aux_a, aux_b} of slot k — copies
+  /// of the build-time values.
+  std::size_t id(std::size_t k) const { return ids_[k]; }
+  const double* packed(std::size_t k) const { return &packed_[4 * k]; }
 
-  /// for_candidates_packed over a window of span_x / span_y buckets — a
-  /// wide cell probing for partners its own extent puts in reach.
+  /// Calls fn(k) for every slot whose bucket lies within span_x / span_y
+  /// buckets of the bucket of (x, y), in ascending slot. The probe visits
+  /// buckets column by column, and the table is laid out x-major, so each
+  /// column is ONE contiguous slot range (one lower_bound in the sparse
+  /// list, sorted by (bx, by)).
   template <typename Fn>
-  void for_candidates_packed(std::size_t i, double xi, double yi,
-                             long long span_x, long long span_y,
-                             Fn&& fn) const {
-    const long long bx = bin_coord(xi);
-    const long long by = bin_coord(yi);
-    for (long long dx = -span_x; dx <= span_x; ++dx) {
-      const long long cx = bx + dx;
-      if (dense_) {
-        if (cx < min_x_ || cx > max_x_) continue;
-        const long long lo = std::max(by - span_y, min_y_);
-        const long long hi = std::min(by + span_y, max_y_);
-        if (lo > hi) continue;
-        const std::size_t base = static_cast<std::size_t>(cx - min_x_) * ny_;
-        const std::uint32_t begin =
-            starts_[base + static_cast<std::size_t>(lo - min_y_)];
-        const std::uint32_t end =
-            starts_[base + static_cast<std::size_t>(hi - min_y_) + 1];
-        for (std::uint32_t k = begin; k < end; ++k) {
-          const std::size_t j = ids_[k];
-          if (j > i) fn(j, &packed_[4 * k]);
-        }
-      } else {
-        auto it = std::lower_bound(
-            entries_.begin(), entries_.end(), std::make_pair(cx, by - span_y),
-            [](const SparseEntry& e, const std::pair<long long, long long>& k) {
-              return e.bx != k.first ? e.bx < k.first : e.by < k.second;
-            });
-        for (; it != entries_.end() && it->bx == cx && it->by <= by + span_y;
-             ++it) {
-          const std::size_t j = it->id;
-          const auto k = static_cast<std::size_t>(it - entries_.begin());
-          if (j > i) fn(j, &packed_[4 * k]);
-        }
-      }
+  void for_window(double x, double y, long long span_x, long long span_y,
+                  Fn&& fn) const {
+    const long long bx = bin_coord(x);
+    const long long by = bin_coord(y);
+    for (long long cx = bx - span_x; cx <= bx + span_x; ++cx) {
+      const auto [begin, end] = column(cx, by - span_y, by + span_y);
+      for (std::size_t k = begin; k < end; ++k) fn(k);
     }
   }
 
-  /// Slot of each binned cell in enumeration order, written to
-  /// rank[cell]; `rank` must have one entry per cell.
-  void ranks(std::vector<std::uint32_t>& rank) const;
-
-  /// True when cells a and b are in each other's probe window. Full builds
-  /// only (bins are indexed by cell).
-  bool in_window(std::size_t a, std::size_t b) const {
-    return std::abs(bin_x_[a] - bin_x_[b]) <= span_ &&
-           std::abs(bin_y_[a] - bin_y_[b]) <= span_;
+  /// Half-shell sweep: calls fn(a, b), a in [begin, end), once for every
+  /// unordered pair of slots whose buckets are at most the probe span
+  /// (from the build's reach) apart on both axes. A slot pairs with the
+  /// later slots of its own column up to bucket by + span (the column is
+  /// sorted by (by, id)), then with the windows of the span columns to
+  /// its right.
+  template <typename Fn>
+  void for_half_shell(std::size_t begin, std::size_t end, Fn&& fn) const {
+    for (std::size_t a = begin; a < end; ++a) {
+      const long long bx = bin_coord(packed_[4 * a]);
+      const long long by = bin_coord(packed_[4 * a + 1]);
+      const std::size_t own_end = column(bx, by, by + span_).second;
+      for (std::size_t b = a + 1; b < own_end; ++b) fn(a, b);
+      for (long long cx = bx + 1; cx <= bx + span_; ++cx) {
+        const auto [lo, hi] = column(cx, by - span_, by + span_);
+        for (std::size_t b = lo; b < hi; ++b) fn(a, b);
+      }
+    }
   }
 
   /// Bucket side of the last build.
@@ -158,9 +138,6 @@ class UniformGrid {
   std::size_t builds() const { return builds_; }
   /// Builds that had to grow a buffer (steady state: 0 growth per build).
   std::size_t reallocations() const { return reallocs_; }
-  /// True when the last build used the dense bucket table (vs the sparse
-  /// extreme-coordinate fallback).
-  bool dense() const { return dense_; }
 
   /// Logical footprint of the bucket/scratch buffers in bytes (element
   /// counts, not capacities) — the memory-accounting probe.
@@ -184,6 +161,30 @@ class UniformGrid {
     std::uint32_t id = 0;
   };
 
+  /// Slot range [first, second) of the buckets lo..hi of column cx.
+  std::pair<std::size_t, std::size_t> column(long long cx, long long lo,
+                                             long long hi) const {
+    if (dense_) {
+      if (cx < min_x_ || cx > max_x_) return {0, 0};
+      lo = std::max(lo, min_y_);
+      hi = std::min(hi, max_y_);
+      if (lo > hi) return {0, 0};
+      const std::size_t base = static_cast<std::size_t>(cx - min_x_) * ny_;
+      return {starts_[base + static_cast<std::size_t>(lo - min_y_)],
+              starts_[base + static_cast<std::size_t>(hi - min_y_) + 1]};
+    }
+    const auto first = std::lower_bound(
+        entries_.begin(), entries_.end(), std::make_pair(cx, lo),
+        [](const SparseEntry& e, const std::pair<long long, long long>& k) {
+          return e.bx != k.first ? e.bx < k.first : e.by < k.second;
+        });
+    const auto last = std::partition_point(
+        first, entries_.end(),
+        [&](const SparseEntry& e) { return e.bx == cx && e.by <= hi; });
+    return {static_cast<std::size_t>(first - entries_.begin()),
+            static_cast<std::size_t>(last - entries_.begin())};
+  }
+
   double bucket_ = 1.0;
   long long span_ = 0;
   bool dense_ = true;
@@ -192,13 +193,14 @@ class UniformGrid {
   // Dense bucket row length (y extent): the table is x-major so a probe
   // column of consecutive by bins is contiguous in the CSR arrays.
   std::size_t ny_ = 0;
-  // Dense: CSR-style bucket table. starts_ has buckets+1 prefix offsets
-  // into ids_, which lists cell indices bucket by bucket, ascending.
+  // Dense: CSR-style bucket table, starts_ holding buckets+1 prefix
+  // offsets into the slots.
   std::vector<std::uint32_t> starts_;
   std::vector<std::uint32_t> cursor_;
+  // Cell id of each slot: bucket by bucket, ascending (both layouts).
   std::vector<std::uint32_t> ids_;
-  // Packed per-candidate payload {x, y, aux_a, aux_b} in ids_ order (dense)
-  // or entries_ order (sparse); zeros for aux when build got no arrays.
+  // Packed per-slot payload {x, y, aux_a, aux_b}; zeros for aux when
+  // build got no arrays.
   std::vector<double> packed_;
   // Per-binned-cell bin coordinates (phase-1 scratch, parallel-filled);
   // indexed by cell id on full builds, by position in `cells` otherwise.
@@ -211,69 +213,98 @@ class UniformGrid {
 };
 
 /// Static mixed-size pair index over one set of positions (see the file
-/// comment). build() bins every cell in the coarse grid (for rank()), the
-/// small cells in the fine grid and the macros in the macro grid;
-/// for_candidates() yields a superset of the pairs (i, j), j > i, whose
-/// centers are within the pair reach.
+/// comment). build() bins the small cells in the fine grid and the macros
+/// in the macro grid, and records every cell's coarse bin; sweep() then
+/// yields each candidate pair once, block by block.
 class MixedSizeIndex {
  public:
+  /// Fine-grid slots per sweep block.
+  static constexpr std::size_t kSweepGrain = 64;
+
   /// Re-splits the cells by extent (split_macros). Call it whenever the
   /// netlist's cell extents may have changed, before build().
   void classify(const netlist::Netlist& netlist);
 
   /// Bins the cells at `state`. Pairs interact up to
-  /// half_w[i] + half_w[j] + tail apart on x (likewise y); `r_max` is the
-  /// largest half extent over all cells, the coarse grid's reach being
-  /// 2 * r_max + tail. `half_w` / `half_h` are packed with the positions.
+  /// half_w[i] + half_w[j] + tail apart on x (likewise y); with r_max the
+  /// largest half extent, the coarse reach is 2 * r_max + tail. `half_w` /
+  /// `half_h` are packed with the positions.
   void build(const netlist::Netlist& netlist, const std::vector<double>& state,
-             const double* half_w, const double* half_h, double r_max,
-             double tail, util::ThreadPool* pool = nullptr);
+             const double* half_w, const double* half_h, double tail,
+             util::ThreadPool* pool = nullptr);
 
-  bool has_macros() const { return !macros_.empty(); }
+  /// Sweep blocks: fine-grid slot ranges of kSweepGrain, then one block
+  /// per macro. The grid depends on the split and the cell count only,
+  /// never on a thread count.
+  std::size_t blocks() const { return fine_blocks() + macro_grid_.size(); }
 
-  /// The single grid over all cells. Its candidate order is rank order,
-  /// so a netlist without macros enumerates through it directly.
-  const UniformGrid& coarse() const { return coarse_; }
-
-  /// Calls fn(j, p) for a superset of the partners j > i of cell i within
-  /// the pair reach, p = {x, y, half_w, half_h} of j, in no useful order:
-  /// small cells, then macros. A cell appears at most once.
+  /// Calls fn(i, j, pi, pj), i < j, p = {x, y, half_w, half_h}, for the
+  /// candidate pairs of `block`. Over all blocks the candidates cover
+  /// every pair within the pair reach, and no pair is yielded twice:
+  /// small-small pairs come from the fine grid's half-shell sweep,
+  /// small-macro and macro-macro pairs from the macro's windows, widened
+  /// by its own extent, into both grids.
   template <typename Fn>
-  void for_candidates(std::size_t i, double xi, double yi, Fn&& fn) const {
-    if (!is_macro_[i]) {
-      fine_.for_candidates_packed(i, xi, yi, fn);
-      macro_grid_.for_candidates_packed(i, xi, yi, fn);
+  void sweep(std::size_t block, Fn&& fn) const {
+    const auto emit = [&](const UniformGrid& ga, std::size_t a,
+                          const UniformGrid& gb, std::size_t b) {
+      const std::size_t i = ga.id(a);
+      const std::size_t j = gb.id(b);
+      if (i < j)
+        fn(i, j, ga.packed(a), gb.packed(b));
+      else
+        fn(j, i, gb.packed(b), ga.packed(a));
+    };
+    if (block < fine_blocks()) {
+      const std::size_t begin = block * kSweepGrain;
+      fine_.for_half_shell(
+          begin, std::min(begin + kSweepGrain, fine_.size()),
+          [&](std::size_t a, std::size_t b) { emit(fine_, a, fine_, b); });
       return;
     }
-    const MacroSpans& s = spans_[macro_slot_[i]];
-    fine_.for_candidates_packed(i, xi, yi, s.small_x, s.small_y, fn);
-    macro_grid_.for_candidates_packed(i, xi, yi, s.macro_x, s.macro_y, fn);
+    const std::size_t m = block - fine_blocks();
+    const MacroSpans& s = spans_[m];
+    const double* p = macro_grid_.packed(m);
+    fine_.for_window(p[0], p[1], s.small_x, s.small_y,
+                     [&](std::size_t b) { emit(macro_grid_, m, fine_, b); });
+    macro_grid_.for_window(p[0], p[1], s.macro_x, s.macro_y,
+                           [&](std::size_t b) {
+                             if (macro_grid_.id(b) > macro_grid_.id(m))
+                               emit(macro_grid_, m, macro_grid_, b);
+                           });
   }
 
-  /// Fold-order key of cell j: its slot in the coarse grid.
-  std::uint32_t rank(std::size_t j) const { return rank_[j]; }
-
-  /// True when the coarse grid would have enumerated the pair (i, j).
-  /// for_candidates may add pairs the coarse window leaves out only when
-  /// rounding puts two centers a hair beyond the pair reach; filtering
-  /// kept pairs through this keeps the pair set exactly the coarse one.
+  /// True when the pair (i, j) is in the coarse window: bins of side
+  /// (2 * r_max + tail) / 2 at most the coarse span apart on both axes.
+  /// The sweep may add pairs outside it only when rounding puts two
+  /// centers a hair beyond the pair reach; filtering kept pairs through
+  /// this keeps the pair set exactly the single all-cell grid's.
   bool coarse_pair(std::size_t i, std::size_t j) const {
-    return coarse_.in_window(i, j);
+    return std::abs(coarse_[i].x - coarse_[j].x) <= coarse_span_ &&
+           std::abs(coarse_[i].y - coarse_[j].y) <= coarse_span_;
+  }
+
+  /// The fold-order key of partner j in row i: orders the row's partners
+  /// by (coarse bx, coarse by, id) — the slot order of the single all-cell
+  /// grid, dense or sparse alike. A partner is in i's coarse window
+  /// (coarse_pair), at most 2 bins away on each axis (the coarse span is
+  /// at most 2), so its bins pack exactly into 5 bits relative to i's.
+  std::uint64_t fold_key(std::size_t i, std::size_t j) const {
+    const long long bx = coarse_[j].x - coarse_[i].x + 2;
+    const long long by = coarse_[j].y - coarse_[i].y + 2;
+    return static_cast<std::uint64_t>(bx * 5 + by) << 32 | j;
   }
 
   double footprint_bytes() const {
-    return coarse_.footprint_bytes() + fine_.footprint_bytes() +
-           macro_grid_.footprint_bytes() +
+    return fine_.footprint_bytes() + macro_grid_.footprint_bytes() +
            static_cast<double>(
-               (rank_.size() + macros_.size() + small_.size() +
-                macro_slot_.size()) *
-                   sizeof(std::uint32_t) +
-               spans_.size() * sizeof(MacroSpans) + is_macro_.size());
+               coarse_.size() * sizeof(CoarseBin) +
+               (macros_.size() + small_.size()) * sizeof(std::uint32_t) +
+               spans_.size() * sizeof(MacroSpans));
   }
 
   std::size_t reallocations() const {
-    return coarse_.reallocations() + fine_.reallocations() +
-           macro_grid_.reallocations();
+    return fine_.reallocations() + macro_grid_.reallocations();
   }
 
  private:
@@ -281,19 +312,25 @@ class MixedSizeIndex {
   struct MacroSpans {
     long long small_x = 0, small_y = 0, macro_x = 0, macro_y = 0;
   };
+  struct CoarseBin {
+    long long x = 0, y = 0;
+  };
 
-  UniformGrid coarse_;
+  std::size_t fine_blocks() const {
+    return (fine_.size() + kSweepGrain - 1) / kSweepGrain;
+  }
+
   // Small cells; reach 2 * (largest small half extent) + tail.
   UniformGrid fine_;
   // Macros; reach (largest half extent) + (largest small one) + tail, the
   // farthest a small cell's macro partner can be.
   UniformGrid macro_grid_;
-  std::vector<std::uint32_t> rank_;
+  // Per cell: its bin in the coarse all-cell grid, and that grid's span.
+  std::vector<CoarseBin> coarse_;
+  long long coarse_span_ = 0;
   std::vector<std::uint32_t> macros_;
-  std::vector<std::uint8_t> is_macro_;
   std::vector<std::uint32_t> small_;
-  // Per cell: index into macros_ (macros only).
-  std::vector<std::uint32_t> macro_slot_;
+  // Per macro-grid slot.
   std::vector<MacroSpans> spans_;
 };
 

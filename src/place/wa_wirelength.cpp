@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "util/trace.hpp"
 
 namespace autoncs::place {
 
@@ -42,20 +43,32 @@ double wa_axis_fill(const std::vector<std::size_t>& pins,
   double sum_va = 0.0;
   double sum_b = 0.0;
   double sum_vb = 0.0;
-  for (std::size_t k = 0; k < pins.size(); ++k) {
-    const double v = state[2 * pins[k] + axis];
-    // exp(0) == 1.0 exactly (IEEE 754), so the extreme pins — both pins of
-    // every two-pin wire — skip the libm call without changing a bit.
-    const double ta = (v - hi) / gamma;
-    const double tb = -(v - lo) / gamma;
-    const double a = ta == 0.0 ? 1.0 : std::exp(ta);
-    const double b = tb == 0.0 ? 1.0 : std::exp(tb);
+  const auto add = [&](std::size_t k, double v, double a, double b) {
     exp_a[k] = a;
     exp_b[k] = b;
     sum_a += a;
     sum_va += v * a;
     sum_b += b;
     sum_vb += v * b;
+  };
+  // exp(0) == 1.0 exactly (IEEE 754), so the extreme pins skip the libm
+  // call without changing a bit. Each pin of a two-pin wire sits at lo or
+  // hi, and its other exponent is the same double for both sums,
+  // -(hi - lo) / g == (lo - hi) / g exactly: one exp per wire and axis.
+  if (pins.size() == 2) {
+    const double t = (lo - hi) / gamma;
+    const double e = t == 0.0 ? 1.0 : std::exp(t);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const double v = state[2 * pins[k] + axis];
+      add(k, v, v == hi ? 1.0 : e, v == lo ? 1.0 : e);
+    }
+  } else {
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      const double v = state[2 * pins[k] + axis];
+      const double ta = (v - hi) / gamma;
+      const double tb = -(v - lo) / gamma;
+      add(k, v, ta == 0.0 ? 1.0 : std::exp(ta), tb == 0.0 ? 1.0 : std::exp(tb));
+    }
   }
   const double f_plus = sum_va / sum_a;    // smooth max
   const double f_minus = sum_vb / sum_b;   // smooth min
@@ -227,6 +240,7 @@ double WaModel::evaluate(const netlist::Netlist& netlist,
     AUTONCS_CHECK(gradient->size() == state.size(),
                   "gradient size must match the state");
   }
+  AUTONCS_TRACE_SCOPE("place/wa");
   if (pool != nullptr && (pool->size() == 1 || netlist.wires.size() < 2))
     pool = nullptr;
   // The cache holds this exact point when the wires, gamma and state all

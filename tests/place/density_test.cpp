@@ -5,7 +5,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <tuple>
 
+#include "autoncs/pipeline.hpp"
+#include "mapping/hybrid_mapping.hpp"
+#include "netlist/builder.hpp"
+#include "nn/testbench.hpp"
+#include "place/conjugate_gradient.hpp"
 #include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
 #include "support/golden.hpp"
@@ -391,13 +397,16 @@ double single_grid_overlap(const netlist::Netlist& net,
   for (const auto& cell : net.cells)
     r_max = std::max(r_max, 0.5 * omega * std::max(cell.width, cell.height));
   UniformGrid grid;
-  grid.build(net, state, 2.0 * r_max, std::max(r_max, 1e-6));
+  const double bucket = std::max(r_max, 1e-6);
+  grid.build(net, state, 2.0 * r_max, bucket);
+  const auto span = static_cast<long long>(std::ceil(2.0 * r_max / bucket));
   double total = 0.0;
   for (std::size_t i = 0; i < net.cells.size(); ++i) {
     const auto& ci = net.cells[i];
-    grid.for_candidates_packed(
-        i, state[2 * i], state[2 * i + 1],
-        [&](std::size_t j, const double* /*packed*/) {
+    grid.for_window(
+        state[2 * i], state[2 * i + 1], span, span, [&](std::size_t k) {
+          const std::size_t j = grid.id(k);
+          if (j <= i) return;
           const auto& cj = net.cells[j];
           const double ox =
               std::max(0.0, 0.5 * omega * (ci.width + cj.width) -
@@ -469,13 +478,12 @@ TEST(MixedSizeDensity, CellsStackedAtOnePoint) {
   expect_overlap_exact(net);
 }
 
-TEST(MixedSizeDensity, MacroStraddlingBucketEdges) {
-  // Small cells of 1-2 um around 15 um macros centered on multiples of
-  // the fine bucket, with partners at the exact interaction distance and
-  // a hair inside or outside it on either axis.
+/// Small cells of 1-2 um around 15 um macros centered on multiples of the
+/// fine bucket, with partners at the exact interaction distance and a
+/// hair inside or outside it on either axis.
+netlist::Netlist straddling_netlist() {
   const double omega = 1.2;
-  const double beta = 16.0;
-  const double tail = 30.0 / beta;
+  const double tail = 30.0 / 16.0;
   const double r_small = 0.5 * omega * 2.0;
   const double bucket = covering_bucket(2.0 * r_small + tail, 2);
   const double macro_half = 0.5 * omega * 15.0;
@@ -497,31 +505,22 @@ TEST(MixedSizeDensity, MacroStraddlingBucketEdges) {
   // Filler so the macros stay well above the median extent.
   for (int f = 0; f < 40; ++f)
     specs.push_back({bucket * f, bucket * (f % 5), 1.0 + 0.025 * f, 1.5});
-  const auto net = boxes(specs);
-  ASSERT_EQ(macro_count(net), 3u);
-  expect_matches_reference(net, beta, "straddling");
-  expect_overlap_exact(net);
+  return boxes(specs);
 }
 
-TEST(MixedSizeDensity, PairOutsideTheSingleGridWindowStaysOut) {
-  // Two 10 um macros exactly 2 * reach / 2 buckets apart: rounding puts
-  // their single-grid bins three buckets apart, so that engine never
-  // enumerated the pair, yet its penetration is exactly -tail and passes
-  // the tail check. The macro grid does find it; the index must still
-  // leave it out to keep the single grid's pair set.
+/// Two 10 um macros exactly 2 * reach / 2 buckets apart (beta 16): rounding
+/// puts their single-grid bins three buckets apart, yet the pair's
+/// penetration is exactly -tail and passes the tail check.
+netlist::Netlist outside_window_netlist() {
   std::vector<std::array<double, 4>> specs = {{-6.9375000000000009, 0, 10, 10},
                                               {6.9375, 0, 10, 10}};
   for (int f = 0; f < 20; ++f) specs.push_back({3.0 * f, 40.0, 1.5, 1.5});
-  const auto net = boxes(specs);
-  ASSERT_EQ(macro_count(net), 2u);
-  const double zx = 0.6 * (10 + 10) - std::abs(specs[0][0] - specs[1][0]);
-  ASSERT_EQ(zx, -30.0 / 16.0);
-  expect_matches_reference(net, 16.0, "outside_window");
+  return boxes(specs);
 }
 
-TEST(MixedSizeDensity, ExtremeCoordinatesTakeTheSparsePath) {
-  // Two mixed clusters 1e12 um apart: every grid falls back to its sparse
-  // layout, and nothing may interact across the gap.
+/// Two mixed clusters 1e12 um apart: every grid falls back to its sparse
+/// layout.
+netlist::Netlist extreme_netlist() {
   auto net = mixed_netlist(80, 0.08, 15.0, 5);
   const auto far = mixed_netlist(80, 0.08, 15.0, 6);
   for (auto cell : far.cells) {
@@ -529,17 +528,47 @@ TEST(MixedSizeDensity, ExtremeCoordinatesTakeTheSparsePath) {
     cell.y -= 1e12;
     net.cells.push_back(cell);
   }
+  return net;
+}
+
+TEST(MixedSizeDensity, MacroStraddlingBucketEdges) {
+  const auto net = straddling_netlist();
+  ASSERT_EQ(macro_count(net), 3u);
+  expect_matches_reference(net, 16.0, "straddling");
+  expect_overlap_exact(net);
+}
+
+TEST(MixedSizeDensity, PairOutsideTheSingleGridWindowStaysOut) {
+  // The single-grid engine never enumerated the macro pair of
+  // outside_window_netlist. The macro grid does find it; the index must
+  // still leave it out to keep the single grid's pair set.
+  const auto net = outside_window_netlist();
+  ASSERT_EQ(macro_count(net), 2u);
+  const double zx =
+      0.6 * (10 + 10) - std::abs(net.cells[0].x - net.cells[1].x);
+  ASSERT_EQ(zx, -30.0 / 16.0);
+  expect_matches_reference(net, 16.0, "outside_window");
+}
+
+TEST(MixedSizeDensity, ExtremeCoordinatesTakeTheSparsePath) {
+  // Nothing may interact across the 1e12 um gap.
+  const auto net = extreme_netlist();
   ASSERT_GT(macro_count(net), 0u);
   expect_matches_reference(net, 16.0, "extreme");
   expect_overlap_exact(net);
 }
 
-TEST(MixedSizeDensity, VanishinglySmallCellsAmongMacros) {
-  // Small cells of 1e-7 um would make a fine grid of 1e-7 um buckets; the
-  // macros' windows must stay a bounded number of buckets wide.
+/// Small cells of 1e-7 um among macros: a fine grid of 1e-7 um buckets
+/// unless the macros' windows are kept a bounded number of buckets wide.
+netlist::Netlist vanishing_netlist() {
   auto net = mixed_netlist(150, 0.06, 30.0, 9);
   for (auto& cell : net.cells)
     if (cell.width < 5.0) cell.width = cell.height = 1e-7;
+  return net;
+}
+
+TEST(MixedSizeDensity, VanishinglySmallCellsAmongMacros) {
+  const auto net = vanishing_netlist();
   ASSERT_GT(macro_count(net), 0u);
   expect_matches_reference(net, 16.0, "vanishing");
   expect_overlap_exact(net);
@@ -564,6 +593,203 @@ TEST(MixedSizeDensity, FineGridSkipsFarSmallCells) {
   EXPECT_EQ(model.evaluate(net, state, nullptr), ref.value);
   EXPECT_EQ(model.pairs_kept(), ref.kept);
   EXPECT_LT(2 * model.pair_candidates(), ref.candidates);
+}
+
+
+// --- fold-order oracle -----------------------------------------------
+//
+// An O(n^2) statement of the fold-order contract, independent of every
+// grid: each pair (i, j), i < j, that passes the tail test and lies in
+// the coarse window (bins of side (2 * r_max + tail) / 2 at most the
+// coarse span apart on both axes) is kept, row i's pairs are summed in
+// ascending (cbx_j, cby_j, j), and their gradient terms are scattered in
+// that order. The model must match it bit for bit at any thread count.
+
+struct OracleResult {
+  double value = 0.0;
+  std::vector<double> gradient;
+  std::size_t kept = 0;
+};
+
+OracleResult fold_order_oracle(const netlist::Netlist& net,
+                               const std::vector<double>& state, double omega,
+                               double beta) {
+  const std::size_t n = net.cells.size();
+  const double tail = 30.0 / beta;
+  std::vector<double> hw(n);
+  std::vector<double> hh(n);
+  double r_max = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto& cell = net.cells[c];
+    hw[c] = 0.5 * omega * cell.width;
+    hh[c] = 0.5 * omega * cell.height;
+    r_max = std::max(r_max, 0.5 * omega * std::max(cell.width, cell.height));
+  }
+  const double reach = 2.0 * r_max + tail;
+  const double bucket = std::max(reach / 2.0, 1e-6);
+  const auto span = static_cast<long long>(std::ceil(reach / bucket));
+  std::vector<long long> bx(n);
+  std::vector<long long> by(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    bx[c] = static_cast<long long>(std::floor(state[2 * c] / bucket));
+    by[c] = static_cast<long long>(std::floor(state[2 * c + 1] / bucket));
+  }
+
+  struct Term {
+    std::size_t j;
+    double ox;
+    double oy;
+  };
+  OracleResult out;
+  out.gradient.assign(2 * n, 0.0);
+  std::vector<Term> row;
+  for (std::size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (std::abs(bx[i] - bx[j]) > span || std::abs(by[i] - by[j]) > span)
+        continue;
+      const double zx = (hw[i] + hw[j]) - std::abs(state[2 * i] - state[2 * j]);
+      const double zy =
+          (hh[i] + hh[j]) - std::abs(state[2 * i + 1] - state[2 * j + 1]);
+      if (zx < -tail || zy < -tail) continue;
+      row.push_back({j, density_softplus(zx, beta), density_softplus(zy, beta)});
+    }
+    std::sort(row.begin(), row.end(), [&](const Term& a, const Term& b) {
+      return std::tie(bx[a.j], by[a.j], a.j) < std::tie(bx[b.j], by[b.j], b.j);
+    });
+    for (const Term& t : row) {
+      out.value += t.ox * t.oy;
+      double sx = 0.0;
+      double sy = 0.0;
+      density_pair_gradient(state[2 * i] - state[2 * t.j],
+                            state[2 * i + 1] - state[2 * t.j + 1],
+                            hw[i] + hw[t.j], hh[i] + hh[t.j], t.ox, t.oy, beta,
+                            sx, sy);
+      out.gradient[2 * i] += sx;
+      out.gradient[2 * t.j] -= sx;
+      out.gradient[2 * i + 1] += sy;
+      out.gradient[2 * t.j + 1] -= sy;
+    }
+    out.kept += row.size();
+  }
+  return out;
+}
+
+/// The model at 1 and 8 threads against the oracle: identical value and
+/// gradient bits, the oracle's pair count, and candidate counts that do
+/// not depend on the threads.
+void expect_matches_oracle(const netlist::Netlist& net,
+                           const std::vector<double>& state, double beta,
+                           const std::string& name) {
+  const OracleResult oracle = fold_order_oracle(net, state, 1.2, beta);
+  ASSERT_GT(oracle.kept, 0u) << name;
+  std::size_t candidates = 0;
+  for (std::size_t threads : {1u, 8u}) {
+    util::ThreadPool pool(threads);
+    DensityModel model{1.2, beta};
+    std::vector<double> grad(state.size(), 0.0);
+    const double value =
+        model.evaluate(net, state, &grad, threads > 1 ? &pool : nullptr);
+    EXPECT_EQ(testing::hex(testing::digest({value})),
+              testing::hex(testing::digest({oracle.value})))
+        << name << ", " << threads << " threads";
+    EXPECT_EQ(testing::hex(testing::digest(grad)),
+              testing::hex(testing::digest(oracle.gradient)))
+        << name << ", " << threads << " threads";
+    EXPECT_EQ(model.pairs_kept(), oracle.kept) << name;
+    if (threads == 1)
+      candidates = model.pair_candidates();
+    else
+      EXPECT_EQ(model.pair_candidates(), candidates) << name;
+  }
+}
+
+TEST(FoldOrderOracle, MixedNetlistCorpus) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto net = mixed_netlist(240, 0.03 + 0.03 * static_cast<double>(seed),
+                                   40.0, seed);
+    const auto state = pack_positions(net);
+    const std::string name = "random_s" + std::to_string(seed);
+    expect_matches_oracle(net, state, 16.0, name + "_b16");
+    expect_matches_oracle(net, state, 4.0, name + "_b4");
+  }
+  const auto stacked = mixed_netlist(120, 0.08, 0.0, 4);
+  expect_matches_oracle(stacked, pack_positions(stacked), 16.0, "stacked");
+  const auto no_macros = mixed_netlist(200, 0.0, 20.0, 7);
+  expect_matches_oracle(no_macros, pack_positions(no_macros), 16.0,
+                        "no_macros");
+  const auto fine = mixed_netlist(600, 0.05, 60.0, 8);
+  expect_matches_oracle(fine, pack_positions(fine), 16.0, "fine_grid");
+  const auto vanishing = vanishing_netlist();
+  expect_matches_oracle(vanishing, pack_positions(vanishing), 16.0,
+                        "vanishing");
+}
+
+TEST(FoldOrderOracle, EdgeCases) {
+  const auto straddling = straddling_netlist();
+  expect_matches_oracle(straddling, pack_positions(straddling), 16.0,
+                        "straddling");
+  const auto outside = outside_window_netlist();
+  expect_matches_oracle(outside, pack_positions(outside), 16.0,
+                        "outside_window");
+  const auto extreme = extreme_netlist();
+  expect_matches_oracle(extreme, pack_positions(extreme), 16.0, "extreme");
+}
+
+TEST(FoldOrderOracle, Tb3StateMidCg) {
+  // tb3's AutoNCS netlist (seed 2015) on a grid, pulled together by 40
+  // CG iterations of WA + lambda * density: the clustered, overlapping
+  // state the placer's value passes see.
+  const nn::ConnectionMatrix network = nn::build_testbench(3, 2015).topology;
+  FlowConfig config;
+  config.threads = 1;
+  const clustering::IscResult isc = run_isc(network, config);
+  auto net = netlist::build_netlist(
+      mapping::mapping_from_isc(isc, network.size()), config.tech);
+  ASSERT_GT(macro_count(net), 0u);
+  double area = 0.0;
+  for (const auto& cell : net.cells) area += 1.44 * cell.width * cell.height;
+  const double side = std::sqrt(area / 0.8);
+  const auto cols = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(net.cells.size()))));
+  const double pitch = side / static_cast<double>(cols);
+  for (std::size_t c = 0; c < net.cells.size(); ++c) {
+    net.cells[c].x = (static_cast<double>(c % cols) + 0.5) * pitch - 0.5 * side;
+    net.cells[c].y = (static_cast<double>(c / cols) + 0.5) * pitch - 0.5 * side;
+  }
+  auto state = pack_positions(net);
+
+  const WaModel wa{2.0};
+  const DensityModel density{1.2, 16.0};
+  std::vector<double> grad_wl(state.size(), 0.0);
+  std::vector<double> grad_d(state.size(), 0.0);
+  wa.evaluate(net, state, &grad_wl);
+  density.evaluate(net, state, &grad_d);
+  double sum_wl = 0.0;
+  double sum_d = 0.0;
+  for (std::size_t k = 0; k < state.size(); ++k) {
+    sum_wl += std::abs(grad_wl[k]);
+    sum_d += std::abs(grad_d[k]);
+  }
+  const double lambda = sum_d > 0.0 ? sum_wl / sum_d : 1.0;
+  std::vector<double> scratch;
+  const Objective objective = [&](const std::vector<double>& x,
+                                  std::vector<double>* gradient) {
+    if (gradient == nullptr)
+      return wa.evaluate(net, x, nullptr) +
+             lambda * density.evaluate(net, x, nullptr);
+    std::fill(gradient->begin(), gradient->end(), 0.0);
+    scratch.assign(x.size(), 0.0);
+    const double value = wa.evaluate(net, x, gradient) +
+                         lambda * density.evaluate(net, x, &scratch);
+    for (std::size_t k = 0; k < x.size(); ++k)
+      (*gradient)[k] += lambda * scratch[k];
+    return value;
+  };
+  CgOptions cg;
+  cg.max_iterations = 40;
+  minimize_cg(state, objective, cg);
+  expect_matches_oracle(net, state, 16.0, "tb3_mid_cg");
 }
 
 }  // namespace

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace autoncs::place {
@@ -189,6 +197,83 @@ TEST(WaModel, StateSizeMismatchThrows) {
   std::vector<double> bad(3, 0.0);
   const WaModel model{1.0};
   EXPECT_THROW(model.evaluate(net, bad, nullptr), util::CheckError);
+}
+
+
+/// wa_axis_fill's general per-pin loop: two exponentials per pin.
+double general_axis_fill(const std::vector<std::size_t>& pins,
+                         const std::vector<double>& state, std::size_t axis,
+                         double gamma, double* exp_a, double* exp_b,
+                         double* fp) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::size_t pin : pins) {
+    lo = std::min(lo, state[2 * pin + axis]);
+    hi = std::max(hi, state[2 * pin + axis]);
+  }
+  double sum_a = 0.0;
+  double sum_va = 0.0;
+  double sum_b = 0.0;
+  double sum_vb = 0.0;
+  for (std::size_t k = 0; k < pins.size(); ++k) {
+    const double v = state[2 * pins[k] + axis];
+    const double ta = (v - hi) / gamma;
+    const double tb = -(v - lo) / gamma;
+    exp_a[k] = ta == 0.0 ? 1.0 : std::exp(ta);
+    exp_b[k] = tb == 0.0 ? 1.0 : std::exp(tb);
+    sum_a += exp_a[k];
+    sum_va += v * exp_a[k];
+    sum_b += exp_b[k];
+    sum_vb += v * exp_b[k];
+  }
+  fp[0] = sum_va / sum_a;
+  fp[1] = sum_vb / sum_b;
+  fp[2] = sum_a;
+  fp[3] = sum_b;
+  return fp[0] - fp[1];
+}
+
+TEST(WaModel, TwoPinClosedFormMatchesGeneralLoopBitForBit) {
+  // Pin coordinate pairs: random, equal, signed zeros, 1e12 spreads and
+  // tiny differences.
+  util::Rng rng(21);
+  std::vector<std::array<double, 2>> cases = {
+      {0.0, 0.0},     {0.0, -0.0},      {-0.0, 0.0},    {-0.0, -0.0},
+      {-0.0, 1.5},    {2.5, -0.0},      {3.0, 3.0},     {-7.25, -7.25},
+      {1e12, -1e12},  {-1e12, 1e12},    {1e12, 0.0},    {0.0, 1e-300},
+      {1.0, std::nextafter(1.0, 2.0)},  {-1e12, -1e12 + 1e-3}};
+  for (int r = 0; r < 200; ++r) {
+    const double a = rng.uniform(-60.0, 60.0);
+    cases.push_back({a, r % 5 == 0 ? a : rng.uniform(-60.0, 60.0)});
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (double gamma : {0.5, 2.0, 1e-3}) {
+    for (const auto& c : cases) {
+      // Cell 0 and cell 1 carry the pair on x, reversed on y.
+      const std::vector<double> state = {c[0], c[1], c[1], c[0]};
+      for (const std::vector<std::size_t>& pins :
+           {std::vector<std::size_t>{0, 1}, std::vector<std::size_t>{1, 0}}) {
+        for (std::size_t axis : {0u, 1u}) {
+          double fast_a[2], fast_b[2], fast_fp[4];
+          double ref_a[2], ref_b[2], ref_fp[4];
+          const double fast = wa_axis_fill(pins, state, axis, gamma, fast_a,
+                                           fast_b, fast_fp);
+          const double ref = general_axis_fill(pins, state, axis, gamma, ref_a,
+                                               ref_b, ref_fp);
+          const std::string where = "pins (" + std::to_string(c[0]) + ", " +
+                                    std::to_string(c[1]) + "), gamma " +
+                                    std::to_string(gamma);
+          EXPECT_EQ(bits(fast), bits(ref)) << where;
+          for (int k = 0; k < 2; ++k) {
+            EXPECT_EQ(bits(fast_a[k]), bits(ref_a[k])) << where;
+            EXPECT_EQ(bits(fast_b[k]), bits(ref_b[k])) << where;
+          }
+          for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(bits(fast_fp[k]), bits(ref_fp[k])) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

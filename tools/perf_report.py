@@ -129,6 +129,18 @@ def report_trace(path: str, top: int) -> None:
     for name, (total, self_us, count) in ranked[:top]:
         print(f"  {name:34} {count:7d} {fmt_ms(total)} {fmt_ms(self_us)}")
 
+    # The objective's spans nest under place/cg (the lambda_0 probe's two
+    # calls sit outside it); what they leave is CG's own line search and
+    # vector updates.
+    cg = by_name.get("place/cg")
+    if cg is not None and cg[0] > 0.0:
+        section("CG split (share of place/cg)")
+        for name in ("place/wa", "place/density", "place/density_replay"):
+            total = by_name.get(name, [0.0])[0]
+            print(f"  {name:34} {fmt_ms(total)} ms {100.0 * total / cg[0]:6.1f}%")
+        print(f"  {'place/cg self':34} {fmt_ms(cg[1])} ms "
+              f"{100.0 * cg[1] / cg[0]:6.1f}%")
+
     section("trace per-thread busy time")
     for tid in sorted(by_tid):
         print(f"  tid {tid:3d}: top-level span time {fmt_ms(by_tid[tid])} ms")
