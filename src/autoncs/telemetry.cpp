@@ -280,6 +280,7 @@ void write_pool_section(util::JsonWriter& w) {
         .field("blocks", static_cast<long long>(p.blocks))
         .field("parks", static_cast<long long>(p.parks))
         .field("wakes", static_cast<long long>(p.wakes))
+        .field("spin_wakes", static_cast<long long>(p.spin_wakes))
         .field("wall_ns", static_cast<long long>(p.wall_ns));
     w.key("busy_ns").begin_array();
     for (std::uint64_t ns : p.busy_ns) w.value(static_cast<long long>(ns));

@@ -42,26 +42,6 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
   std::vector<double> trial(n, 0.0);
   std::vector<double> trial_grad(n, 0.0);
 
-  // Elementwise updates go through the pool when the vector is large
-  // enough that a block of work is worth a worker wakeup; below the grain
-  // parallel_for runs the whole range inline on the caller.
-  util::ThreadPool* pool =
-      (options.pool != nullptr && options.pool->size() > 1) ? options.pool
-                                                            : nullptr;
-  constexpr std::size_t kElementGrain = 2048;
-  const auto elementwise = [&](auto&& fn) {
-    if (pool == nullptr) {
-      fn(0, n);
-      return;
-    }
-    pool->parallel_for(
-        n,
-        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-          fn(begin, end);
-        },
-        kElementGrain);
-  };
-
   CgResult result;
   const auto eval = [&](const std::vector<double>& point,
                         std::vector<double>* gradient) {
@@ -121,9 +101,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     result.converged = true;
     return result;
   }
-  elementwise([&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) direction[i] = -grad[i];
-  });
+  for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
   double step = options.initial_step;
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
@@ -132,9 +110,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     double slope = dot(grad, direction);
     if (slope >= 0.0) {
       // Direction lost descent property — restart with steepest descent.
-      elementwise([&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) direction[i] = -grad[i];
-      });
+      for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
       slope = dot(grad, direction);
       if (slope >= 0.0) break;  // gradient numerically zero
     }
@@ -145,10 +121,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     double trial_value = value;
     bool accepted = false;
     for (std::size_t bt = 0; bt < options.max_backtracks; ++bt) {
-      elementwise([&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          trial[i] = x[i] + t * direction[i];
-      });
+      for (std::size_t i = 0; i < n; ++i) trial[i] = x[i] + t * direction[i];
       trial_value = eval(trial, nullptr);
       trial_value = retry_if_bad(trial_value, trial, nullptr);
       // A non-finite trial can never show sufficient decrease. NaN and +inf
@@ -183,9 +156,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
         result.degraded = true;
         break;
       }
-      elementwise([&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) direction[i] = -grad[i];
-      });
+      for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
       step = std::max(t * 0.25, 1e-12);
       continue;
     }
@@ -211,10 +182,8 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     for (std::size_t i = 0; i < n; ++i)
       beta += grad[i] * (grad[i] - prev_grad[i]);
     beta = std::max(0.0, beta / gg);
-    elementwise([&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        direction[i] = -grad[i] + beta * direction[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+      direction[i] = -grad[i] + beta * direction[i];
   }
   return result;
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 
@@ -38,12 +37,6 @@ struct CgOptions {
   /// Optional recovery-event sink for the numerical guards (transparent
   /// retries, damped restarts). Null runs the identical guards silently.
   util::RecoveryLog* recovery = nullptr;
-  /// Optional pool for the ELEMENTWISE vector updates only (trial
-  /// construction, direction updates) — each element is written once,
-  /// independently, so the iterates are bit-identical for any thread
-  /// count. The reductions (dot, infinity norm, Polak-Ribiere beta) stay
-  /// sequential: splitting them would reassociate the FP sums.
-  util::ThreadPool* pool = nullptr;
 };
 
 struct CgResult {

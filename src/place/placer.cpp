@@ -106,24 +106,6 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   cg_options.recovery = options.recovery;
   util::ThreadPool pool(options.threads, "place");
   util::ThreadPool* pool_ptr = pool.size() > 1 ? &pool : nullptr;
-  cg_options.pool = pool_ptr;
-  // Elementwise helper for the objective's vector plumbing (zero-fill,
-  // scaled fold): disjoint writes per index, bit-identical for any thread
-  // count. The grain matches CG's elementwise updates.
-  constexpr std::size_t kElementGrain = 2048;
-  const auto elementwise = [&](std::size_t count, auto&& fn) {
-    if (pool_ptr == nullptr) {
-      fn(0, count);
-      return;
-    }
-    pool_ptr->parallel_for(
-        count,
-        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-          fn(begin, end);
-        },
-        kElementGrain);
-  };
-
   // lambda_0 = sum |dWL| / sum |dD| at the initial placement.
   std::vector<double> grad_wl(state.size(), 0.0);
   std::vector<double> grad_d(state.size(), 0.0);
@@ -167,21 +149,17 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
         return wl + lambda_now * d;
       }
       dgrad.resize(x.size());
-      elementwise(x.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          (*gradient)[i] = 0.0;
-          dgrad[i] = 0.0;
-        }
-      });
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        (*gradient)[i] = 0.0;
+        dgrad[i] = 0.0;
+      }
       const double wl = wl_model.evaluate(netlist, x, gradient, pool_ptr);
       // Density + boundary gradients accumulate unscaled into the scratch
       // vector, then fold in scaled by lambda.
       double d = density_model.evaluate(netlist, x, &dgrad, pool_ptr);
       d += boundary_penalty(netlist, x, options.omega, die_half, &dgrad);
-      elementwise(gradient->size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          (*gradient)[i] += lambda_now * dgrad[i];
-      });
+      for (std::size_t i = 0; i < gradient->size(); ++i)
+        (*gradient)[i] += lambda_now * dgrad[i];
       return wl + lambda_now * d;
     };
     const CgResult cg = [&] {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -354,7 +355,22 @@ void Server::worker_loop() {
 void Server::watchdog_loop() {
   std::unique_lock<std::mutex> lock(active_mutex_);
   for (;;) {
-    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(20));
+    // Sleep until the earliest deadline not yet tripped, at most one 20 ms
+    // scan period: a short deadline then trips on time instead of up to a
+    // period late, when a small job may already have finished. A newly
+    // registered job notifies the condition, so its deadline is seen.
+    double wait_ms = 20.0;
+    const double scan_ms = now_ms();
+    for (const auto& job : active_jobs_) {
+      if (job->deadline_at_ms > 0.0 &&
+          !job->cancel->load(std::memory_order_relaxed))
+        wait_ms = std::min(wait_ms, job->deadline_at_ms - scan_ms);
+    }
+    if (wait_ms > 0.0) {
+      watchdog_cv_.wait_for(
+          lock, std::chrono::microseconds(
+                    static_cast<long long>(std::ceil(wait_ms * 1000.0))));
+    }
     if (watchdog_stop_) return;
     const double now = now_ms();
     for (const auto& job : active_jobs_) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/trace.hpp"
@@ -33,6 +34,40 @@ struct PoolRegistry {
 PoolRegistry& pool_registry() {
   static PoolRegistry* r = new PoolRegistry();
   return *r;
+}
+
+/// Relaxes the core for one spin iteration: the x86 `pause` / aarch64
+/// `yield` hint (frees pipeline resources for a sibling hyperthread and
+/// saves power), or a scheduler yield where neither exists.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Spin iterations between two reads of the clock (~1-3 us of `pause`).
+constexpr int kRelaxesPerCheck = 64;
+
+/// Spins until `ready()` holds or ThreadPool::kSpinWindow has passed;
+/// returns the final `ready()`. Between clock reads the thread yields, so
+/// on an oversubscribed machine a spinner cedes its core to runnable
+/// threads instead of starving them; on an idle core the yield returns at
+/// once.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const Clock::time_point deadline = Clock::now() + ThreadPool::kSpinWindow;
+  for (;;) {
+    for (int i = 0; i < kRelaxesPerCheck; ++i) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (Clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
 }
 
 /// Buckets a relative spread in [0, 1] into the imbalance histogram.
@@ -95,13 +130,13 @@ std::size_t resolve_thread_count(std::size_t requested) {
 ThreadPool::ThreadPool(std::size_t threads, const char* label)
     : worker_count_(resolve_thread_count(threads)),
       label_(label),
+      spin_(worker_count_ > 1 &&
+            worker_count_ <= std::max(1u, std::thread::hardware_concurrency())),
       born_(Clock::now()) {
   threads_.reserve(worker_count_ - 1);
   slots_.reserve(worker_count_ - 1);
-  counters_.reserve(worker_count_ - 1);
   for (std::size_t w = 1; w < worker_count_; ++w) {
     slots_.emplace_back(std::make_unique<WorkerSlot>());
-    counters_.emplace_back(std::make_unique<WorkerCounters>());
   }
   job_busy_ns_.assign(worker_count_, 0);
   job_blocks_run_.assign(worker_count_, 0);
@@ -113,12 +148,12 @@ ThreadPool::ThreadPool(std::size_t threads, const char* label)
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  stop_.store(true, std::memory_order_relaxed);
   for (auto& slot : slots_) {
-    // Taking the slot mutex around the notify guarantees the worker is
-    // either parked (and sees the wakeup) or about to re-check stop_.
-    std::lock_guard<std::mutex> lock(slot->mutex);
-    slot->cv.notify_one();
+    // The release increment publishes stop_; a spinning worker sees the
+    // new word on its next poll, a parked one is woken unconditionally.
+    slot->job.fetch_add(1, std::memory_order_release);
+    slot->job.notify_one();
   }
   for (auto& thread : threads_) thread.join();
   if (label_ != nullptr && pool_stats_enabled()) flush_stats();
@@ -128,9 +163,11 @@ void ThreadPool::flush_stats() {
   // The workers have joined, so every counter is quiescent.
   std::uint64_t parks = 0;
   std::uint64_t wakes = 0;
-  for (const auto& c : counters_) {
-    parks += c->parks.load(std::memory_order_relaxed);
-    wakes += c->wakes.load(std::memory_order_relaxed);
+  std::uint64_t spin_wakes = 0;
+  for (const auto& slot : slots_) {
+    parks += slot->parks.load(std::memory_order_relaxed);
+    wakes += slot->wakes.load(std::memory_order_relaxed);
+    spin_wakes += slot->spin_wakes.load(std::memory_order_relaxed);
   }
   const std::uint64_t wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -158,6 +195,7 @@ void ThreadPool::flush_stats() {
   entry->blocks += stat_blocks_;
   entry->parks += parks;
   entry->wakes += wakes;
+  entry->spin_wakes += spin_wakes;
   entry->wall_ns += wall_ns;
   if (entry->busy_ns.size() < worker_count_) {
     entry->busy_ns.resize(worker_count_, 0);
@@ -180,26 +218,26 @@ void ThreadPool::chunk_bounds(std::size_t count, std::size_t chunk,
   *end = (chunk + 1) * count / chunks;
 }
 
-void ThreadPool::run_blocks(std::size_t worker) {
+void ThreadPool::run_blocks(std::size_t worker, std::size_t first) {
   const std::uint64_t t0 = job_stats_ ? now_ns() : 0;
   std::uint64_t executed = 0;
-  try {
-    // Blocks this worker owns under the fixed grid — the trace argument
-    // that makes uneven grids visible per worker lane in Perfetto.
-    const std::size_t owned =
-        job_blocks_ > worker
-            ? (job_blocks_ - worker + job_active_ - 1) / job_active_
-            : 0;
-    TraceSpan span("pool/run", "blocks", static_cast<std::int64_t>(owned));
-    for (std::size_t b = worker; b < job_blocks_; b += job_active_) {
-      const std::size_t begin = b * job_grain_;
-      const std::size_t end = std::min(begin + job_grain_, job_count_);
-      (*job_)(begin, end, worker);
-      ++executed;
+  {
+    // The blocks this worker claimed — the trace argument that makes
+    // uneven claiming visible per worker lane in Perfetto.
+    TraceSpan span("pool/run", "blocks", 0);
+    try {
+      for (std::size_t b = first; b < job_blocks_;
+           b = next_block_.fetch_add(1, std::memory_order_relaxed)) {
+        const std::size_t begin = b * job_grain_;
+        const std::size_t end = std::min(begin + job_grain_, job_count_);
+        (*job_)(begin, end, worker);
+        ++executed;
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!error_) error_ = std::current_exception();
     }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
+    span.set_arg(static_cast<std::int64_t>(executed));
   }
   if (job_stats_) {
     job_busy_ns_[worker] = now_ns() - t0;
@@ -218,7 +256,7 @@ void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
   const bool stats = label_ != nullptr && pool_stats_enabled();
   if (active <= 1) {
     // The whole range fits one block (or there is one worker): stay on
-    // the calling thread — no wakeups, no synchronization. Inline runs
+    // the calling thread — no hand-off, no synchronization. Inline runs
     // still count as dispatches (inline_runs is the subset of dispatches
     // that never touched the workers).
     if (stats) {
@@ -230,46 +268,56 @@ void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
     return;
   }
 
+  // Publish the job. The workers are idle (the previous job drained), so
+  // these plain writes race with nothing; each worker's job word is
+  // stored with release semantics after them. The caller claims block 0
+  // before any worker can claim, so it always runs at least one block.
   job_ = &fn;
   job_count_ = count;
   job_grain_ = g;
   job_blocks_ = blocks;
-  job_active_ = active;
   job_stats_ = stats;
+  next_block_.store(1, std::memory_order_relaxed);
+  remaining_.store(static_cast<std::uint32_t>(active - 1),
+                   std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    error_ = nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    remaining_ = active - 1;
-  }
-  ++job_id_;
-  {
-    // Wake exactly the workers that own blocks; the rest stay parked. The
-    // slot mutex hand-off publishes the job fields written above. The
-    // dispatch span covers the wakeups plus the caller's own share of the
-    // blocks; the drain span is the time spent waiting for stragglers.
+    // The dispatch span covers the hand-offs plus the caller's own share
+    // of the blocks; the drain span is the wait for stragglers.
     TraceSpan dispatch_span("pool/dispatch", "items",
                             static_cast<std::int64_t>(count));
     for (std::size_t w = 1; w < active; ++w) {
       WorkerSlot& slot = *slots_[w - 1];
-      {
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        slot.job = job_id_;
+      // seq_cst store then load, mirrored by the worker's parked store
+      // then job load: at least one side sees the other, so a worker
+      // about to park either finds the new job or gets the notify.
+      slot.job.fetch_add(1, std::memory_order_seq_cst);
+      if (slot.parked.load(std::memory_order_seq_cst) != 0) {
+        slot.job.notify_one();
       }
-      slot.cv.notify_one();
     }
-    run_blocks(0);
+    run_blocks(0, 0);
   }
   {
     TraceSpan drain_span("pool/drain");
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
+    const auto drained = [this] {
+      return remaining_.load(std::memory_order_acquire) == 0;
+    };
+    if (!(spin_ && spin_until(drained))) {
+      // Same store/load pairing with the last worker's decrement as the
+      // workers' parking above.
+      caller_parked_.store(1, std::memory_order_seq_cst);
+      for (std::uint32_t left = remaining_.load(std::memory_order_seq_cst);
+           left != 0; left = remaining_.load(std::memory_order_seq_cst)) {
+        remaining_.wait(left, std::memory_order_seq_cst);
+      }
+      caller_parked_.store(0, std::memory_order_relaxed);
+    }
   }
   if (stats) {
     ++stat_dispatches_;
     stat_items_ += count;
+    // The spread is taken over the workers that ran a block: a worker
+    // that arrived after the last claim idled by design, not by skew.
     std::uint64_t busy_min = job_busy_ns_[0];
     std::uint64_t busy_max = job_busy_ns_[0];
     for (std::size_t w = 0; w < active; ++w) {
@@ -277,6 +325,7 @@ void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
       stat_busy_ns_[w] += busy;
       stat_blocks_run_[w] += job_blocks_run_[w];
       stat_blocks_ += job_blocks_run_[w];
+      if (job_blocks_run_[w] == 0) continue;
       busy_min = std::min(busy_min, busy);
       busy_max = std::max(busy_max, busy);
     }
@@ -289,36 +338,37 @@ void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
   }
   job_ = nullptr;
   job_stats_ = false;
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {
   WorkerSlot& slot = *slots_[worker - 1];
-  WorkerCounters& counters = *counters_[worker - 1];
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(slot.mutex);
-      while (!stop_.load() && slot.job == seen) {
-        if (label_ != nullptr && pool_stats_enabled()) {
-          counters.parks.fetch_add(1, std::memory_order_relaxed);
-        }
-        slot.cv.wait(lock);
+    const auto signalled = [&] {
+      return slot.job.load(std::memory_order_acquire) != seen;
+    };
+    const bool caught_spinning = spin_ && spin_until(signalled);
+    if (!caught_spinning) {
+      if (label_ != nullptr && pool_stats_enabled()) {
+        slot.parks.fetch_add(1, std::memory_order_relaxed);
       }
-      if (stop_.load()) return;
-      seen = slot.job;
+      slot.parked.store(1, std::memory_order_seq_cst);
+      while (slot.job.load(std::memory_order_seq_cst) == seen) {
+        slot.job.wait(seen, std::memory_order_seq_cst);
+      }
+      slot.parked.store(0, std::memory_order_relaxed);
     }
-    if (job_stats_) counters.wakes.fetch_add(1, std::memory_order_relaxed);
-    run_blocks(worker);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex_);
-      if (--remaining_ == 0) done_cv_.notify_one();
+    seen = slot.job.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    if (job_stats_) {
+      (caught_spinning ? slot.spin_wakes : slot.wakes)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    run_blocks(worker, next_block_.fetch_add(1, std::memory_order_relaxed));
+    if (remaining_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        caller_parked_.load(std::memory_order_seq_cst) != 0) {
+      remaining_.notify_one();
     }
   }
 }

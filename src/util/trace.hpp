@@ -82,6 +82,10 @@ class TraceSpan {
     if (name_ != nullptr) close();
   }
 
+  /// Replaces the numeric argument, for a count known only at the end of
+  /// the span.
+  void set_arg(std::int64_t arg) { arg_ = arg; }
+
  private:
   void open(const char* name, const char* arg_name, std::int64_t arg);
   void close();

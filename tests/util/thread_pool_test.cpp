@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -228,7 +230,8 @@ TEST(ThreadPoolStats, EnabledPoolsReportDispatchesAndBusyTime) {
   EXPECT_GT(it->wall_ns, 0u);
   ASSERT_EQ(it->busy_ns.size(), 3u);
   ASSERT_EQ(it->blocks_run.size(), 3u);
-  // Worker 0 (the caller) always runs its owned blocks.
+  // Worker 0 (the caller) claims block 0 before any worker is signalled,
+  // so it runs at least one block of every dispatch.
   EXPECT_GT(it->busy_ns[0], 0u);
   EXPECT_GT(it->blocks_run[0], 0u);
   std::uint64_t blocks_total = 0;
@@ -285,6 +288,201 @@ TEST(ThreadPool, GrainCoversEveryIndexExactlyOnce) {
         grain);
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "grain = " << grain << ", i = " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ClaimedBlocksRunExactlyOnce) {
+  // Under claiming any thread may run any block: every index must still
+  // be processed exactly once per job, job after job, at every pool size.
+  // A pooled job invokes fn once per whole block of the fixed grid; a
+  // single-thread pool runs the range inline in one call.
+  for (std::size_t threads : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (std::size_t grain : {1u, 3u, 16u}) {
+      const std::size_t count = 97;
+      for (int job = 0; job < 20; ++job) {
+        std::vector<std::atomic<int>> hits(count);
+        for (auto& h : hits) h.store(0);
+        pool.parallel_for(
+            count,
+            [&](std::size_t begin, std::size_t end, std::size_t worker) {
+              EXPECT_LT(worker, threads);
+              if (threads > 1) {
+                EXPECT_EQ(begin % grain, 0u);
+                EXPECT_EQ(end, std::min(begin + grain, count));
+              }
+              for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+            },
+            grain);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "threads = " << threads
+                                       << ", grain = " << grain
+                                       << ", index = " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, CallerAlwaysRunsBlockZero) {
+  // The caller claims block 0 before it signals any worker, so block 0
+  // runs on the calling thread as worker 0 — even when the workers are
+  // already spinning and could claim instantly.
+  const auto caller = std::this_thread::get_id();
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (int job = 0; job < 200; ++job) {
+      std::atomic<int> block_zero_runs{0};
+      pool.parallel_for(
+          8,
+          [&](std::size_t begin, std::size_t, std::size_t worker) {
+            if (begin != 0) return;
+            block_zero_runs.fetch_add(1);
+            EXPECT_EQ(worker, 0u);
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+          },
+          1);
+      ASSERT_EQ(block_zero_runs.load(), 1);
+    }
+  }
+}
+
+TEST(ThreadPool, HotPathBackToBackTinyJobs) {
+  // 10^5 dispatches of a few nanoseconds each: the workers are caught
+  // spinning almost every time. Every job must still complete fully
+  // before parallel_for returns, and every signalled worker must receive
+  // each job exactly once — spinning or woken from park.
+  constexpr int kJobs = 100000;
+  start_pool_stats();
+  {
+    ThreadPool pool(2, "stats-hot");
+    std::vector<std::uint64_t> out(4, 0);
+    for (int job = 0; job < kJobs; ++job) {
+      pool.parallel_for(
+          out.size(),
+          [&](std::size_t begin, std::size_t end, std::size_t) {
+            for (std::size_t i = begin; i < end; ++i) ++out[i];
+          },
+          1);
+      ASSERT_EQ(out[0] + out[1] + out[2] + out[3],
+                4u * static_cast<std::uint64_t>(job + 1));
+    }
+  }
+  const auto stats = stop_pool_stats();
+  const auto it = std::find_if(stats.begin(), stats.end(), [](const auto& p) {
+    return p.label == "stats-hot";
+  });
+  ASSERT_NE(it, stats.end());
+  EXPECT_EQ(it->dispatches, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(it->inline_runs, 0u);
+  EXPECT_EQ(it->blocks, 4u * kJobs);
+  // One hand-off per job to the one signalled worker.
+  EXPECT_EQ(it->spin_wakes + it->wakes, static_cast<std::uint64_t>(kJobs));
+  EXPECT_LE(it->wakes, it->parks);
+}
+
+TEST(ThreadPool, ColdPathReachesParkedWorkers) {
+  // A job issued long after the spin window finds every worker parked:
+  // it must wake them (no lost wake-up) and count the hand-offs as wakes
+  // from park.
+  start_pool_stats();
+  {
+    ThreadPool pool(3, "stats-cold");
+    for (int round = 0; round < 3; ++round) {
+      std::this_thread::sleep_for(ThreadPool::kSpinWindow * 200);
+      std::vector<std::atomic<int>> hits(3);
+      for (auto& h : hits) h.store(0);
+      pool.parallel_for(
+          3,
+          [&](std::size_t begin, std::size_t end, std::size_t) {
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          },
+          1);
+      for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    }
+  }
+  const auto stats = stop_pool_stats();
+  const auto it = std::find_if(stats.begin(), stats.end(), [](const auto& p) {
+    return p.label == "stats-cold";
+  });
+  ASSERT_NE(it, stats.end());
+  EXPECT_EQ(it->dispatches, 3u);
+  // Two signalled workers per job.
+  EXPECT_EQ(it->spin_wakes + it->wakes, 6u);
+  EXPECT_GE(it->wakes, 1u);
+  EXPECT_GE(it->parks, it->wakes);
+}
+
+TEST(ThreadPool, DestructorJoinsPromptly) {
+  // Teardown must not wait out the spin window per worker, nor hang on a
+  // parked worker: both a pool destroyed right after a job (workers
+  // spinning) and one destroyed after idling (workers parked) join fast.
+  using Clock = std::chrono::steady_clock;
+  const auto bound = std::chrono::milliseconds(500);
+  for (bool idle : {false, true}) {
+    for (std::size_t threads : {2u, 4u, 8u}) {
+      auto pool = std::make_unique<ThreadPool>(threads);
+      std::atomic<int> total{0};
+      pool->parallel_for(
+          64,
+          [&](std::size_t begin, std::size_t end, std::size_t) {
+            total.fetch_add(static_cast<int>(end - begin));
+          },
+          1);
+      ASSERT_EQ(total.load(), 64);
+      if (idle) std::this_thread::sleep_for(ThreadPool::kSpinWindow * 100);
+      const auto t0 = Clock::now();
+      pool.reset();
+      EXPECT_LT(Clock::now() - t0, bound)
+          << "threads = " << threads << (idle ? " (parked)" : " (spinning)");
+    }
+  }
+  // A pool that never dispatched tears down just as promptly.
+  const auto t0 = Clock::now();
+  { ThreadPool pool(4); }
+  EXPECT_LT(Clock::now() - t0, bound);
+}
+
+TEST(ThreadPool, PropagatesExceptionsFromClaimedBlocks) {
+  // A block other than the caller's block 0 throws: the exception must
+  // reach the caller whichever thread claimed the block, the other blocks
+  // still run, and the pool stays usable. With several throwing blocks
+  // exactly one exception is rethrown.
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<int>> runs(16);
+      for (auto& r : runs) r.store(0);
+      EXPECT_THROW(pool.parallel_for(
+                       16,
+                       [&](std::size_t begin, std::size_t, std::size_t) {
+                         runs[begin].fetch_add(1);
+                         if (begin == 5 || begin == 11) {
+                           throw std::runtime_error("boom");
+                         }
+                       },
+                       1),
+                   std::runtime_error);
+      int total = 0;
+      for (const auto& r : runs) {
+        ASSERT_LE(r.load(), 1);
+        total += r.load();
+      }
+      // A thread stops claiming after its own block throws; every block
+      // that ran, ran once, and blocks 0, 5 and 11 always ran.
+      EXPECT_GE(total, 3);
+      EXPECT_EQ(runs[0].load(), 1);
+      EXPECT_EQ(runs[5].load(), 1);
+      EXPECT_EQ(runs[11].load(), 1);
+      std::atomic<int> after{0};
+      pool.parallel_for(
+          16,
+          [&](std::size_t begin, std::size_t end, std::size_t) {
+            after.fetch_add(static_cast<int>(end - begin));
+          },
+          1);
+      ASSERT_EQ(after.load(), 16);
     }
   }
 }

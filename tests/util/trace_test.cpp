@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -45,9 +47,15 @@ TEST(Trace, WorkerSpansCarryDistinctThreadIds) {
   start_tracing();
   ThreadPool pool(4);
   ASSERT_EQ(pool.size(), 4u);
-  pool.parallel_for(4, [](std::size_t begin, std::size_t end, std::size_t) {
+  // Blocks are claimed, so a fast caller could run several of them; the
+  // barrier holds each block until all four are running, which can only
+  // happen on four different threads.
+  std::atomic<int> arrived{0};
+  pool.parallel_for(4, [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t i = begin; i < end; ++i) {
       AUTONCS_TRACE_SCOPE("worker/chunk");
+      arrived.fetch_add(1);
+      while (arrived.load() < 4) std::this_thread::yield();
     }
   });
   const auto events = stop_tracing();
@@ -64,8 +72,10 @@ TEST(Trace, WorkerSpansCarryDistinctThreadIds) {
     if (std::string(event.name) == "pool/run") ++runs;
   }
   ASSERT_EQ(chunks, 4u);
-  // One chunk per worker; worker 0 is the calling thread, the other three
-  // are pool threads — every span must come from a different thread.
+  // One chunk per thread; one is the calling thread, the other three are
+  // pool threads — every span must come from a different thread, and
+  // every participant (caller and three signalled workers) emits one
+  // pool/run span.
   EXPECT_EQ(tids.size(), 4u);
   EXPECT_EQ(runs, 4u);
 }

@@ -12,8 +12,8 @@ Merges any subset of the artifacts one flow run produces —
     heaviest histograms, and the series sizes.
   * ``--manifest run.manifest.json`` — run manifest (schema
     autoncs-run-manifest/2 or /3). Reports stage wall-clock, scheduler
-    utilization per pool label (per-worker busy fractions, park/wake
-    counts, block imbalance histogram), and the memory section (peak RSS,
+    utilization per pool label (per-worker busy fractions, parks, hand-offs
+    caught spinning vs woken from park, block imbalance histogram), and the memory section (peak RSS,
     per-stage RSS samples, instrumented structure footprints).
   * ``--flight flight.json`` — crash flight-recorder dump (schema
     autoncs-flight/1). Reports ring occupancy and the tail of the event
@@ -232,7 +232,15 @@ def report_manifest(path: str, top: int) -> None:
                 f"workers x {p.get('pools', '?')} pools, "
                 f"{p.get('dispatches', 0)} dispatches "
                 f"({p.get('inline_runs', 0)} inline), "
-                f"{p.get('parks', 0)} parks / {p.get('wakes', 0)} wakes"
+                f"{p.get('parks', 0)} parks"
+            )
+            spin = p.get("spin_wakes", 0)
+            woken = p.get("wakes", 0)
+            handoffs = spin + woken
+            share = f" ({100.0 * spin / handoffs:.1f}% spinning)" if handoffs else ""
+            print(
+                f"      hand-offs: {spin} caught spinning / {woken} woken "
+                f"from park{share}"
             )
             print(f"      busy fraction per worker: [{frac_text}]")
             imb = p.get("imbalance", {})
