@@ -3,8 +3,9 @@
 // Places the selected Hopfield testbench once (FullCro mapping, so the
 // netlist and placement are fixed), then routes the placed netlist at one
 // thread and at the hardware's thread count, reporting wall-clock, search
-// effort (nodes expanded, heap pushes, window retries, frontier meets),
-// and the routing quality (wirelength, overflow). The default flow config
+// effort (nodes expanded, heap pushes, window retries, frontier meets,
+// rung-oracle calls and nodes), and the routing quality (wirelength,
+// overflow). The default flow config
 // is used (the paper's single-pass flow), so the warm-start seeds are
 // exercised through wave deferrals and relaxation retries. Each thread
 // count runs several repetitions and keeps the fastest (the searches are
@@ -60,7 +61,8 @@ bool same_routing(const route::RoutingResult& a,
          a.maze_nodes_expanded == b.maze_nodes_expanded &&
          a.maze_heap_pushes == b.maze_heap_pushes &&
          a.maze_window_retries == b.maze_window_retries &&
-         a.maze_meets == b.maze_meets;
+         a.maze_meets == b.maze_meets && a.oracle_calls == b.oracle_calls &&
+         a.oracle_nodes == b.oracle_nodes;
 }
 
 }  // namespace
@@ -104,13 +106,16 @@ int main(int argc, char** argv) {
 
   util::ConsoleTable table({"threads", "route (ms)", "nodes expanded",
                             "heap pushes", "window retries", "meets",
-                            "L (um)", "overflow"});
+                            "oracle calls", "oracle nodes", "L (um)",
+                            "overflow"});
   for (const Variant& v : variants) {
     table.add_row({std::to_string(v.threads), util::fmt_double(v.best_ms, 1),
                    std::to_string(v.result.maze_nodes_expanded),
                    std::to_string(v.result.maze_heap_pushes),
                    std::to_string(v.result.maze_window_retries),
                    std::to_string(v.result.maze_meets),
+                   std::to_string(v.result.oracle_calls),
+                   std::to_string(v.result.oracle_nodes),
                    util::fmt_double(v.result.total_wirelength_um, 1),
                    util::fmt_double(v.result.total_overflow, 1)});
   }
@@ -131,6 +136,8 @@ int main(int argc, char** argv) {
        {"window_retries", static_cast<double>(serial.maze_window_retries)},
        {"meets", static_cast<double>(serial.maze_meets)},
        {"maze_invocations", static_cast<double>(serial.maze_invocations)},
+       {"oracle_calls", static_cast<double>(serial.oracle_calls)},
+       {"oracle_nodes", static_cast<double>(serial.oracle_nodes)},
        {"wirelength_um", serial.total_wirelength_um},
        {"overflow", serial.total_overflow},
        {"deterministic", identical ? 1.0 : 0.0}});

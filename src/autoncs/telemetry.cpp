@@ -215,6 +215,8 @@ void write_result(util::JsonWriter& w, const FlowConfig& config,
       .field("maze_heap_pushes", result.routing.maze_heap_pushes)
       .field("maze_window_retries", result.routing.maze_window_retries)
       .field("maze_meets", result.routing.maze_meets)
+      .field("oracle_calls", result.routing.oracle_calls)
+      .field("oracle_nodes", result.routing.oracle_nodes)
       .field("waves", result.routing.waves)
       .field("reroute_passes", result.routing.reroute_stats.size())
       .field("threads_used", result.routing.threads_used)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -301,6 +302,114 @@ std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,
                                               const MazeOptions& options) {
   MazeWorkspace workspace;
   return maze_route(grid, source, target, options, workspace);
+}
+
+std::size_t first_routable_rung(const GridGraph& grid, BinRef source,
+                                BinRef target, std::span<const double> limits,
+                                std::size_t first_rung,
+                                MazeWorkspace& workspace) {
+  AUTONCS_CHECK(source.ix < grid.nx() && source.iy < grid.ny(),
+                "source bin out of range");
+  AUTONCS_CHECK(target.ix < grid.nx() && target.iy < grid.ny(),
+                "target bin out of range");
+  const std::size_t rungs = limits.size();
+  if (first_rung >= rungs) return rungs;
+  MazeStats& stats = workspace.stats();
+  ++stats.oracle_calls;
+  if (source == target) return first_rung;
+
+  const std::size_t levels = rungs - first_rung;
+  MazeWorkspace::Flood& flood =
+      workspace.prepare_flood(grid.node_count(), levels);
+  // Levels: the candidate rungs in ascending limit order, ties by rung
+  // (insertion sort over a handful of rungs). A NaN limit blocks nothing,
+  // exactly like +inf, and sorts as such.
+  std::vector<double>& level_limit = flood.level_limit;
+  std::vector<std::size_t>& level_rung = flood.level_rung;
+  level_limit.clear();
+  level_rung.clear();
+  for (std::size_t r = first_rung; r < rungs; ++r) {
+    const double limit = std::isnan(limits[r])
+                             ? std::numeric_limits<double>::infinity()
+                             : limits[r];
+    level_limit.push_back(limit);
+    level_rung.push_back(r);
+    for (std::size_t k = level_limit.size() - 1;
+         k > 0 && level_limit[k - 1] > limit; --k) {
+      std::swap(level_limit[k - 1], level_limit[k]);
+      std::swap(level_rung[k - 1], level_rung[k]);
+    }
+  }
+  // Every rung at level >= c has a limit >= level c's, so once level c
+  // connects, the lowest of them routes. (An equal-limit rung at a lower
+  // level admits the same edges and would have connected first.)
+  for (std::size_t c = levels - 1; c-- > 0;)
+    level_rung[c] = std::min(level_rung[c], level_rung[c + 1]);
+
+  // Smallest level >= `from` whose limit unblocks an edge with `usage`
+  // (`levels` when none does).
+  const auto edge_level = [&](double usage, std::size_t from) {
+    std::size_t level = from;
+    while (level < levels && edge_blocked(usage, level_limit[level])) ++level;
+    return level;
+  };
+  const std::uint64_t base = flood.base;
+  // Adds `node` to `side`'s reached set; true when the other side already
+  // holds it (source and target connected).
+  const auto reach = [&](std::size_t side, std::uint32_t node) {
+    const std::uint64_t mark = flood.mark[node];
+    if (mark == base + (1 - side)) return true;
+    if (mark != base + side) {
+      flood.mark[node] = base + side;
+      flood.stack[side].push_back(node);
+    }
+    return false;
+  };
+  const std::size_t nx = grid.nx();
+  const auto manhattan = [](std::size_t ix, std::size_t iy, BinRef to) {
+    return (ix > to.ix ? ix - to.ix : to.ix - ix) +
+           (iy > to.iy ? iy - to.iy : to.iy - iy);
+  };
+  reach(0, static_cast<std::uint32_t>(source.iy * nx + source.ix));
+  reach(1, static_cast<std::uint32_t>(target.iy * nx + target.ix));
+
+  for (std::size_t level = 0; level < levels; ++level) {
+    for (std::size_t side = 0; side < 2 && level > 0; ++side) {
+      for (std::uint32_t node : flood.deferred[side][level])
+        if (reach(side, node)) return level_rung[level];
+    }
+    // Alternate the sides until one runs dry: its reached set is then
+    // closed under this level's edges without touching the other's.
+    while (!flood.stack[0].empty() && !flood.stack[1].empty()) {
+      for (std::size_t side = 0; side < 2; ++side) {
+        const std::uint32_t node = flood.stack[side].back();
+        flood.stack[side].pop_back();
+        ++stats.oracle_nodes;
+        const GridNeighbor* neighbors = grid.neighbors(node);
+        const std::size_t count = grid.neighbor_count(node);
+        // Depth first toward the other side's root: neighbors that step
+        // toward it are pushed last, so they are expanded first. On a
+        // connected level the sides then meet after a few corridors
+        // instead of after flooding them.
+        const BinRef aim = side == 0 ? target : source;
+        const std::size_t here = manhattan(node % nx, node / nx, aim);
+        for (const bool toward : {false, true}) {
+          for (std::size_t k = 0; k < count; ++k) {
+            const GridNeighbor& n = neighbors[k];
+            if ((manhattan(n.ix, n.iy, aim) < here) != toward) continue;
+            const std::size_t opens =
+                edge_level(grid.edge_usage(n.edge), level);
+            if (opens == level) {
+              if (reach(side, n.node)) return level_rung[level];
+            } else if (opens < levels && flood.mark[n.node] != base + side) {
+              flood.deferred[side][opens].push_back(n.node);
+            }
+          }
+        }
+      }
+    }
+  }
+  return rungs;
 }
 
 namespace {

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "route/grid_graph.hpp"
@@ -127,12 +128,16 @@ struct MazeStats {
   /// Searches that terminated through the meet-in-the-middle rule with a
   /// frontier meet (excludes searches settled purely by a seed bound).
   std::uint64_t meets = 0;
+  /// first_routable_rung floods run, and the nodes they expanded.
+  std::uint64_t oracle_calls = 0;
+  std::uint64_t oracle_nodes = 0;
 };
 
-/// Reusable scratch for maze_route: per-direction best-cost/parent arrays
-/// and open heaps survive across calls, and a generation stamp makes each
-/// reset O(1) instead of O(nx * ny). One workspace serves one thread; the
-/// parallel router keeps a workspace per pool worker.
+/// Reusable scratch for maze_route and first_routable_rung: per-direction
+/// best-cost/parent arrays, open heaps and the oracle's flood state
+/// survive across calls, and generation stamps make each reset O(1)
+/// instead of O(nx * ny). One workspace serves one thread; the parallel
+/// router keeps a workspace per pool worker.
 class MazeWorkspace {
  public:
   enum Direction : std::size_t { kForward = 0, kBackward = 1 };
@@ -180,6 +185,38 @@ class MazeWorkspace {
   MazeStats& stats() { return stats_; }
   const MazeStats& stats() const { return stats_; }
 
+  /// Flood state of first_routable_rung. A node belongs to at most one
+  /// side (the first node both sides reach ends the flood), so one stamp
+  /// array serves both: mark == base + side means "reached by side".
+  struct Flood {
+    std::vector<std::uint64_t> mark;
+    std::uint64_t base = 0;
+    /// Reached nodes still to expand, per side.
+    std::vector<std::uint32_t> stack[2];
+    /// Per side and level: nodes behind an edge that opens at that level.
+    std::vector<std::vector<std::uint32_t>> deferred[2];
+    /// Per level: its limit and the lowest rung that routes once the
+    /// level connects.
+    std::vector<double> level_limit;
+    std::vector<std::size_t> level_rung;
+  };
+  /// Readies the flood state for `nodes` grid nodes and `levels` levels
+  /// and invalidates every mark of the previous flood.
+  Flood& prepare_flood(std::size_t nodes, std::size_t levels) {
+    if (flood_.mark.size() != nodes) {
+      flood_.mark.assign(nodes, 0);
+      flood_.base = 0;
+    }
+    flood_.base += 2;
+    for (std::size_t side = 0; side < 2; ++side) {
+      flood_.stack[side].clear();
+      if (flood_.deferred[side].size() < levels)
+        flood_.deferred[side].resize(levels);
+      for (auto& list : flood_.deferred[side]) list.clear();
+    }
+    return flood_;
+  }
+
   /// Logical footprint of the search buffers in bytes. Heaps report their
   /// CAPACITY: prepare() clears them but keeps the allocation, so size()
   /// right after a search returns near-zero and would undercount the
@@ -194,6 +231,13 @@ class MazeWorkspace {
           side.stamp.size() * sizeof(std::uint64_t) +
           side.heap.capacity() * sizeof(MazeQueueEntry));
     }
+    bytes += static_cast<double>(flood_.mark.size() * sizeof(std::uint64_t));
+    for (std::size_t side = 0; side < 2; ++side) {
+      bytes += static_cast<double>(flood_.stack[side].capacity() *
+                                   sizeof(std::uint32_t));
+      for (const auto& list : flood_.deferred[side])
+        bytes += static_cast<double>(list.capacity() * sizeof(std::uint32_t));
+    }
     return bytes;
   }
 
@@ -206,6 +250,7 @@ class MazeWorkspace {
     std::vector<MazeQueueEntry> heap;
   };
   Side sides_[2];
+  Flood flood_;
   MazeStats stats_;
 };
 
@@ -220,6 +265,31 @@ std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,
 std::optional<std::vector<BinRef>> maze_route(const GridGraph& grid,
                                               BinRef source, BinRef target,
                                               const MazeOptions& options);
+
+/// Rung oracle for the capacity-relaxation ladder. Rung r of the ladder
+/// is a maze search under the virtual limit `limits[r]`; since a failed
+/// windowed search grows its window until it covers the grid, rung r
+/// succeeds exactly when source and target are connected over the edges
+/// that limit leaves unblocked (edge_blocked). Returns the lowest rung
+/// r >= first_rung that routes, or limits.size() when none does (also
+/// when first_rung >= limits.size()), without running a maze search.
+///
+/// Connectivity is monotone in the limit, so the flood visits the
+/// candidate rungs in ascending limit order ("levels"); an edge's level
+/// is the first level whose limit unblocks it. The flood is bidirectional
+/// and cost-free: each side expands its reached set depth first, toward
+/// the other side's root, over edges of level <= the current level and
+/// parks the nodes behind higher-level edges on that level's deferred
+/// list. A node reached from both sides proves the current level
+/// connected; a side that runs out of nodes proves it disconnected, and
+/// the next level's deferred nodes join the reached sets. The answer is the lowest-indexed rung whose limit is at least
+/// the first connecting level's. For the ladder's own limits (one
+/// repeated product, so monotone) levels and rungs coincide or, for a
+/// shrinking ladder, only first_rung can route.
+std::size_t first_routable_rung(const GridGraph& grid, BinRef source,
+                                BinRef target, std::span<const double> limits,
+                                std::size_t first_rung,
+                                MazeWorkspace& workspace);
 
 /// Commits one unit of usage along a path returned by maze_route.
 void commit_path(GridGraph& grid, const std::vector<BinRef>& path);

@@ -39,45 +39,89 @@ struct Attempt {
   std::size_t searches = 0;
 };
 
-/// Routes one segment with the paper's relaxation schedule: start at the
-/// configured limit factor, multiply by relax_factor on failure, and fall
-/// back to an unconstrained route (always succeeds on a connected grid)
-/// once max_relax_steps is exhausted. With strict_capacity the fallback is
-/// disabled and exhaustion returns an empty attempt (path == nullopt) for
-/// the caller to report as partial routing. `seed` (a previous route of
-/// the same segment, or null) warm-starts every rung of the ladder — it
-/// cannot change which rung succeeds, because the window schedule always
-/// reaches the full grid, so rung success is full-grid routability under
-/// that rung's limit with or without the seed.
+/// The capacity-relaxation ladder of Sec. 3.5. Rung r searches under the
+/// limit factor `factors[r]` (virtual limit `limits[r]`): factors[0] is
+/// capacity_limit_factor and each rung multiplies by relax_factor, the
+/// same repeated product a retry loop computes, so every rung's limit is
+/// the same double whichever rung a search starts at.
+struct Ladder {
+  std::vector<double> factors;
+  std::vector<double> limits;
+
+  Ladder(const RouterOptions& options, double capacity) {
+    double factor = options.capacity_limit_factor;
+    for (std::size_t r = 0; r <= options.max_relax_steps; ++r) {
+      factors.push_back(factor);
+      limits.push_back(factor * capacity);
+      factor *= options.relax_factor;
+    }
+  }
+  /// One past the last rung: the unconstrained fallback.
+  std::size_t exhausted() const { return factors.size(); }
+};
+
+/// Routes one segment with the paper's relaxation schedule: the lowest
+/// rung at or above `entry_rung` that routes, and once max_relax_steps is
+/// exhausted an unconstrained route (always succeeds on a connected grid).
+/// With strict_capacity the fallback is disabled and exhaustion returns an
+/// empty attempt (path == nullopt) for the caller to report as partial
+/// routing.
+///
+/// Only the winning rung runs a maze search (plus rung 0 when the ladder
+/// enters there): the rung oracle (first_routable_rung) names the first
+/// rung that routes without searching the failing ones. It is exact because
+/// the window schedule always reaches the full grid, so a rung's success
+/// is full-grid routability under its limit — with or without `seed` (a
+/// previous route of the same segment, or null), which warm-starts the
+/// searches but never changes which rung succeeds. The path is therefore
+/// the one a rung-by-rung retry loop would find. `entry_rung` > 0 is the
+/// caller's promise that every lower rung is blocked on this grid.
 /// `sabotage` (decided deterministically in sequential setup code by the
 /// router.force_overflow fault point) skips the constrained ladder as if
 /// every rung had failed.
 Attempt route_segment(const GridGraph& grid, BinRef source, BinRef target,
-                      const RouterOptions& options, double history_weight,
-                      MazeWorkspace& workspace, bool sabotage = false,
-                      const std::vector<BinRef>* seed = nullptr) {
+                      const RouterOptions& options, const Ladder& ladder,
+                      double history_weight, MazeWorkspace& workspace,
+                      bool sabotage = false,
+                      const std::vector<BinRef>* seed = nullptr,
+                      std::size_t entry_rung = 0) {
   Attempt out;
   MazeOptions maze;
   maze.congestion_penalty = options.congestion_penalty;
-  maze.capacity_limit_factor = options.capacity_limit_factor;
   maze.history_weight = history_weight;
   maze.window_margin_bins = options.window_margin_bins;
   maze.seed_path = seed;
-  if (!sabotage) {
-    for (std::size_t attempt = 0; attempt <= options.max_relax_steps;
-         ++attempt) {
-      ++out.searches;
-      out.path = maze_route(grid, source, target, maze, workspace);
-      if (out.path) {
-        out.limit = maze.capacity_limit_factor * grid.edge_capacity();
-        out.relaxations = attempt;
-        return out;
-      }
-      // Relax the virtual capacity for this wire and retry (Sec. 3.5).
-      maze.capacity_limit_factor *= options.relax_factor;
+  const auto search_rung = [&](std::size_t rung) {
+    maze.capacity_limit_factor = ladder.factors[rung];
+    ++out.searches;
+    out.path = maze_route(grid, source, target, maze, workspace);
+    out.limit = ladder.limits[rung];
+    out.relaxations = rung;
+  };
+  if (!sabotage && entry_rung < ladder.exhausted()) {
+    // Rung 0 routes most speculations outright, so it is searched
+    // directly. A later entry rung is known to be contested (an inline
+    // reroute's speculation needed it on a grid that has since filled), so
+    // the oracle judges it along with the rungs above it.
+    std::size_t from = entry_rung;
+    if (entry_rung == 0) {
+      search_rung(0);
+      if (out.path) return out;
+      from = 1;
+    }
+    // Relax the virtual capacity for this wire (Sec. 3.5): straight to
+    // the first rung that routes.
+    const std::size_t rung =
+        first_routable_rung(grid, source, target, ladder.limits, from,
+                            workspace);
+    if (rung < ladder.exhausted()) {
+      search_rung(rung);
+      AUTONCS_CHECK(out.path.has_value(),
+                    "maze search failed on the rung the oracle chose");
+      return out;
     }
   }
-  out.relaxations = options.max_relax_steps + 1;
+  out.relaxations = ladder.exhausted();
   if (options.strict_capacity) {
     out.path.reset();  // unroutable under the most-relaxed capacity
     return out;
@@ -143,6 +187,7 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
 
   result.grid = GridGraph(nx, ny, options.theta, origin_x, origin_y, capacity);
   GridGraph& grid = result.grid;
+  const Ladder ladder(options, grid.edge_capacity());
 
   // Decompose wires into 2-pin segments: star from the driver, or an MST
   // over the pin positions (better trunk sharing for multi-pin nets).
@@ -274,7 +319,7 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
             for (std::size_t k = begin; k < end; ++k) {
               const std::size_t s = pending[k];
               attempts[s] = route_segment(grid, seg_source[s], seg_target[s],
-                                          options, history_weight,
+                                          options, ladder, history_weight,
                                           workspaces[worker],
                                           sabotaged[s] != 0, seed_of(s));
             }
@@ -310,10 +355,19 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
         }
         // Relaxed speculations reroute inline against the live grid; the
         // discarded speculative path still makes a good warm start.
+        //
+        // The reroute enters the ladder at the speculation's rung. Between
+        // the snapshot and this commit the grid has only GAINED usage —
+        // route_waves runs only for the initial pass, whose commit phases
+        // call commit_path and never uncommit_path — and edge_blocked is
+        // monotone in usage, so every rung the speculation found blocked
+        // is still blocked here. A strict-capacity or fallback speculation
+        // (relaxations = max_relax_steps + 1) skips the constrained ladder.
         if (attempt.path) segment_seed[s] = std::move(*attempt.path);
         Attempt fresh = route_segment(grid, seg_source[s], seg_target[s],
-                                      options, history_weight, workspaces[0],
-                                      sabotaged[s] != 0, seed_of(s));
+                                      options, ladder, history_weight,
+                                      workspaces[0], sabotaged[s] != 0,
+                                      seed_of(s), attempt.relaxations);
         result.maze_invocations += fresh.searches;
         if (!fresh.path) {
           // Strict capacity: unroutable against the live grid too — final.
@@ -401,8 +455,9 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
         std::vector<BinRef> old_path = std::move(segment_path[s]);
         segment_path[s].clear();
         uncommit_path(grid, old_path);
+        // Entry rung 0: the rip-up freed usage, so lower rungs may route.
         Attempt fresh =
-            route_segment(grid, seg_source[s], seg_target[s], options,
+            route_segment(grid, seg_source[s], seg_target[s], options, ladder,
                           options.history_weight, workspaces[0],
                           sabotaged[s] != 0, &old_path);
         result.maze_invocations += fresh.searches;
@@ -504,6 +559,8 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
     result.maze_heap_pushes += st.heap_pushes;
     result.maze_window_retries += st.window_retries;
     result.maze_meets += st.meets;
+    result.oracle_calls += st.oracle_calls;
+    result.oracle_nodes += st.oracle_nodes;
   }
   result.runtime_ms = timer.elapsed_ms();
 

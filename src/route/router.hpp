@@ -5,7 +5,11 @@
 // the center of gravity of all cells to the wire's closest pin", with the
 // wire weight as tie breaker. A wire that cannot be routed under the
 // current virtual capacity is retried with the capacity relaxed until it
-// routes, exactly as the paper describes.
+// routes, as the paper describes. The failing retries are not searched:
+// a rung oracle (first_routable_rung in maze_router.hpp) finds the first
+// relaxed capacity under which the wire routes, and the maze search runs
+// once, under that capacity — the same path a search per relaxation step
+// would end with.
 //
 // ## Parallel wave model (deterministic)
 //
@@ -20,8 +24,11 @@
 // relaxation is never committed — it was chosen against a stale view of
 // congestion — and the segment is instead rerouted inline against the live
 // grid during the commit phase, matching a fully sequential negotiated
-// pass. Each wave commits at least its first pending
-// segment, so the engine terminates, and because the wave composition,
+// pass. The inline reroute starts the relaxation ladder at the
+// speculation's rung: these waves only ever add usage, so every rung the
+// speculation found blocked is still blocked. Each wave commits at least
+// its first pending segment, so the engine terminates, and because the
+// wave composition,
 // the per-segment searches, and the commit order depend only on the
 // canonical order — never on the thread count or scheduling — the routing
 // result is bit-identical for any `threads` value.
@@ -139,7 +146,9 @@ struct RoutingResult {
   std::size_t segments_total = 0;
   /// Segments that needed a grid path (inter-bin).
   std::size_t segments_routed = 0;
-  /// Maze searches performed, counting relaxation retries and reroutes.
+  /// Maze searches actually run: speculations, inline and negotiated
+  /// reroutes, and the one search on the rung the oracle picks. Rungs the
+  /// oracle skips are not searched and not counted.
   std::size_t maze_invocations = 0;
   /// Search-effort counters summed over all maze searches (see MazeStats).
   /// Pure functions of the deterministic search sequence, so thread-count
@@ -148,6 +157,10 @@ struct RoutingResult {
   std::uint64_t maze_heap_pushes = 0;
   std::uint64_t maze_window_retries = 0;
   std::uint64_t maze_meets = 0;
+  /// Rung-oracle floods (first_routable_rung) and the nodes they expanded;
+  /// thread-count invariant like the maze counters.
+  std::uint64_t oracle_calls = 0;
+  std::uint64_t oracle_nodes = 0;
   /// Speculative routing waves executed across all passes.
   std::size_t waves = 0;
   /// Pool workers used (1 = sequential).

@@ -21,11 +21,8 @@ using Clock = std::chrono::steady_clock;
 
 enum : std::uint8_t { kSpanBegin = 0, kSpanEnd = 1, kLog = 2 };
 
-/// One ring slot. `seq` is 0 while a writer fills the slot and
-/// claim-index + 1 once the contents are published; a reader that sees a
-/// different value than it expects skips the slot as torn.
-struct Slot {
-  std::atomic<std::uint64_t> seq{0};
+/// Slot payload as a reader copies it out.
+struct Entry {
   std::uint8_t type = kLog;
   std::uint32_t tid = 0;
   std::uint64_t t_us = 0;
@@ -33,11 +30,32 @@ struct Slot {
   char text[120] = {};
 };
 
+constexpr std::size_t kTextWords = sizeof(Entry::text) / sizeof(std::uint64_t);
+static_assert(sizeof(Entry::text) % sizeof(std::uint64_t) == 0);
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
+                  std::atomic<const char*>::is_always_lock_free,
+              "the fatal-signal dump needs lock-free slot fields");
+
+/// One ring slot: a sequence lock over relaxed-atomic fields. `seq` is 0
+/// while a writer fills the slot and claim-index + 1 once the contents
+/// are published; a reader that sees a different value than it expects,
+/// before or after its copy, skips the slot as torn. Every field is an
+/// atomic, so a wrapped writer racing another writer, or a reader racing
+/// a writer, can tear an entry (which the reader then drops) but is never
+/// a data race. The text travels as 64-bit words.
+struct Slot {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint8_t> type{kLog};
+  std::atomic<std::uint32_t> tid{0};
+  std::atomic<std::uint64_t> t_us{0};
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> text[kTextWords] = {};
+};
+
 Slot g_ring[kFlightRingSlots];
 std::atomic<std::uint64_t> g_head{0};
-/// Session epoch; written by start_flight_recorder from sequential
-/// driver code before any recorder is armed.
-Clock::time_point g_epoch = Clock::now();
+/// Session epoch (steady-clock ticks), reset by start_flight_recorder.
+std::atomic<Clock::rep> g_epoch{Clock::now().time_since_epoch().count()};
 std::atomic<std::uint32_t> g_next_tid{0};
 
 std::uint32_t flight_tid() {
@@ -47,36 +65,54 @@ std::uint32_t flight_tid() {
 }
 
 std::uint64_t now_us() {
+  const Clock::duration since_epoch(
+      Clock::now().time_since_epoch().count() -
+      g_epoch.load(std::memory_order_relaxed));
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            g_epoch)
+      std::chrono::duration_cast<std::chrono::microseconds>(since_epoch)
           .count());
 }
 
-Slot& claim(std::uint64_t* index) {
-  const std::uint64_t idx = g_head.fetch_add(1, std::memory_order_relaxed);
-  *index = idx;
-  Slot& slot = g_ring[idx % kFlightRingSlots];
-  slot.seq.store(0, std::memory_order_release);  // mark in-progress
-  return slot;
-}
-
-void publish(Slot& slot, std::uint64_t index) {
-  slot.seq.store(index + 1, std::memory_order_release);
+/// Claims the next slot, marks it in progress and fills it.
+void record(std::uint8_t type, const char* name, const char* line) {
+  const std::uint64_t index = g_head.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = g_ring[index % kFlightRingSlots];
+  slot.seq.store(0, std::memory_order_relaxed);
+  // Orders the in-progress mark before the field stores below.
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.type.store(type, std::memory_order_relaxed);
+  slot.tid.store(flight_tid(), std::memory_order_relaxed);
+  slot.t_us.store(now_us(), std::memory_order_relaxed);
+  slot.name.store(name, std::memory_order_relaxed);
+  if (line != nullptr) {
+    char text[sizeof(Entry::text)] = {};
+    std::strncpy(text, line, sizeof(text) - 1);
+    for (std::size_t w = 0; w < kTextWords; ++w) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, text + w * sizeof(word), sizeof(word));
+      slot.text[w].store(word, std::memory_order_relaxed);
+    }
+  }
+  slot.seq.store(index + 1, std::memory_order_release);  // publish
 }
 
 /// Copies one slot if it is intact (not concurrently rewritten). The
 /// seq check after the copy catches writers that raced us.
-bool read_slot(std::uint64_t index, Slot* out) {
+bool read_slot(std::uint64_t index, Entry* out) {
   const Slot& slot = g_ring[index % kFlightRingSlots];
   if (slot.seq.load(std::memory_order_acquire) != index + 1) return false;
-  out->type = slot.type;
-  out->tid = slot.tid;
-  out->t_us = slot.t_us;
-  out->name = slot.name;
-  std::memcpy(out->text, slot.text, sizeof(out->text));
+  out->type = slot.type.load(std::memory_order_relaxed);
+  out->tid = slot.tid.load(std::memory_order_relaxed);
+  out->t_us = slot.t_us.load(std::memory_order_relaxed);
+  out->name = slot.name.load(std::memory_order_relaxed);
+  for (std::size_t w = 0; w < kTextWords; ++w) {
+    const std::uint64_t word = slot.text[w].load(std::memory_order_relaxed);
+    std::memcpy(out->text + w * sizeof(word), &word, sizeof(word));
+  }
   out->text[sizeof(out->text) - 1] = '\0';
-  return slot.seq.load(std::memory_order_acquire) == index + 1;
+  // Orders the field loads above before the re-check.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.seq.load(std::memory_order_relaxed) == index + 1;
 }
 
 const char* type_name(std::uint8_t type) {
@@ -140,7 +176,8 @@ void fd_json_string(int fd, const char* text) {
 void start_flight_recorder() {
   for (Slot& slot : g_ring) slot.seq.store(0, std::memory_order_relaxed);
   g_head.store(0, std::memory_order_relaxed);
-  g_epoch = Clock::now();
+  g_epoch.store(Clock::now().time_since_epoch().count(),
+                std::memory_order_relaxed);
   flight_detail::g_enabled.store(true, std::memory_order_release);
 }
 
@@ -150,26 +187,12 @@ void stop_flight_recorder() {
 
 void flight_record_span(const char* name, bool begin) {
   if (!flight_enabled()) return;
-  std::uint64_t index = 0;
-  Slot& slot = claim(&index);
-  slot.type = begin ? kSpanBegin : kSpanEnd;
-  slot.tid = flight_tid();
-  slot.t_us = now_us();
-  slot.name = name;
-  publish(slot, index);
+  record(begin ? kSpanBegin : kSpanEnd, name, nullptr);
 }
 
 void flight_record_log(const char* line) {
   if (!flight_enabled()) return;
-  std::uint64_t index = 0;
-  Slot& slot = claim(&index);
-  slot.type = kLog;
-  slot.tid = flight_tid();
-  slot.t_us = now_us();
-  slot.name = nullptr;
-  std::strncpy(slot.text, line, sizeof(slot.text) - 1);
-  slot.text[sizeof(slot.text) - 1] = '\0';
-  publish(slot, index);
+  record(kLog, nullptr, line);
 }
 
 std::size_t flight_recorder_size() {
@@ -189,7 +212,7 @@ std::string flight_recorder_json() {
       .field("capacity", kFlightRingSlots);
   json.key("events").begin_array();
   for (std::uint64_t i = start; i < head; ++i) {
-    Slot copy;
+    Entry copy;
     if (!read_slot(i, &copy)) continue;
     json.begin_object();
     json.field("type", type_name(copy.type))
@@ -224,7 +247,7 @@ void flight_dump_fd(int fd) {
   for (std::uint64_t i = start; i < head; ++i) {
     // Read in place — a concurrent writer can tear a slot, but the crash
     // path must not retry or allocate; a torn entry is simply skipped.
-    Slot copy;
+    Entry copy;
     if (!read_slot(i, &copy)) continue;
     if (!first) fd_puts(fd, ",");
     first = false;

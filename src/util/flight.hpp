@@ -6,12 +6,15 @@
 //
 // Passivity contract (same as trace/metrics): disabled, every hook is a
 // single relaxed atomic load; enabled, a record is a relaxed fetch_add
-// plus a handful of plain stores into a fixed slot — no allocation, no
-// lock, no syscall. Nothing in the flow reads the ring.
+// plus a handful of relaxed atomic stores into a fixed slot — no
+// allocation, no lock, no syscall. Nothing in the flow reads the ring.
 //
 // Concurrency: writers claim slots with an atomic head counter; a reader
-// validates each slot's sequence number after copying it and skips slots
-// that were torn by a concurrent writer. The fatal-signal dump path uses
+// validates each slot's sequence number before and after copying it and
+// skips slots that were torn by a concurrent writer (a reader, or a
+// writer that wrapped the ring onto a slot still being filled). Every
+// slot field is an atomic, so a torn slot is a dropped entry, never a
+// data race. The fatal-signal dump path uses
 // only async-signal-safe primitives (open/write, manual integer
 // formatting) — a slot being overwritten mid-crash loses that one entry,
 // which is acceptable for a post-mortem aid.

@@ -145,7 +145,8 @@ def gate_route(args, failures: list[str]) -> None:
     keys = [
         "testbench", "route_ms", "route_mt_ms", "nodes_expanded",
         "heap_pushes", "window_retries", "meets", "maze_invocations",
-        "wirelength_um", "overflow", "deterministic",
+        "oracle_calls", "oracle_nodes", "wirelength_um", "overflow",
+        "deterministic",
     ]
     if not require_finite(metrics, keys, args.route, failures):
         return

@@ -250,6 +250,28 @@ def report_manifest(path: str, top: int) -> None:
                     + " ".join(f"{k}={v}" for k, v in imb.items())
                 )
 
+    result = doc.get("result", {})
+    routing = result.get("routing", {}) if isinstance(result, dict) else {}
+    if isinstance(routing, dict) and routing:
+        print("  routing effort:")
+        print(
+            f"    segments {routing.get('segments_routed', '?')} routed, "
+            f"{routing.get('segments_relaxed', '?')} relaxed, "
+            f"{routing.get('segments_deferred', '?')} deferred over "
+            f"{routing.get('waves', '?')} waves"
+        )
+        print(
+            f"    maze {routing.get('maze_invocations', '?')} searches, "
+            f"{routing.get('maze_nodes_expanded', '?')} nodes expanded, "
+            f"{routing.get('maze_heap_pushes', '?')} heap pushes, "
+            f"{routing.get('maze_window_retries', '?')} window retries, "
+            f"{routing.get('maze_meets', '?')} meets"
+        )
+        print(
+            f"    rung oracle {routing.get('oracle_calls', '?')} floods, "
+            f"{routing.get('oracle_nodes', '?')} nodes"
+        )
+
     memory = doc.get("memory", {})
     if isinstance(memory, dict) and memory:
         print("  memory:")
