@@ -16,16 +16,19 @@ HopfieldNetwork HopfieldNetwork::train(const std::vector<Pattern>& patterns) {
 
   linalg::Matrix w(n, n);
   const double scale = 1.0 / static_cast<double>(patterns.size());
+  // Accumulate the upper triangle row by row, then mirror it: w(j, i)
+  // would receive exactly the same additions in the same order.
   for (const auto& p : patterns) {
     for (std::size_t i = 0; i < n; ++i) {
       const double xi = static_cast<double>(p[i]) * scale;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double wij = xi * static_cast<double>(p[j]);
-        w(i, j) += wij;
-        w(j, i) += wij;
-      }
+      const std::span<double> row = w.row(i);
+      for (std::size_t j = i + 1; j < n; ++j)
+        row[j] += xi * static_cast<double>(p[j]);
     }
   }
+  std::vector<double>& data = w.data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) data[j * n + i] = data[i * n + j];
   return HopfieldNetwork(std::move(w));
 }
 

@@ -42,6 +42,25 @@ TEST(Hopfield, HebbianRuleSinglePattern) {
   EXPECT_DOUBLE_EQ(net.weights()(1, 2), -1.0);
 }
 
+TEST(Hopfield, HebbianSumsAreBitExactInPatternOrder) {
+  // Every weight, both triangles, is the pattern-ordered sum of
+  // (x_i / P) * x_j; P = 7 makes the scale inexact, so any reordering of
+  // the additions would show.
+  util::Rng rng(7);
+  const auto patterns = random_patterns(7, 37, rng);
+  const auto net = HopfieldNetwork::train(patterns);
+  const double scale = 1.0 / 7.0;
+  for (std::size_t i = 0; i < 37; ++i) {
+    for (std::size_t j = i + 1; j < 37; ++j) {
+      double sum = 0.0;
+      for (const Pattern& p : patterns)
+        sum += static_cast<double>(p[i]) * scale * static_cast<double>(p[j]);
+      EXPECT_EQ(net.weights()(i, j), sum) << i << "," << j;
+      EXPECT_EQ(net.weights()(j, i), sum) << j << "," << i;
+    }
+  }
+}
+
 TEST(Hopfield, StoredPatternIsFixedPoint) {
   util::Rng rng(2);
   const auto patterns = random_patterns(2, 50, rng);  // low load
