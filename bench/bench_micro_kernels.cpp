@@ -6,10 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "clustering/gcp.hpp"
 #include "clustering/msc.hpp"
+#include "linalg/eigen_dispatch.hpp"
 #include "linalg/kmeans.hpp"
 #include "nn/generators.hpp"
 #include "place/density.hpp"
@@ -38,6 +41,32 @@ BENCHMARK(BM_SpectralEmbedding)
     ->Arg(300)
     ->Arg(500)
     ->Complexity();
+
+// The dense embedding with each ISA variant of the eigensolver: arg 0 is
+// n, arg 1 the variant's index in linalg::detail::kEigenIsas. Only the
+// variants this host runs are registered.
+void BM_SpectralEmbeddingIsa(benchmark::State& state) {
+  namespace isa = linalg::detail;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const isa::EigenIsa variant =
+      isa::kEigenIsas[static_cast<std::size_t>(state.range(1))];
+  util::Rng rng(1);
+  const auto net = nn::random_sparse(n, 0.1, rng);
+  isa::ScopedEigenIsa scope(variant);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clustering::spectral_embedding(net));
+  }
+  state.SetLabel(isa::eigen_isa_name(variant));
+}
+BENCHMARK(BM_SpectralEmbeddingIsa)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      namespace isa = linalg::detail;
+      for (std::int64_t n : {300, 400, 500})
+        for (std::size_t v = 0; v < std::size(isa::kEigenIsas); ++v)
+          if (isa::eigen_isa_supported(isa::kEigenIsas[v]))
+            b->Args({n, static_cast<std::int64_t>(v)});
+    })
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

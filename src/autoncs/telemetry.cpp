@@ -10,6 +10,7 @@
 #endif
 
 #include "autoncs/pipeline.hpp"
+#include "linalg/eigen_dispatch.hpp"
 #include "util/flight.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -266,6 +267,21 @@ std::string derived_flight_path(const TelemetryOptions& options) {
   return stem.empty() ? std::string() : stem + ".flight.json";
 }
 
+// How this binary was built and which kernels it picked at run time: the
+// dense eigensolver's ISA variant depends on the host, never on the config.
+void write_build_section(util::JsonWriter& w) {
+  namespace isa = linalg::detail;
+  w.key("build").begin_object();
+  w.field("type", AUTONCS_BUILD_TYPE)
+      .field("eigen_isa", isa::eigen_isa_name(isa::dispatched_eigen_isa()));
+  w.key("eigen_isas_supported").begin_array();
+  for (isa::EigenIsa variant : isa::kEigenIsas)
+    if (isa::eigen_isa_supported(variant))
+      w.value(isa::eigen_isa_name(variant));
+  w.end_array();
+  w.end_object();
+}
+
 /// "pool" manifest section: per-label scheduler statistics aggregated by
 /// util::ThreadPool. Wall-clock quantities are allowed here (the manifest
 /// already records stage timings); they never enter the metrics stream.
@@ -412,6 +428,7 @@ std::string run_manifest_json(const FlowConfig& config,
       .field("degraded", result.degraded)
       .field("resumed", result.resumed)
       .field("error_code", result.recovery.first_degraded_code());
+  write_build_section(w);
   w.key("recovery").begin_array();
   for (const util::RecoveryEvent& event : result.recovery.events()) {
     w.begin_object();
@@ -446,6 +463,7 @@ std::string run_error_manifest_json(const util::FlowError& error,
       .field("exit_code", static_cast<long long>(error.exit_code()))
       .field("message", std::string(error.what()))
       .field("flight_path", flight_path);
+  write_build_section(w);
   write_pool_section(w);
   write_memory_section(w);
   w.end_object();

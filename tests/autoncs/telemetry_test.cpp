@@ -8,6 +8,7 @@
 #include <string>
 
 #include "autoncs/pipeline.hpp"
+#include "linalg/eigen_dispatch.hpp"
 #include "nn/generators.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -273,6 +274,12 @@ TEST(Telemetry, ManifestJsonIsValidStandalone) {
   EXPECT_NE(manifest.find("\"router\""), std::string::npos);
   EXPECT_NE(manifest.find("\"isc\""), std::string::npos);
   EXPECT_NE(manifest.find("\"build_type\""), std::string::npos);
+  // The build section names the eigensolver variant this host dispatched.
+  const std::string isa = linalg::detail::eigen_isa_name(
+      linalg::detail::dispatched_eigen_isa());
+  EXPECT_NE(manifest.find("\"eigen_isa\":\"" + isa + "\""),
+            std::string::npos);
+  EXPECT_NE(manifest.find("\"eigen_isas_supported\":[\""), std::string::npos);
 }
 
 }  // namespace

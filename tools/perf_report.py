@@ -11,7 +11,8 @@ Merges any subset of the artifacts one flow run produces —
     gauge / histogram / sample). Reports the counters and gauges, the
     heaviest histograms, and the series sizes.
   * ``--manifest run.manifest.json`` — run manifest (schema
-    autoncs-run-manifest/2 or /3). Reports stage wall-clock, scheduler
+    autoncs-run-manifest/2 or /3). Reports the build (type and the
+    dense eigensolver's dispatched ISA variant), stage wall-clock, scheduler
     utilization per pool label (per-worker busy fractions, parks, hand-offs
     caught spinning vs woken from park, block imbalance histogram), and the memory section (peak RSS,
     per-stage RSS samples, instrumented structure footprints).
@@ -20,13 +21,16 @@ Merges any subset of the artifacts one flow run produces —
     log.
   * ``--history DIR`` — a directory of historical run manifests; prints a
     per-manifest trend line of total wall-clock and peak RSS.
+  * ``--diff A B`` — two Chrome traces of comparable runs; attributes the
+    per-span SELF-time deltas from A to B, largest absolute delta first,
+    so a change shows which layer moved.
 
 Exits 1 when any artifact passed on the command line is missing,
 unparsable, or fails its schema sanity check — CI uses this as the
 telemetry-artifact smoke gate. Stdlib only.
 
 Usage: perf_report.py [--trace F] [--metrics F] [--manifest F]
-                      [--flight F] [--history DIR] [--top N]
+                      [--flight F] [--history DIR] [--diff A B] [--top N]
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ def section(title: str) -> None:
 
 # ---------------------------------------------------------------- trace
 
-def report_trace(path: str, top: int) -> None:
+def span_table(path: str) -> tuple[int, dict[str, list[float]], dict[int, float]]:
+    """Reads a trace: (span count, name -> [total_us, self_us, count],
+    tid -> top-level span time)."""
     doc = load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
         raise ArtifactError(f"{path}: missing 'traceEvents' array")
@@ -85,11 +91,6 @@ def report_trace(path: str, top: int) -> None:
             raise ArtifactError(
                 f"{path}: bad trace event {e!r} ({err})"
             ) from err
-
-    section(f"trace hotspots ({path}: {len(events)} spans)")
-    if not events:
-        print("  (empty trace)")
-        return
 
     # Self-time attribution: within one thread, spans nest by interval
     # containment (the exporter orders equal-ts events enclosing-first).
@@ -123,6 +124,15 @@ def report_trace(path: str, top: int) -> None:
         while stack:
             pop_frame(stack)
         by_tid[tid] = top_level
+    return len(events), by_name, by_tid
+
+
+def report_trace(path: str, top: int) -> None:
+    count, by_name, by_tid = span_table(path)
+    section(f"trace hotspots ({path}: {count} spans)")
+    if not count:
+        print("  (empty trace)")
+        return
 
     ranked = sorted(by_name.items(), key=lambda kv: -kv[1][1])
     print(f"  {'span':34} {'count':>7} {'total ms':>10} {'self ms':>10}")
@@ -144,6 +154,29 @@ def report_trace(path: str, top: int) -> None:
     section("trace per-thread busy time")
     for tid in sorted(by_tid):
         print(f"  tid {tid:3d}: top-level span time {fmt_ms(by_tid[tid])} ms")
+
+
+def report_diff(path_a: str, path_b: str, top: int) -> None:
+    """Per-span self-time deltas from trace A to trace B, largest first."""
+    _, spans_a, _ = span_table(path_a)
+    _, spans_b, _ = span_table(path_b)
+    section(f"self-time diff (A = {path_a}, B = {path_b})")
+    rows = []
+    for name in spans_a.keys() | spans_b.keys():
+        a = spans_a.get(name, [0.0, 0.0, 0])
+        b = spans_b.get(name, [0.0, 0.0, 0])
+        rows.append((name, a, b, b[1] - a[1]))
+    rows.sort(key=lambda r: (-abs(r[3]), r[0]))
+    print(f"  {'span':34} {'count A':>8} {'count B':>8} {'self A ms':>10} "
+          f"{'self B ms':>10} {'delta ms':>10} {'delta':>8}")
+    for name, a, b, delta in rows[:top]:
+        share = f"{100.0 * delta / a[1]:+7.1f}%" if a[1] > 0.0 else "     new"
+        print(f"  {name:34} {a[2]:8d} {b[2]:8d} {fmt_ms(a[1])} {fmt_ms(b[1])} "
+              f"{fmt_ms(delta)} {share}")
+    total_a = sum(a[1] for a in spans_a.values())
+    total_b = sum(b[1] for b in spans_b.values())
+    print(f"  {'(all spans)':34} {'':8} {'':8} {fmt_ms(total_a)} "
+          f"{fmt_ms(total_b)} {fmt_ms(total_b - total_a)}")
 
 
 # -------------------------------------------------------------- metrics
@@ -215,6 +248,14 @@ def report_manifest(path: str, top: int) -> None:
         f"seed {doc.get('seed', '?')}  threads_used "
         f"{doc.get('threads_used', '?')}"
     )
+    build = doc.get("build", {})
+    if isinstance(build, dict) and build:
+        supported = build.get("eigen_isas_supported", [])
+        print(
+            f"  build {build.get('type', '?')}  eigen kernels "
+            f"{build.get('eigen_isa', '?')} (host supports "
+            f"{', '.join(supported) if supported else '?'})"
+        )
     timings = doc.get("timings_ms", {})
     if isinstance(timings, dict) and timings:
         print("  stage wall-clock:")
@@ -357,11 +398,13 @@ def main() -> int:
     parser.add_argument("--manifest", help="run manifest JSON")
     parser.add_argument("--flight", help="flight-recorder dump JSON")
     parser.add_argument("--history", help="directory of historical manifests")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="per-span self-time deltas from trace A to B")
     parser.add_argument("--top", type=int, default=20, help="rows per section")
     args = parser.parse_args()
 
     if not any([args.trace, args.metrics, args.manifest, args.flight,
-                args.history]):
+                args.history, args.diff]):
         parser.error("pass at least one artifact")
 
     try:
@@ -375,6 +418,8 @@ def main() -> int:
             report_flight(args.flight, args.top)
         if args.history:
             report_history(args.history)
+        if args.diff:
+            report_diff(args.diff[0], args.diff[1], args.top)
     except ArtifactError as err:
         print(f"PERF REPORT FAIL: {err}", file=sys.stderr)
         return 1
