@@ -12,7 +12,6 @@
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/mem.hpp"
-#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -140,13 +139,6 @@ FlowResult physical_design(mapping::HybridMapping mapping,
   result.cost.average_delay_ns = result.routing.average_delay_ns;
   result.degraded = result.placement.degraded || result.routing.degraded ||
                     result.recovery.degraded();
-  if (util::metrics_enabled()) {
-    util::metric_gauge("cost/wirelength_um", result.cost.total_wirelength_um);
-    util::metric_gauge("cost/area_um2", result.cost.area_um2);
-    util::metric_gauge("cost/average_delay_ns", result.cost.average_delay_ns);
-    util::metric_gauge("cost/combined",
-                       result.cost.combined(config.cost_weights));
-  }
   return result;
 }
 
@@ -180,7 +172,6 @@ FlowResult run_autoncs(const nn::ConnectionMatrix& network,
                        const FlowConfig& config) {
   // Inert when the CLI (or a test) already opened an outer session.
   telemetry::Session session(config.telemetry);
-  util::MetricPrefix prefix("autoncs");
   AUTONCS_TRACE_SCOPE("flow/autoncs");
 
   // Incompatible-checkpoint events recorded while probing restart points;
@@ -256,7 +247,6 @@ FlowResult run_autoncs(const nn::ConnectionMatrix& network,
 FlowResult run_fullcro(const nn::ConnectionMatrix& network,
                        const FlowConfig& config) {
   telemetry::Session session(config.telemetry);
-  util::MetricPrefix prefix("fullcro");
   AUTONCS_TRACE_SCOPE("flow/fullcro");
   mapping::HybridMapping baseline = mapping::fullcro_mapping(
       network, {config.baseline_crossbar_size, true});

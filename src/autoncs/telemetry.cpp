@@ -15,7 +15,6 @@
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/mem.hpp"
-#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -470,12 +469,82 @@ std::string run_error_manifest_json(const util::FlowError& error,
   return w.str();
 }
 
+std::string metrics_jsonl(const FlowResult& result,
+                          const std::string& flow_name) {
+  std::string out;
+  const auto sample = [&](const char* series, double index, double value) {
+    util::JsonWriter json;
+    json.begin_object()
+        .field("type", "sample")
+        .field("name", flow_name + "/" + series)
+        .field("index", index)
+        .field("value", value)
+        .end_object();
+    out += json.str();
+    out += '\n';
+  };
+  // One series per field: `row.*field` of every row, indexed from 1.
+  const auto series = [&](const char* name, const auto& rows, auto field) {
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      sample(name, static_cast<double>(i + 1),
+             static_cast<double>(rows[i].*field));
+  };
+
+  using clustering::IscIterationStats;
+  const std::vector<IscIterationStats> no_isc;  // FullCro does no clustering
+  const auto& isc = result.isc ? result.isc->iterations : no_isc;
+  series("isc/clusters_formed", isc, &IscIterationStats::clusters_formed);
+  series("isc/crossbars_placed", isc, &IscIterationStats::crossbars_placed);
+  series("isc/connections_realized", isc,
+         &IscIterationStats::connections_realized);
+  series("isc/utilization", isc, &IscIterationStats::average_utilization);
+  series("isc/preference", isc, &IscIterationStats::average_preference);
+  series("isc/outlier_ratio", isc, &IscIterationStats::outlier_ratio);
+  // The Lanczos series skip the iterations the dense solver embedded (an
+  // empty basis); the residual checks are numbered from 0 across
+  // iterations.
+  for (const IscIterationStats& s : isc)
+    if (s.embedding_basis_size > 0)
+      sample("isc/lanczos/basis", static_cast<double>(s.iteration),
+             static_cast<double>(s.embedding_basis_size));
+  for (const IscIterationStats& s : isc)
+    if (s.embedding_basis_size > 0)
+      sample("isc/lanczos/matvecs", static_cast<double>(s.iteration),
+             static_cast<double>(s.embedding_matvecs));
+  std::size_t check = 0;
+  for (const IscIterationStats& s : isc)
+    for (const double residual : s.embedding_residuals)
+      sample("isc/lanczos/residual", static_cast<double>(check++), residual);
+
+  using place::PlacerOuterStats;
+  const auto& outer = result.placement.outer;
+  series("place/lambda", outer, &PlacerOuterStats::lambda);
+  series("place/objective", outer, &PlacerOuterStats::objective);
+  series("place/overlap", outer, &PlacerOuterStats::overlap_ratio);
+  series("place/hpwl", outer, &PlacerOuterStats::hpwl_um);
+  series("place/cg_iterations", outer, &PlacerOuterStats::cg_iterations);
+  series("place/cg_value_evals", outer, &PlacerOuterStats::cg_value_evals);
+  series("place/cg_gradient_evals", outer,
+         &PlacerOuterStats::cg_gradient_evals);
+  series("place/density_grid_builds", outer,
+         &PlacerOuterStats::density_grid_builds);
+
+  const route::RoutingResult& routing = result.routing;
+  for (std::size_t w = 0; w < routing.wave_sizes.size(); ++w)
+    sample("route/wave_size", static_cast<double>(w + 1),
+           static_cast<double>(routing.wave_sizes[w]));
+  series("route/reroute/segments", routing.reroute_stats,
+         &route::ReroutePassStats::segments_rerouted);
+  series("route/reroute/overflow", routing.reroute_stats,
+         &route::ReroutePassStats::overflow_after);
+  return out;
+}
+
 Session::Session(const TelemetryOptions& options) : options_(options) {
   if (!options_.any() || g_active != nullptr) return;
   owner_ = true;
   g_active = this;
   if (!options_.trace_path.empty()) util::start_tracing();
-  if (!options_.metrics_path.empty()) util::start_metrics();
   // The observatory layers are cheap enough to arm for every owned
   // session: scheduler stats and memory accounting feed the manifest,
   // the flight recorder only materializes an artifact if the flow dies.
@@ -497,17 +566,7 @@ Session::~Session() {
     }
   }
   if (!options_.metrics_path.empty()) {
-    // Export-time pool metrics: ONLY thread-count-invariant quantities
-    // may enter the metrics stream (byte-identity contract); everything
-    // wall-clock or partition-dependent stays in the manifest's "pool"
-    // section. Snapshot order is sorted by label, so the JSONL stays
-    // deterministic.
-    for (const util::PoolStats& p : util::pool_stats_snapshot()) {
-      util::metric_gauge("pool/" + p.label + "/pools",
-                         static_cast<double>(p.pools));
-    }
-    const std::string jsonl = util::metrics_jsonl(util::stop_metrics());
-    if (!util::write_text_file(options_.metrics_path, jsonl)) {
+    if (!util::write_text_file(options_.metrics_path, metrics_jsonl_)) {
       util::LogLine(util::LogLevel::kError, "telemetry")
           << "failed to write metrics to " << options_.metrics_path;
     }
@@ -539,8 +598,11 @@ Session::~Session() {
 void Session::record_manifest(const FlowConfig& config,
                               const FlowResult& result,
                               const std::string& flow_name) {
-  if (g_active == nullptr || !g_active->manifest_json_.empty()) return;
-  g_active->manifest_json_ = run_manifest_json(config, result, flow_name);
+  if (g_active == nullptr) return;
+  if (!g_active->options_.metrics_path.empty())
+    g_active->metrics_jsonl_ += metrics_jsonl(result, flow_name);
+  if (g_active->manifest_json_.empty())
+    g_active->manifest_json_ = run_manifest_json(config, result, flow_name);
 }
 
 void Session::record_error(const util::FlowError& error) {

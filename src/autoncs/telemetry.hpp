@@ -1,9 +1,10 @@
-// Flow telemetry session: one RAII object that turns the passive trace /
-// metrics layers on, collects what the stages emit, and writes the
-// machine-readable run artifacts on destruction:
+// Flow telemetry session: one RAII object that turns the passive trace
+// layer on, collects the results of the flows run under it, and writes
+// the machine-readable run artifacts on destruction:
 //
 //   - <trace_path>     Chrome trace-event JSON (Perfetto / chrome://tracing)
-//   - <metrics_path>   metrics JSONL, one JSON object per line
+//   - <metrics_path>   metrics JSONL: the convergence series of every
+//                      completed flow, one sample per line
 //   - <manifest_path>  run manifest: flow config, seed, thread count,
 //                      build type, stage wall times and the final cost
 //
@@ -13,7 +14,8 @@
 // written exactly once, by whoever enabled telemetry first. The manifest
 // records the FIRST flow completed under the owning session (the AutoNCS
 // run of a comparison); stage timings of later runs still land in the
-// trace and the metric prefixes keep their series apart.
+// trace, and every completed flow's series land in the metrics file under
+// its flow name.
 #pragma once
 
 #include <string>
@@ -26,8 +28,8 @@ struct FlowConfig;
 struct FlowResult;
 
 /// Telemetry sinks, carried inside FlowConfig. All empty (the default)
-/// means telemetry stays disabled and every instrumentation point is a
-/// single relaxed atomic load.
+/// means telemetry stays disabled and every trace point is a single
+/// relaxed atomic load.
 struct TelemetryOptions {
   /// Chrome trace-event JSON output path ("" = no tracing).
   std::string trace_path;
@@ -73,6 +75,15 @@ std::string run_manifest_json(const FlowConfig& config,
 std::string run_error_manifest_json(const util::FlowError& error,
                                     const std::string& flight_path = "");
 
+/// Renders one completed flow's convergence series as metrics JSONL, one
+/// {"type":"sample","name":"<flow_name>/<series>","index":i,"value":v}
+/// line per sample, series after series: the ISC iterations (Alg. 3),
+/// then the placer's outer lambda loop (Alg. 4), then the routing waves
+/// and reroute passes. A pure function of `result`, so the stream is
+/// byte-identical at any thread count.
+std::string metrics_jsonl(const FlowResult& result,
+                          const std::string& flow_name);
+
 /// RAII telemetry session (see the ownership model above). Constructing
 /// with options.any() == false, or while another session is active, yields
 /// an inert session.
@@ -86,9 +97,9 @@ class Session {
   /// True when this session owns collection and will write artifacts.
   bool owns() const { return owner_; }
 
-  /// Records the manifest of a completed flow into the active session.
-  /// First call wins; a no-op when no session is active or the active
-  /// session has no manifest sink.
+  /// Records a completed flow into the active session: appends its
+  /// metrics series (when the session has a metrics sink) and keeps its
+  /// manifest (first call wins). A no-op when no session is active.
   static void record_manifest(const FlowConfig& config,
                               const FlowResult& result,
                               const std::string& flow_name);
@@ -107,6 +118,7 @@ class Session {
   bool owner_ = false;
   bool error_recorded_ = false;
   std::string manifest_json_;
+  std::string metrics_jsonl_;
 };
 
 }  // namespace telemetry

@@ -54,11 +54,9 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
     linalg::LanczosStats stats;
     lanczos.stats = &stats;
     const linalg::SparseMatrix similarity = network.symmetrized_sparse();
-    // Memory accounting: the CSR shape is a function of the remaining
-    // network, which shrinks deterministically round by round, so the
-    // last-write-wins record is thread-count invariant (metric-safe).
-    util::mem_record_bytes("isc/embedding_csr", similarity.footprint_bytes(),
-                           true);
+    // Memory accounting: the CSR of the remaining network (last write
+    // wins, so the manifest holds the final round's).
+    util::mem_record_bytes("isc/embedding_csr", similarity.footprint_bytes());
 
     // A solve is healthy when its output is finite AND it either met the
     // tolerance or genuinely spent the whole Krylov budget (the advisory

@@ -10,7 +10,6 @@
 #include "linalg/lanczos.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -250,10 +249,6 @@ IscResult iterative_spectral_clustering(const nn::ConnectionMatrix& network,
   // Alg. 3 line 1: remaining network R = W.
   nn::ConnectionMatrix remaining = network;
 
-  // Running index for the cross-iteration Lanczos residual series (one
-  // sample per convergence check, concatenated over iterations).
-  std::size_t residual_check_index = 0;
-
   const auto budget_start = Clock::now();
   for (std::size_t iteration = 1;
        iteration <= options.max_iterations && remaining.connection_count() > 0;
@@ -410,34 +405,8 @@ IscResult iterative_spectral_clustering(const nn::ConnectionMatrix& network,
             : 0.0;
     stats.embedding_basis_size = lanczos_stats.basis_size;
     stats.embedding_matvecs = lanczos_stats.matvecs;
-    stats.embedding_residual = lanczos_stats.residual_history.empty()
-                                   ? 0.0
-                                   : lanczos_stats.residual_history.back();
+    stats.embedding_residuals = std::move(lanczos_stats.residual_history);
     result.iterations.push_back(stats);
-
-    if (util::metrics_enabled()) {
-      const auto idx = static_cast<double>(iteration);
-      util::metric_sample("isc/clusters_formed", idx,
-                          static_cast<double>(stats.clusters_formed));
-      util::metric_sample("isc/crossbars_placed", idx,
-                          static_cast<double>(stats.crossbars_placed));
-      util::metric_sample("isc/connections_realized", idx,
-                          static_cast<double>(stats.connections_realized));
-      util::metric_sample("isc/utilization", idx, stats.average_utilization);
-      util::metric_sample("isc/preference", idx, stats.average_preference);
-      util::metric_sample("isc/outlier_ratio", idx, stats.outlier_ratio);
-      if (lanczos_stats.basis_size > 0) {
-        util::metric_sample("isc/lanczos/basis", idx,
-                            static_cast<double>(lanczos_stats.basis_size));
-        util::metric_sample("isc/lanczos/matvecs", idx,
-                            static_cast<double>(lanczos_stats.matvecs));
-      }
-      for (const double residual : lanczos_stats.residual_history) {
-        util::metric_sample("isc/lanczos/residual",
-                            static_cast<double>(residual_check_index++),
-                            residual);
-      }
-    }
 
     util::LogLine(util::LogLevel::kInfo, "isc")
         << "iter " << iteration << ": placed " << stats.crossbars_placed
@@ -454,14 +423,6 @@ IscResult iterative_spectral_clustering(const nn::ConnectionMatrix& network,
   // Line 18: remaining connections become discrete synapses.
   result.outliers = remaining.connections();
 
-  util::metric_gauge("isc/iterations",
-                     static_cast<double>(result.iterations.size()));
-  util::metric_gauge("isc/crossbars",
-                     static_cast<double>(result.crossbars.size()));
-  util::metric_gauge("isc/outliers",
-                     static_cast<double>(result.outliers.size()));
-  util::metric_gauge("isc/final_outlier_ratio", result.outlier_ratio());
-  util::metric_gauge("isc/final_utilization", result.average_utilization());
   return result;
 }
 

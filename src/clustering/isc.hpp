@@ -113,8 +113,9 @@ struct IscIterationStats {
   /// fallback solved it (small active subnetwork).
   std::size_t embedding_basis_size = 0;
   std::size_t embedding_matvecs = 0;
-  /// Last relative Ritz-residual estimate of the solve (0 for dense).
-  double embedding_residual = 0.0;
+  /// Relative Ritz-residual estimate at each convergence check of the
+  /// solve (empty for dense).
+  std::vector<double> embedding_residuals;
 };
 
 struct IscResult {

@@ -7,7 +7,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/mem.hpp"
-#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -206,23 +205,6 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
     report.cg_gradient_evals_total += stats.cg_gradient_evals;
     report.density_grid_builds_total += stats.density_grid_builds;
     report.outer.push_back(stats);
-    if (util::metrics_enabled()) {
-      const auto idx = static_cast<double>(outer + 1);
-      util::metric_sample("place/lambda", idx, stats.lambda);
-      util::metric_sample("place/objective", idx, stats.objective);
-      util::metric_sample("place/overlap", idx, stats.overlap_ratio);
-      util::metric_sample("place/hpwl", idx, stats.hpwl_um);
-      util::metric_sample("place/cg_iterations", idx,
-                          static_cast<double>(stats.cg_iterations));
-      util::metric_observe("place/cg_iterations_per_outer",
-                           static_cast<double>(stats.cg_iterations));
-      util::metric_sample("place/cg_value_evals", idx,
-                          static_cast<double>(stats.cg_value_evals));
-      util::metric_sample("place/cg_gradient_evals", idx,
-                          static_cast<double>(stats.cg_gradient_evals));
-      util::metric_sample("place/density_grid_builds", idx,
-                          static_cast<double>(stats.density_grid_builds));
-    }
     report.lambda_final = lambda_now;
     report.overlap_ratio_before_legalization = ratio;
     if (ratio <= options.overlap_stop_ratio) break;
@@ -259,32 +241,11 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   report.density_pair_candidates_total =
       density_model.pair_candidates() - candidates_at_start;
   report.density_pairs_kept_total = density_model.pairs_kept() - kept_at_start;
-  if (util::metrics_enabled()) {
-    util::metric_gauge("place/outer_iterations",
-                       static_cast<double>(report.outer_iterations));
-    util::metric_gauge("place/lambda_final", report.lambda_final);
-    util::metric_gauge("place/legalization_passes",
-                       static_cast<double>(report.legalization.passes));
-    util::metric_gauge("place/final_overlap",
-                       report.legalization.final_overlap_ratio);
-    util::metric_gauge("place/final_hpwl_um", report.hpwl_um);
-    util::metric_gauge("place/area_um2", report.area_um2);
-    util::metric_gauge("place/cg_value_evals_total",
-                       static_cast<double>(report.cg_value_evals_total));
-    util::metric_gauge("place/cg_gradient_evals_total",
-                       static_cast<double>(report.cg_gradient_evals_total));
-    util::metric_gauge("place/density_grid_builds_total",
-                       static_cast<double>(report.density_grid_builds_total));
-    util::metric_gauge(
-        "place/density_grid_reallocations",
-        static_cast<double>(report.density_grid_reallocations));
-  }
-  // Memory accounting: objective scratch/cache footprints. Both include
-  // pool-dependent buffers (WA pin index, parallel pair scratch), so they
-  // are manifest-only (deterministic = false).
-  util::mem_record_bytes("place/wa_model", wl_model.footprint_bytes(), false);
+  // Memory accounting: objective scratch/cache footprints, including the
+  // pool-dependent buffers (WA pin index, parallel pair scratch).
+  util::mem_record_bytes("place/wa_model", wl_model.footprint_bytes());
   util::mem_record_bytes("place/density_model",
-                         density_model.footprint_bytes(), false);
+                         density_model.footprint_bytes());
   return report;
 }
 

@@ -65,8 +65,7 @@ struct WaModel {
 
   /// Logical footprint of the scratch/acceptance-cache buffers in bytes
   /// (element counts, not capacities). NOT thread-count invariant: the
-  /// pin inverse index is built only for pooled gather paths, so this
-  /// may only be recorded into the manifest, never into metrics.
+  /// pin inverse index is built only for pooled gather paths.
   double footprint_bytes() const {
     return static_cast<double>(
         (wire_value_.size() + weights_.size() + cache_fp_.size() +

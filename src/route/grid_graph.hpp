@@ -97,8 +97,7 @@ class GridGraph {
 
   /// Logical footprint of the usage/history edge arrays plus the
   /// adjacency table in bytes. The grid dimensions derive from the
-  /// (bit-identical) placement, so this is thread-count invariant and
-  /// safe to expose as a metric.
+  /// (bit-identical) placement, so this is thread-count invariant.
   double footprint_bytes() const {
     return static_cast<double>(
         (usage_.size() + history_.size()) * sizeof(double) +

@@ -11,7 +11,6 @@
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/mem.hpp"
-#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -564,56 +563,13 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
   }
   result.runtime_ms = timer.elapsed_ms();
 
-  if (util::metrics_enabled()) {
-    for (std::size_t w = 0; w < result.wave_sizes.size(); ++w) {
-      util::metric_sample("route/wave_size", static_cast<double>(w + 1),
-                          static_cast<double>(result.wave_sizes[w]));
-    }
-    for (std::size_t p = 0; p < result.reroute_stats.size(); ++p) {
-      const auto idx = static_cast<double>(p + 1);
-      util::metric_sample("route/reroute/segments", idx,
-                          static_cast<double>(
-                              result.reroute_stats[p].segments_rerouted));
-      util::metric_sample("route/reroute/overflow", idx,
-                          result.reroute_stats[p].overflow_after);
-    }
-    util::metric_gauge("route/waves", static_cast<double>(result.waves));
-    util::metric_gauge("route/segments_total",
-                       static_cast<double>(result.segments_total));
-    util::metric_gauge("route/segments_routed",
-                       static_cast<double>(result.segments_routed));
-    util::metric_gauge("route/segments_deferred",
-                       static_cast<double>(result.segments_deferred));
-    util::metric_gauge("route/segments_relaxed",
-                       static_cast<double>(result.segments_relaxed));
-    util::metric_gauge("route/segments_fallback",
-                       static_cast<double>(result.segments_fallback));
-    util::metric_gauge("route/maze_invocations",
-                       static_cast<double>(result.maze_invocations));
-    util::metric_gauge("route/maze_nodes_expanded",
-                       static_cast<double>(result.maze_nodes_expanded));
-    util::metric_gauge("route/maze_heap_pushes",
-                       static_cast<double>(result.maze_heap_pushes));
-    util::metric_gauge("route/maze_window_retries",
-                       static_cast<double>(result.maze_window_retries));
-    util::metric_gauge("route/maze_meets",
-                       static_cast<double>(result.maze_meets));
-    util::metric_gauge("route/final_overflow", result.total_overflow);
-    util::metric_gauge("route/peak_congestion", result.peak_congestion);
-    util::metric_gauge("route/wirelength_um", result.total_wirelength_um);
-    // Emitted only on failure so clean-run metric streams are unchanged.
-    if (result.segments_failed > 0)
-      util::metric_gauge("route/segments_failed",
-                         static_cast<double>(result.segments_failed));
-  }
-  // Memory accounting. The grid's edge arrays derive from the placement,
-  // so their size is thread-count invariant (metric-safe); the per-worker
-  // maze workspaces scale with the pool and stay manifest-only.
-  util::mem_record_bytes("route/grid", grid.footprint_bytes(), true);
+  // Memory accounting. The grid's edge arrays derive from the placement;
+  // the per-worker maze workspaces scale with the pool.
+  util::mem_record_bytes("route/grid", grid.footprint_bytes());
   double workspace_bytes = 0.0;
   for (const MazeWorkspace& ws : workspaces)
     workspace_bytes += ws.footprint_bytes();
-  util::mem_record_bytes("route/maze_workspaces", workspace_bytes, false);
+  util::mem_record_bytes("route/maze_workspaces", workspace_bytes);
 
   if (result.segments_failed > 0) {
     util::LogLine(util::LogLevel::kWarn, "route")

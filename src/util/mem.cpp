@@ -4,8 +4,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "util/metrics.hpp"
-
 namespace autoncs::util {
 
 namespace mem_detail {
@@ -97,11 +95,7 @@ void mem_stage_sample(const std::string& stage) {
   r.stages.push_back(std::move(sample));
 }
 
-void mem_record_bytes(const std::string& name, double bytes,
-                      bool deterministic) {
-  if (deterministic && metrics_enabled()) {
-    metric_gauge("mem/" + name + "_bytes", bytes);
-  }
+void mem_record_bytes(const std::string& name, double bytes) {
   if (!mem_accounting_enabled()) return;
   MemRegistry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);

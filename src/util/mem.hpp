@@ -6,14 +6,12 @@
 //
 //  - RSS samples at stage boundaries (mem_stage_sample): current and
 //    peak resident set size read from /proc/self/status. Inherently
-//    nondeterministic (allocator, thread count, kernel), so these only
-//    ever land in the run manifest, never in metrics.
+//    nondeterministic (allocator, thread count, kernel).
 //  - Instrumented byte counters on the big flow structures
 //    (mem_record_bytes): logical footprints computed from element counts
-//    (size() * sizeof, not capacity). A structure whose size is
-//    bit-identical across thread counts may be recorded `deterministic`,
-//    which additionally emits a "mem/<name>_bytes" gauge into the
-//    metrics stream; everything else stays manifest-only.
+//    (size() * sizeof, not capacity).
+//
+// Both land in the run manifest's "memory" section only.
 //
 // Recording happens from sequential driver code (stage epilogues), so a
 // plain mutex-guarded registry suffices.
@@ -74,13 +72,9 @@ void stop_mem_accounting();
 /// Records a stage-boundary RSS sample. No-op while disabled.
 void mem_stage_sample(const std::string& stage);
 
-/// Records the logical footprint of one named structure. When
-/// `deterministic` is set (the size is bit-identical across thread
-/// counts) the value is also emitted as a "mem/<name>_bytes" metric
-/// gauge, picking up the active flow prefix. No-op while disabled
-/// (metrics emission is still gated on metrics_enabled separately).
-void mem_record_bytes(const std::string& name, double bytes,
-                      bool deterministic);
+/// Records the logical footprint of one named structure (last write per
+/// name wins). No-op while disabled.
+void mem_record_bytes(const std::string& name, double bytes);
 
 /// sizeof-based logical footprint of a vector-like container's elements.
 template <typename Container>

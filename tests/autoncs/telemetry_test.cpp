@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "autoncs/pipeline.hpp"
 #include "linalg/eigen_dispatch.hpp"
@@ -48,6 +50,94 @@ std::string read_file(const std::string& path) {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// One line of the metrics JSONL, parsed back.
+struct Sample {
+  std::string type;
+  std::string name;
+  double index = 0.0;
+  double value = 0.0;
+};
+
+std::vector<Sample> parse_samples(const std::string& jsonl) {
+  std::vector<Sample> out;
+  std::istringstream lines(jsonl);
+  std::string line;
+  while (std::getline(lines, line)) {
+    util::JsonValue doc;
+    EXPECT_TRUE(util::json_parse(line, doc)) << line;
+    const util::JsonValue* type = doc.find("type");
+    const util::JsonValue* name = doc.find("name");
+    const util::JsonValue* index = doc.find("index");
+    const util::JsonValue* value = doc.find("value");
+    if (type == nullptr || name == nullptr || index == nullptr ||
+        value == nullptr) {
+      ADD_FAILURE() << "incomplete sample line: " << line;
+      continue;
+    }
+    out.push_back({type->string_value, name->string_value,
+                   index->number_value, value->number_value});
+  }
+  return out;
+}
+
+/// The values of series `name`, in file order; also checks the indices
+/// run first_index, first_index + 1, ...
+std::vector<double> series_values(const std::vector<Sample>& samples,
+                                   const std::string& name,
+                                   double first_index = 1.0) {
+  std::vector<double> values;
+  for (const Sample& s : samples) {
+    if (s.name != name) continue;
+    EXPECT_EQ(s.index, first_index + static_cast<double>(values.size()))
+        << name;
+    values.push_back(s.value);
+  }
+  return values;
+}
+
+/// `field` of every row, as the doubles the metrics stream carries.
+template <typename Rows, typename Field>
+std::vector<double> column(const Rows& rows, Field field) {
+  std::vector<double> out;
+  for (const auto& row : rows) out.push_back(static_cast<double>(row.*field));
+  return out;
+}
+
+/// A flow result with every series populated: a dense and a Lanczos ISC
+/// iteration, two outer placer iterations, three routing waves and one
+/// reroute pass.
+FlowResult synthetic_result() {
+  FlowResult result;
+  clustering::IscIterationStats dense;
+  dense.iteration = 1;
+  dense.clusters_formed = 4;
+  dense.crossbars_placed = 3;
+  dense.connections_realized = 120;
+  dense.average_utilization = 0.4;
+  dense.average_preference = 1.0 / 3.0;
+  dense.outlier_ratio = 0.25;
+  clustering::IscIterationStats lanczos = dense;
+  lanczos.iteration = 2;
+  lanczos.embedding_basis_size = 24;
+  lanczos.embedding_matvecs = 30;
+  lanczos.embedding_residuals = {0.5, 1e-3, 1e-9};
+  result.isc.emplace().iterations = {dense, lanczos};
+  place::PlacerOuterStats outer;
+  outer.lambda = 0.1;
+  outer.objective = 2.0 / 3.0;
+  outer.overlap_ratio = 0.05;
+  outer.hpwl_um = 1234.5;
+  outer.cg_iterations = 100;
+  outer.cg_value_evals = 310;
+  outer.cg_gradient_evals = 101;
+  outer.density_grid_builds = 211;
+  result.placement.outer = {outer, outer};
+  result.placement.outer[1].lambda = 0.2;
+  result.routing.wave_sizes = {7, 3, 1};
+  result.routing.reroute_stats = {{2, 4.5}};
+  return result;
 }
 
 TEST(Telemetry, FlowResultBitIdenticalWithAndWithoutTelemetry) {
@@ -102,7 +192,6 @@ TEST(Telemetry, WritesValidArtifacts) {
   EXPECT_NE(metrics.find("autoncs/isc/utilization"), std::string::npos);
   EXPECT_NE(metrics.find("autoncs/place/lambda"), std::string::npos);
   EXPECT_NE(metrics.find("autoncs/route/wave_size"), std::string::npos);
-  EXPECT_NE(metrics.find("autoncs/cost/wirelength_um"), std::string::npos);
 
   // The manifest lands next to the trace (derived path).
   const std::string manifest =
@@ -115,6 +204,7 @@ TEST(Telemetry, WritesValidArtifacts) {
   EXPECT_NE(manifest.find("\"seed\":77"), std::string::npos);
   EXPECT_NE(manifest.find("\"timings_ms\""), std::string::npos);
   EXPECT_NE(manifest.find("\"cost\""), std::string::npos);
+  EXPECT_NE(manifest.find("\"total_wirelength_um\""), std::string::npos);
   // Robustness fields (schema /2): a clean run reports ok / not degraded
   // / no error code / an empty recovery log.
   EXPECT_NE(manifest.find("\"status\":\"ok\""), std::string::npos);
@@ -144,9 +234,6 @@ TEST(Telemetry, WritesValidArtifacts) {
 }
 
 TEST(Telemetry, MetricsJsonlByteIdenticalAcrossThreadCounts) {
-  // The byte-identity contract covers EVERYTHING in the metrics stream —
-  // including the pool.* scheduler namespace and the mem/* deterministic
-  // footprint gauges introduced with manifest schema /3.
   const auto network = small_block_network();
   std::string reference;
   double reference_wirelength = 0.0;
@@ -158,19 +245,192 @@ TEST(Telemetry, MetricsJsonlByteIdenticalAcrossThreadCounts) {
     const FlowResult result = run_autoncs(network, config);
     const std::string jsonl = read_file(config.telemetry.metrics_path);
     ASSERT_FALSE(jsonl.empty());
+    // Pool and memory statistics live in the manifest, next to the
+    // metrics file.
+    const std::string manifest = read_file(temp_path(
+        "threads" + std::to_string(threads) + "_metrics.manifest.json"));
+    EXPECT_NE(manifest.find("\"label\":\"place\""), std::string::npos);
+    EXPECT_NE(manifest.find("\"label\":\"route\""), std::string::npos);
+    EXPECT_NE(manifest.find("\"name\":\"route/grid\""), std::string::npos);
     if (reference.empty()) {
       reference = jsonl;
       reference_wirelength = result.cost.total_wirelength_um;
-      // The scheduler namespace is restricted to invariant-by-construction
-      // quantities (pool counts); wall-clock stats stay in the manifest.
-      EXPECT_NE(jsonl.find("pool/place/pools"), std::string::npos);
-      EXPECT_NE(jsonl.find("pool/route/pools"), std::string::npos);
-      EXPECT_NE(jsonl.find("mem/route/grid_bytes"), std::string::npos);
     } else {
       EXPECT_EQ(reference, jsonl) << "threads = " << threads;
       EXPECT_EQ(reference_wirelength, result.cost.total_wirelength_um);
     }
   }
+}
+
+TEST(Telemetry, MetricsSeriesMatchFlowResult) {
+  // Every series of both flows, bit-equal to the results they came from.
+  // Lanczos and reroute passes are forced on so no series stays empty.
+  const auto network = small_block_network();
+  FlowConfig config = fast_config();
+  config.isc.embedding_solver = clustering::EmbeddingSolver::kLanczos;
+  config.router.reroute_passes = 2;
+  config.telemetry.metrics_path = temp_path("series_metrics.jsonl");
+  FlowResult ours;
+  FlowResult baseline;
+  {
+    telemetry::Session session(config.telemetry);
+    ours = run_autoncs(network, config);
+    baseline = run_fullcro(network, config);
+  }
+  const std::vector<Sample> samples =
+      parse_samples(read_file(config.telemetry.metrics_path));
+  std::size_t expected_lines = 0;
+  const std::pair<std::string, const FlowResult*> flows[] = {
+      {"autoncs", &ours}, {"fullcro", &baseline}};
+  for (const auto& [flow, result] : flows) {
+    SCOPED_TRACE(flow);
+    const auto series = [&](const std::string& name,
+                            const std::vector<double>& expected) {
+      EXPECT_EQ(series_values(samples, flow + "/" + name), expected) << name;
+      expected_lines += expected.size();
+    };
+
+    using place::PlacerOuterStats;
+    const auto& outer = result->placement.outer;
+    ASSERT_FALSE(outer.empty());
+    series("place/lambda", column(outer, &PlacerOuterStats::lambda));
+    series("place/objective", column(outer, &PlacerOuterStats::objective));
+    series("place/overlap", column(outer, &PlacerOuterStats::overlap_ratio));
+    series("place/hpwl", column(outer, &PlacerOuterStats::hpwl_um));
+    series("place/cg_iterations",
+           column(outer, &PlacerOuterStats::cg_iterations));
+    series("place/cg_value_evals",
+           column(outer, &PlacerOuterStats::cg_value_evals));
+    series("place/cg_gradient_evals",
+           column(outer, &PlacerOuterStats::cg_gradient_evals));
+    series("place/density_grid_builds",
+           column(outer, &PlacerOuterStats::density_grid_builds));
+
+    const route::RoutingResult& routing = result->routing;
+    ASSERT_FALSE(routing.wave_sizes.empty());
+    series("route/wave_size",
+           std::vector<double>(routing.wave_sizes.begin(),
+                               routing.wave_sizes.end()));
+    series("route/reroute/segments",
+           column(routing.reroute_stats,
+                  &route::ReroutePassStats::segments_rerouted));
+    series("route/reroute/overflow",
+           column(routing.reroute_stats,
+                  &route::ReroutePassStats::overflow_after));
+
+    if (!result->isc) continue;
+    using clustering::IscIterationStats;
+    const auto& isc = result->isc->iterations;
+    ASSERT_FALSE(isc.empty());
+    series("isc/clusters_formed",
+           column(isc, &IscIterationStats::clusters_formed));
+    series("isc/crossbars_placed",
+           column(isc, &IscIterationStats::crossbars_placed));
+    series("isc/connections_realized",
+           column(isc, &IscIterationStats::connections_realized));
+    series("isc/utilization",
+           column(isc, &IscIterationStats::average_utilization));
+    series("isc/preference",
+           column(isc, &IscIterationStats::average_preference));
+    series("isc/outlier_ratio", column(isc, &IscIterationStats::outlier_ratio));
+    // Every iteration solved with Lanczos, so those series run 1, 2, ...
+    series("isc/lanczos/basis",
+           column(isc, &IscIterationStats::embedding_basis_size));
+    series("isc/lanczos/matvecs",
+           column(isc, &IscIterationStats::embedding_matvecs));
+    std::vector<double> residuals;
+    for (const IscIterationStats& s : isc)
+      residuals.insert(residuals.end(), s.embedding_residuals.begin(),
+                       s.embedding_residuals.end());
+    ASSERT_FALSE(residuals.empty());
+    EXPECT_EQ(series_values(samples, "autoncs/isc/lanczos/residual", 0.0),
+              residuals);
+    expected_lines += residuals.size();
+  }
+  EXPECT_FALSE(baseline.routing.reroute_stats.empty());
+  EXPECT_EQ(samples.size(), expected_lines);
+  for (const Sample& s : samples) EXPECT_EQ(s.type, "sample") << s.name;
+}
+
+TEST(Metrics, JsonlLinesAreIndependentlyValid) {
+  const std::string jsonl =
+      telemetry::metrics_jsonl(synthetic_result(), "autoncs");
+  std::istringstream lines(jsonl);
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_TRUE(util::json_valid(line)) << line;
+    ++count;
+  }
+  // 6 ISC series x 2 iterations, Lanczos basis + matvecs + 3 residual
+  // checks, 8 placer series x 2, 3 waves, 2 reroute series x 1 pass.
+  EXPECT_EQ(count, 12u + 5u + 16u + 3u + 2u);
+  EXPECT_EQ(parse_samples(jsonl).size(), count);
+}
+
+TEST(Metrics, LanczosSeriesSkipDenseIterations) {
+  // Iteration 1 was embedded densely: basis and matvecs start at index 2,
+  // and the residual checks are numbered from 0.
+  const std::vector<Sample> samples =
+      parse_samples(telemetry::metrics_jsonl(synthetic_result(), "autoncs"));
+  EXPECT_EQ(series_values(samples, "autoncs/isc/lanczos/basis", 2.0),
+            std::vector<double>{24.0});
+  EXPECT_EQ(series_values(samples, "autoncs/isc/lanczos/matvecs", 2.0),
+            std::vector<double>{30.0});
+  EXPECT_EQ(series_values(samples, "autoncs/isc/lanczos/residual", 0.0),
+            (std::vector<double>{0.5, 1e-3, 1e-9}));
+}
+
+TEST(Metrics, PrefixesScopeNames) {
+  const FlowResult result = synthetic_result();
+  const std::string ours = telemetry::metrics_jsonl(result, "autoncs");
+  const std::string baseline = telemetry::metrics_jsonl(result, "fullcro");
+  for (const Sample& s : parse_samples(ours))
+    EXPECT_EQ(s.name.rfind("autoncs/", 0), 0u) << s.name;
+  // The flow name is the only difference.
+  std::string renamed = baseline;
+  for (std::size_t at = renamed.find("fullcro/"); at != std::string::npos;
+       at = renamed.find("fullcro/", at))
+    renamed.replace(at, 7, "autoncs");
+  EXPECT_EQ(renamed, ours);
+}
+
+TEST(Metrics, FirstTouchOrderIsDeterministic) {
+  // Series come one after another, never interleaved, in a fixed order:
+  // clustering, then placement, then routing.
+  const std::string jsonl =
+      telemetry::metrics_jsonl(synthetic_result(), "autoncs");
+  std::vector<std::string> order;
+  for (const Sample& s : parse_samples(jsonl)) {
+    if (!order.empty() && order.back() == s.name) continue;
+    order.push_back(s.name);
+  }
+  const std::vector<std::string> expected = {
+      "autoncs/isc/clusters_formed",   "autoncs/isc/crossbars_placed",
+      "autoncs/isc/connections_realized", "autoncs/isc/utilization",
+      "autoncs/isc/preference",        "autoncs/isc/outlier_ratio",
+      "autoncs/isc/lanczos/basis",     "autoncs/isc/lanczos/matvecs",
+      "autoncs/isc/lanczos/residual",  "autoncs/place/lambda",
+      "autoncs/place/objective",       "autoncs/place/overlap",
+      "autoncs/place/hpwl",            "autoncs/place/cg_iterations",
+      "autoncs/place/cg_value_evals",  "autoncs/place/cg_gradient_evals",
+      "autoncs/place/density_grid_builds", "autoncs/route/wave_size",
+      "autoncs/route/reroute/segments", "autoncs/route/reroute/overflow"};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(telemetry::metrics_jsonl(synthetic_result(), "autoncs"), jsonl);
+}
+
+TEST(Metrics, DisabledRecordsNothing) {
+  // A flow recorded while no session is active leaves nothing behind for
+  // the next session.
+  const FlowConfig config;
+  telemetry::Session::record_manifest(config, synthetic_result(), "autoncs");
+  TelemetryOptions options;
+  options.metrics_path = temp_path("disabled_metrics.jsonl");
+  std::remove(options.metrics_path.c_str());
+  { telemetry::Session session(options); }
+  EXPECT_TRUE(std::ifstream(options.metrics_path).good());
+  EXPECT_TRUE(read_file(options.metrics_path).empty());
 }
 
 TEST(Telemetry, OuterSessionOwnsNestedFlows) {

@@ -65,6 +65,29 @@ TEST(Msc, OutlierSplitCountsTotalConnections) {
   EXPECT_LE(split.outlier_ratio(), 1.0);
 }
 
+// Partition quality on a noisy, scrambled block network: MSC keeps more
+// connections inside its clusters than a random partition with the same k.
+TEST(Metrics, MscBeatsRandomPartitionOnBlockNetwork) {
+  util::Rng rng(5);
+  nn::BlockSparseOptions options;
+  options.blocks = 4;
+  options.intra_density = 0.5;
+  options.inter_density = 0.02;
+  const auto net = nn::block_sparse(64, options, rng);
+  const auto spectral = modified_spectral_clustering(net, 4, rng);
+
+  Clustering random;
+  random.assignment.resize(64);
+  random.clusters.assign(4, {});
+  for (std::size_t v = 0; v < 64; ++v) {
+    const auto c = static_cast<std::size_t>(rng.next_below(4));
+    random.assignment[v] = c;
+    random.clusters[c].push_back(v);
+  }
+  EXPECT_LT(split_outliers(net, spectral).outlier_ratio(),
+            split_outliers(net, random).outlier_ratio());
+}
+
 TEST(Msc, SingleClusterHasNoOutliers) {
   util::Rng rng(4);
   const auto net = nn::random_sparse(20, 0.3, rng);

@@ -268,6 +268,10 @@ TEST_F(FaultInjectionTest, InjectedCrashProducesAFlightRecorderArtifact) {
   EXPECT_NE(flight.str().find("\"schema\":\"autoncs-flight/1\""),
             std::string::npos);
   EXPECT_NE(flight.str().find("flow/place"), std::string::npos);
+
+  // Metrics come from completed flows only: the killed run adds no series.
+  ASSERT_TRUE(std::filesystem::exists(config.telemetry.metrics_path));
+  EXPECT_EQ(std::filesystem::file_size(config.telemetry.metrics_path), 0u);
   std::filesystem::remove_all(dir);
 }
 

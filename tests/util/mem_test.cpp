@@ -7,15 +7,13 @@
 #include <string>
 #include <vector>
 
-#include "util/metrics.hpp"
-
 namespace autoncs::util {
 namespace {
 
 TEST(Mem, DisabledRecordsNothing) {
   ASSERT_FALSE(mem_accounting_enabled());
   mem_stage_sample("never");
-  mem_record_bytes("never/structure", 128.0, false);
+  mem_record_bytes("never/structure", 128.0);
   start_mem_accounting();
   const MemSnapshot snapshot = mem_snapshot();
   stop_mem_accounting();
@@ -38,9 +36,9 @@ TEST(Mem, StageSamplesKeepCallOrder) {
 
 TEST(Mem, LastWritePerStructureNameWins) {
   start_mem_accounting();
-  mem_record_bytes("grid", 100.0, false);
-  mem_record_bytes("cache", 50.0, false);
-  mem_record_bytes("grid", 300.0, false);
+  mem_record_bytes("grid", 100.0);
+  mem_record_bytes("cache", 50.0);
+  mem_record_bytes("grid", 300.0);
   const MemSnapshot snapshot = mem_snapshot();
   stop_mem_accounting();
   ASSERT_EQ(snapshot.structures.size(), 2u);
@@ -49,27 +47,6 @@ TEST(Mem, LastWritePerStructureNameWins) {
       [](const MemStructure& s) { return s.name == "grid"; });
   ASSERT_NE(it, snapshot.structures.end());
   EXPECT_DOUBLE_EQ(it->bytes, 300.0);
-}
-
-TEST(Mem, DeterministicRecordsEmitMetricGauges) {
-  start_metrics();
-  start_mem_accounting();
-  mem_record_bytes("det_structure", 4096.0, true);
-  mem_record_bytes("nondet_structure", 8192.0, false);
-  stop_mem_accounting();
-  const MetricsSnapshot metrics = stop_metrics();
-  bool saw_det = false;
-  bool saw_nondet = false;
-  for (const auto& g : metrics.gauges) {
-    if (g.name == "mem/det_structure_bytes") {
-      saw_det = true;
-      EXPECT_DOUBLE_EQ(g.value, 4096.0);
-    }
-    if (g.name.find("nondet_structure") != std::string::npos)
-      saw_nondet = true;
-  }
-  EXPECT_TRUE(saw_det);
-  EXPECT_FALSE(saw_nondet);
 }
 
 TEST(Mem, RssReadersReturnPlausibleValues) {

@@ -292,8 +292,8 @@ int cmd_flow(const Args& args) {
 
   // The CLI owns the telemetry session so a --baseline comparison lands
   // both flows in ONE trace/metrics artifact set (the nested per-flow
-  // sessions inside the pipeline are inert, and the metric prefixes keep
-  // the two flows' series apart).
+  // sessions inside the pipeline are inert, and the flow-name prefixes
+  // keep the two flows' series apart).
   telemetry::Session session(config.telemetry);
 
   try {

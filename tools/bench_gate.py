@@ -1,19 +1,7 @@
 #!/usr/bin/env python3
-"""CI gate over the bench artifacts.
+"""CI gate over the bench artifacts; fails (exit 1) on any violation.
 
-Primary mode reads BENCH_perf_threads.json and fails (exit 1) when the
-parallel place+route flow regresses:
-
-  * ``deterministic`` must be 1 — bit-identical routing across thread
-    counts is a hard contract, never waived.
-  * ``speedup_8t`` must clear a hardware-aware floor. On a multi-core
-    runner (``hardware_threads`` >= 2) the 8-thread run must beat serial
-    (default floor 1.0 — ratchet it upward with --min-speedup as the
-    scaling improves). On a single-core runner an 8-thread pool is pure
-    oversubscription, so the floor only bounds the dispatch overhead
-    (default 0.85): parallelism cannot pay, but it must stay near-free.
-
-Additional artifacts are validated when passed:
+Each artifact is validated when passed:
 
   * ``--clustering BENCH_perf_clustering.json`` — required keys present,
     all values finite, ``deterministic`` == 1.
@@ -35,9 +23,7 @@ Additional artifacts are validated when passed:
     same problem size (``largest_n``); otherwise it is reported as
     skipped (CI smoke runs a much smaller n than the committed artifact).
 
-Usage: bench_gate.py BENCH_perf_threads.json [--min-speedup X]
-       [--min-speedup-oversubscribed Y]
-       [--clustering FILE] [--table1 FILE]
+Usage: bench_gate.py [--clustering FILE] [--table1 FILE]
        [--route FILE [--route-baseline FILE]]
        [--placer FILE [--placer-baseline FILE] [--max-placer-regress R]]
 """
@@ -79,38 +65,6 @@ def require_finite(
             failures.append(f"{path}: '{key}' = {value!r} is not finite")
             ok = False
     return ok
-
-
-def gate_threads(args, failures: list[str]) -> None:
-    metrics = load_metrics(args.artifact, failures)
-    if metrics is None:
-        return
-
-    deterministic = metrics.get("deterministic")
-    if deterministic != 1:
-        failures.append(
-            f"deterministic = {deterministic!r} (routing must be "
-            "bit-identical across thread counts)"
-        )
-
-    speedup = metrics.get("speedup_8t")
-    hardware = metrics.get("hardware_threads")
-    if speedup is None:
-        failures.append("speedup_8t missing from the artifact")
-    else:
-        multicore = hardware is None or hardware >= 2
-        floor = args.min_speedup if multicore else args.min_speedup_oversubscribed
-        label = (
-            f"multi-core floor ({hardware} hardware threads)"
-            if multicore
-            else "oversubscription floor (1 hardware thread)"
-        )
-        if speedup < floor:
-            failures.append(
-                f"speedup_8t = {speedup:.3f} < {floor:.2f} [{label}]"
-            )
-        else:
-            print(f"speedup_8t = {speedup:.3f} >= {floor:.2f} [{label}] OK")
 
 
 def gate_clustering(path: str, failures: list[str]) -> None:
@@ -238,30 +192,14 @@ def gate_placer(args, failures: list[str]) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("artifact", help="path to BENCH_perf_threads.json")
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.0,
-        help="speedup_8t floor when the runner has >= 2 hardware threads",
-    )
-    parser.add_argument(
-        "--min-speedup-oversubscribed",
-        type=float,
-        default=0.85,
-        help="speedup_8t floor when the runner has 1 hardware thread "
-        "(bounds thread-pool overhead, not scaling)",
-    )
-    parser.add_argument(
-        "--clustering", help="also validate BENCH_perf_clustering.json"
-    )
-    parser.add_argument("--table1", help="also validate BENCH_table1_cost.json")
-    parser.add_argument("--route", help="also validate BENCH_perf_route.json")
+    parser.add_argument("--clustering", help="validate BENCH_perf_clustering.json")
+    parser.add_argument("--table1", help="validate BENCH_table1_cost.json")
+    parser.add_argument("--route", help="validate BENCH_perf_route.json")
     parser.add_argument(
         "--route-baseline",
         help="committed BENCH_perf_route.json for the search-effort gate",
     )
-    parser.add_argument("--placer", help="also validate BENCH_perf_placer.json")
+    parser.add_argument("--placer", help="validate BENCH_perf_placer.json")
     parser.add_argument(
         "--placer-baseline",
         help="committed BENCH_perf_placer.json for the overhead gate",
@@ -273,9 +211,10 @@ def main() -> int:
         help="max fractional place_ms regression vs --placer-baseline",
     )
     args = parser.parse_args()
+    if not (args.clustering or args.table1 or args.route or args.placer):
+        parser.error("no artifact to gate")
 
     failures: list[str] = []
-    gate_threads(args, failures)
     if args.clustering:
         gate_clustering(args.clustering, failures)
     if args.table1:

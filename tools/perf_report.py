@@ -7,9 +7,9 @@ Merges any subset of the artifacts one flow run produces —
     events). Reports per-span-name total and SELF time (total minus the
     time spent in directly nested spans on the same thread), call counts,
     and per-thread busy time.
-  * ``--metrics metrics.jsonl`` — one JSON object per line (counter /
-    gauge / histogram / sample). Reports the counters and gauges, the
-    heaviest histograms, and the series sizes.
+  * ``--metrics metrics.jsonl`` — one convergence-series sample per line
+    (``"type":"sample"``). Reports each series' length and its first and
+    last values.
   * ``--manifest run.manifest.json`` — run manifest (schema
     autoncs-run-manifest/2 or /3). Reports the build (type and the
     dense eigensolver's dispatched ISA variant), stage wall-clock, scheduler
@@ -181,11 +181,8 @@ def report_diff(path_a: str, path_b: str, top: int) -> None:
 
 # -------------------------------------------------------------- metrics
 
-def report_metrics(path: str, top: int) -> None:
-    counters: list[tuple[str, float]] = []
-    gauges: list[tuple[str, float]] = []
-    histograms: list[dict] = []
-    samples: dict[str, int] = {}
+def report_metrics(path: str) -> None:
+    series: dict[str, list[float]] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -198,35 +195,20 @@ def report_metrics(path: str, top: int) -> None:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ArtifactError(f"{path}:{i}: malformed JSONL ({err})") from err
-        if not isinstance(obj, dict) or "type" not in obj or "name" not in obj:
-            raise ArtifactError(f"{path}:{i}: metric missing type/name")
-        kind = obj["type"]
-        if kind == "counter":
-            counters.append((obj["name"], obj.get("value", 0)))
-        elif kind == "gauge":
-            gauges.append((obj["name"], obj.get("value", 0)))
-        elif kind == "histogram":
-            histograms.append(obj)
-        elif kind == "sample":
-            samples[obj["name"]] = samples.get(obj["name"], 0) + 1
-        else:
-            raise ArtifactError(f"{path}:{i}: unknown metric type {kind!r}")
+        if not isinstance(obj, dict) or obj.get("type") != "sample":
+            raise ArtifactError(f"{path}:{i}: not a sample line")
+        if not isinstance(obj.get("name"), str) or not all(
+            isinstance(obj.get(key), (int, float)) for key in ("index", "value")
+        ):
+            raise ArtifactError(f"{path}:{i}: sample missing name/index/value")
+        series.setdefault(obj["name"], []).append(obj["value"])
 
-    section(
-        f"metrics ({path}: {len(counters)} counters, {len(gauges)} gauges, "
-        f"{len(histograms)} histograms, {len(samples)} series)"
-    )
-    for name, value in counters:
-        print(f"  counter {name:44} {value:>14}")
-    for name, value in gauges:
-        print(f"  gauge   {name:44} {value:>14.6g}")
-    for h in sorted(histograms, key=lambda h: -float(h.get("sum", 0)))[:top]:
+    section(f"metrics ({path}: {len(series)} series)")
+    for name, values in series.items():
         print(
-            f"  hist    {h['name']:44} count {h.get('count', 0):>7} "
-            f"sum {h.get('sum', 0.0):>12.4g} mean {h.get('mean', 0.0):>10.4g}"
+            f"  {name:44} {len(values):>5} samples  "
+            f"first {values[0]:>12.6g}  last {values[-1]:>12.6g}"
         )
-    for name, count in sorted(samples.items()):
-        print(f"  series  {name:44} {count:>7} samples")
 
 
 # ------------------------------------------------------------- manifest
@@ -413,7 +395,7 @@ def main() -> int:
         if args.trace:
             report_trace(args.trace, args.top)
         if args.metrics:
-            report_metrics(args.metrics, args.top)
+            report_metrics(args.metrics)
         if args.flight:
             report_flight(args.flight, args.top)
         if args.history:
