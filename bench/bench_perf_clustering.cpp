@@ -4,12 +4,12 @@
 // historical dense tred2/tql2 path (all n eigenpairs, O(n^3)) and the
 // block-Lanczos CSR path (only the k eigenpairs clustering consumes).
 // Also reports the ISC front-end breakdown (embedding / k-means / packing)
-// with the sparse solver at the largest size, verifies the Lanczos
-// embedding is bit-identical across thread counts (the determinism
-// guarantee documented in docs/clustering_perf.md), and times the dense
-// embedding with every ISA variant of the eigensolver this host runs at
-// n = 300 / 400 / 500, checking that each one matches the baseline bit
-// for bit.
+// with the sparse solver at the largest size, verifies ISC is
+// bit-identical at 1 thread and at the affinity count (the k-means pool;
+// the determinism guarantee documented in docs/clustering_perf.md), and
+// times the dense embedding with every ISA variant of the eigensolver
+// this host runs at n = 300 / 400 / 500, checking that each one matches
+// the baseline bit for bit.
 //
 // Usage: bench_perf_clustering [max_n]
 //   max_n caps the size sweep (default 1600); CI smoke-runs with a tiny
@@ -30,7 +30,6 @@
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -63,8 +62,6 @@ int main(int argc, char** argv) {
   util::CsvWriter csv(bench::output_path("perf_clustering.csv"),
                       {"n", "nnz", "k", "dense_ms", "lanczos_ms", "speedup"});
 
-  util::ThreadPool pool;  // hardware concurrency
-  bool identical = true;
   double largest_speedup = 0.0;
   double largest_dense_ms = 0.0;
   double largest_lanczos_ms = 0.0;
@@ -82,24 +79,9 @@ int main(int argc, char** argv) {
     clustering::EmbeddingOptions lanczos_options;
     lanczos_options.solver = clustering::EmbeddingSolver::kLanczos;
     lanczos_options.max_vectors = k;
-    lanczos_options.pool = &pool;
     timer.restart();
-    const auto sparse = clustering::spectral_embedding(net, lanczos_options);
+    clustering::spectral_embedding(net, lanczos_options);
     const double lanczos_ms = timer.elapsed_ms();
-
-    // Determinism: the Lanczos embedding must be bit-identical without the
-    // pool (i.e. for any thread count).
-    clustering::EmbeddingOptions serial_options = lanczos_options;
-    serial_options.pool = nullptr;
-    const auto serial = clustering::spectral_embedding(net, serial_options);
-    for (std::size_t j = 0; j < sparse.vectors.cols() && identical; ++j) {
-      if (sparse.values[j] != serial.values[j]) identical = false;
-      for (std::size_t i = 0; i < sparse.vectors.rows(); ++i)
-        if (sparse.vectors(i, j) != serial.vectors(i, j)) {
-          identical = false;
-          break;
-        }
-    }
 
     const double speedup = lanczos_ms > 0.0 ? dense_ms / lanczos_ms : 0.0;
     largest_speedup = speedup;
@@ -116,7 +98,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  // ISC front-end breakdown with the sparse solver at the largest size.
+  // ISC front-end breakdown with the sparse solver at the largest size, at
+  // the affinity count and again at 1 thread: the k-means pool must not
+  // change a single crossbar or outlier.
+  bool identical = true;
   {
     const std::size_t n = sizes.back();
     const auto net = block_network(n);
@@ -131,6 +116,20 @@ int main(int argc, char** argv) {
         n, result.threads_used, result.timings.embedding_ms,
         result.timings.kmeans_ms, result.timings.packing_ms,
         result.crossbars.size(), 100.0 * result.outlier_ratio());
+
+    options.threads = 1;
+    util::Rng serial_rng(2015);
+    const auto serial =
+        clustering::iterative_spectral_clustering(net, options, serial_rng);
+    identical = serial.outliers == result.outliers &&
+                serial.crossbars.size() == result.crossbars.size();
+    for (std::size_t i = 0; identical && i < serial.crossbars.size(); ++i) {
+      const auto& a = serial.crossbars[i];
+      const auto& b = result.crossbars[i];
+      identical = a.size == b.size && a.rows == b.rows && a.cols == b.cols &&
+                  a.connections == b.connections &&
+                  a.iteration == b.iteration;
+    }
   }
 
   // Dense embedding per eigensolver ISA variant, best of three runs.
@@ -186,7 +185,7 @@ int main(int argc, char** argv) {
                 variants_identical ? "yes" : "NO — variant differs");
   }
 
-  std::printf("lanczos embedding bit-identical across thread counts: %s\n",
+  std::printf("ISC bit-identical at 1 thread and at the affinity count: %s\n",
               identical ? "yes" : "NO — determinism violated");
   std::printf("largest-size embedding speedup (dense / lanczos): %.1fx\n",
               largest_speedup);

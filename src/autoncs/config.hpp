@@ -39,10 +39,11 @@ struct FlowConfig {
   /// Master seed for the flow's stochastic components.
   std::uint64_t seed = 2015;
 
-  /// Worker threads for the parallel placement / routing hot paths; 0 =
-  /// hardware concurrency. Copied into placer.threads / router.threads by
-  /// the pipeline unless those are set (nonzero) themselves. Results are
-  /// bit-identical for any value (see docs/threading.md).
+  /// Worker threads for the parallel clustering / placement / routing hot
+  /// paths; 0 = the CPUs the process may run on. Copied into isc.threads /
+  /// placer.threads / router.threads by the pipeline unless those are set
+  /// (nonzero) themselves. Results are bit-identical for any value (see
+  /// docs/threading.md).
   std::size_t threads = 0;
 
   /// Telemetry sinks (trace / metrics / manifest paths). All empty by

@@ -46,7 +46,6 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
   linalg::EigenDecomposition embedding;
   if (use_lanczos) {
     linalg::LanczosOptions lanczos;
-    lanczos.pool = options.pool;
     lanczos.tolerance = options.lanczos_tolerance;
     lanczos.max_iterations = options.lanczos_max_iterations != 0
                                  ? options.lanczos_max_iterations

@@ -21,10 +21,6 @@
 #include "nn/connection_matrix.hpp"
 #include "util/error.hpp"
 
-namespace autoncs::util {
-class ThreadPool;
-}
-
 namespace autoncs::linalg {
 struct LanczosStats;
 }
@@ -52,9 +48,6 @@ struct EmbeddingOptions {
   /// to the historical dense-only implementation.
   std::size_t dense_fallback_n = 512;
   EmbeddingSolver solver = EmbeddingSolver::kAuto;
-  /// Pool for the Lanczos matvec / k-means hot loops. Results are
-  /// bit-identical for any thread count (see docs/clustering_perf.md).
-  util::ThreadPool* pool = nullptr;
   /// Optional Lanczos convergence-telemetry sink; only populated when the
   /// sparse solver actually runs. Purely observational (the embedding is
   /// identical with or without it).

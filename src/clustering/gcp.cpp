@@ -181,7 +181,7 @@ GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
                                          std::size_t max_size, util::Rng& rng,
                                          const EmbeddingOptions& embedding_options) {
   return gcp_from_embedding(spectral_embedding(network, embedding_options),
-                            max_size, rng, embedding_options.pool);
+                            max_size, rng);
 }
 
 }  // namespace autoncs::clustering

@@ -36,7 +36,7 @@ GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
                                          std::size_t max_size, util::Rng& rng);
 
 /// Same, but with explicit embedding options (column budget, sparse
-/// Lanczos solver, thread pool) — the scalable path ISC uses.
+/// Lanczos solver) — the scalable path ISC uses.
 GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
                                          std::size_t max_size, util::Rng& rng,
                                          const EmbeddingOptions& embedding_options);

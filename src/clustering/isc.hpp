@@ -70,9 +70,9 @@ struct IscOptions {
   /// (member count) leaves the ~5% scattered tail on discrete synapses.
   /// Either way the hardware instance only wires the used rows/columns.
   bool size_by_demand = false;
-  /// Worker threads for the embedding (Lanczos matvec) and k-means hot
-  /// loops; 0 = hardware concurrency. Results are bit-identical for every
-  /// thread count (see docs/clustering_perf.md).
+  /// Worker threads for the k-means assignment passes; 0 = the CPUs the
+  /// process may run on. Results are bit-identical for every thread count
+  /// (see docs/clustering_perf.md).
   std::size_t threads = 0;
   /// Which eigensolver produces the spectral embedding. kAuto uses the
   /// dense tred2/tql2 path for active subnetworks of up to

@@ -15,6 +15,10 @@
 #include "nn/connection_matrix.hpp"
 #include "util/rng.hpp"
 
+namespace autoncs::util {
+class ThreadPool;
+}
+
 namespace autoncs::clustering {
 
 struct Clustering {

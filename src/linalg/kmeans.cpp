@@ -11,10 +11,23 @@ namespace autoncs::linalg {
 
 namespace {
 
-/// Points below this count are assigned sequentially even when a pool is
-/// given — the dispatch overhead dominates (results are identical either
-/// way; this is purely a scheduling decision).
-constexpr std::size_t kParallelPointCutoff = 256;
+/// Points per pool block. A range of at most one block (a GCP 2-means
+/// split, a small subnetwork) runs inline on the caller.
+constexpr std::size_t kPointGrain = 256;
+
+/// fn(begin, end) over the points [0, n): on the pool in blocks of
+/// kPointGrain when one is given, inline otherwise. Each point writes only
+/// its own outputs, so the result is bit-identical for any thread count.
+template <typename Fn>
+void for_points(std::size_t n, util::ThreadPool* pool, const Fn& fn) {
+  if (pool == nullptr) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  pool->parallel_for(
+      n, [&](std::size_t begin, std::size_t end, std::size_t) { fn(begin, end); },
+      kPointGrain);
+}
 
 std::size_t nearest_centroid(const Matrix& points, std::size_t i,
                              const Matrix& centroids) {
@@ -30,24 +43,15 @@ std::size_t nearest_centroid(const Matrix& points, std::size_t i,
   return best;
 }
 
-/// Assigns every point to its nearest centroid, distributing points over
-/// the pool. The tie-break (strict <, first centroid wins) and each
-/// point's arithmetic are independent of the partition, so the result is
-/// bit-identical for any thread count.
+/// Assigns every point to its nearest centroid. The tie-break (strict <,
+/// first centroid wins) and each point's arithmetic are independent of
+/// the partition.
 void assign_all(const Matrix& points, const Matrix& centroids,
                 std::vector<std::size_t>& assignment, util::ThreadPool* pool) {
-  const std::size_t n = points.rows();
-  const auto body = [&](std::size_t begin, std::size_t end) {
+  for_points(points.rows(), pool, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i)
       assignment[i] = nearest_centroid(points, i, centroids);
-  };
-  if (pool != nullptr && pool->size() > 1 && n >= kParallelPointCutoff) {
-    pool->parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
-      body(begin, end);
-    });
-  } else {
-    body(0, n);
-  }
+  });
 }
 
 /// True when the centroid set carries no information (all rows identical),
@@ -166,19 +170,10 @@ KMeansResult kmeans_warm(const Matrix& points, Matrix centroids, util::Rng& rng,
   // the inertia is bit-identical for any thread count.
   assign_all(points, centroids, result.assignment, options.pool);
   std::vector<double> d2(n, 0.0);
-  const auto distance_body = [&](std::size_t begin, std::size_t end) {
+  for_points(n, options.pool, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i)
       d2[i] = squared_distance(points.row(i), centroids.row(result.assignment[i]));
-  };
-  if (options.pool != nullptr && options.pool->size() > 1 &&
-      n >= kParallelPointCutoff) {
-    options.pool->parallel_for(
-        n, [&](std::size_t begin, std::size_t end, std::size_t) {
-          distance_body(begin, end);
-        });
-  } else {
-    distance_body(0, n);
-  }
+  });
   result.inertia = 0.0;
   for (std::size_t i = 0; i < n; ++i) result.inertia += d2[i];
   result.centroids = std::move(centroids);

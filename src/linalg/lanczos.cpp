@@ -7,70 +7,28 @@
 #include "util/check.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autoncs::linalg {
 
 namespace {
 
-/// Fixed reduction block. Partial sums are always formed per block and
-/// folded in block order, so the arithmetic never depends on how many
-/// workers the blocks were spread across.
+/// Fixed reduction block: partial sums per block, folded in block order.
+/// The block size is part of the arithmetic — changing it moves every
+/// result whose vectors are longer than one block.
 constexpr std::size_t kReductionBlock = 2048;
-
-/// Below this element count the pool dispatch overhead dominates; run the
-/// (identical) blocked arithmetic on the calling thread.
-constexpr std::size_t kParallelCutoff = 4096;
-
-/// Element-parallel loop; per-element work is independent, so the result
-/// is bit-identical for any thread count.
-template <typename Fn>
-void parallel_elements(std::size_t count, util::ThreadPool* pool, Fn&& fn) {
-  if (pool == nullptr || pool->size() <= 1 || count < kParallelCutoff) {
-    fn(std::size_t{0}, count);
-    return;
-  }
-  pool->parallel_for(count,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       fn(begin, end);
-                     });
-}
 
 }  // namespace
 
-double deterministic_dot(std::span<const double> a, std::span<const double> b,
-                         util::ThreadPool* pool) {
+double deterministic_dot(std::span<const double> a, std::span<const double> b) {
   AUTONCS_CHECK(a.size() == b.size(), "dot operand sizes must match");
   const std::size_t n = a.size();
-  const std::size_t blocks = (n + kReductionBlock - 1) / kReductionBlock;
-  if (blocks <= 1) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-    return acc;
-  }
-  // Phase 1: per-block partial sums, each accumulated sequentially within
-  // its fixed [blk * B, blk * B + B) range regardless of which worker ran it.
-  std::vector<double> partial(blocks, 0.0);
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t blk = begin; blk < end; ++blk) {
-      const std::size_t lo = blk * kReductionBlock;
-      const std::size_t hi = std::min(n, lo + kReductionBlock);
-      double acc = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) acc += a[i] * b[i];
-      partial[blk] = acc;
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && n >= kParallelCutoff) {
-    pool->parallel_for(blocks,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         body(begin, end);
-                       });
-  } else {
-    body(0, blocks);
-  }
-  // Phase 2: sequential fold in block order.
   double total = 0.0;
-  for (double p : partial) total += p;
+  for (std::size_t lo = 0; lo < n; lo += kReductionBlock) {
+    const std::size_t hi = std::min(n, lo + kReductionBlock);
+    double acc = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) acc += a[i] * b[i];
+    total += acc;
+  }
   return total;
 }
 
@@ -90,20 +48,17 @@ std::vector<double> seed_vector(std::size_t n, std::size_t stream) {
   return v;
 }
 
-/// w -= sum_i coeff[i] * basis[i]; element-parallel (the per-element
-/// operation order is the fixed i-ascending loop either way).
+/// w -= sum_i coeff[i] * basis[i], basis vectors in ascending i.
 void subtract_projections(std::vector<double>& w,
                           const std::vector<std::vector<double>>& basis,
-                          std::span<const double> coeff,
-                          util::ThreadPool* pool) {
-  parallel_elements(w.size(), pool, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = 0; i < coeff.size(); ++i) {
-      const double c = coeff[i];
-      if (c == 0.0) continue;
-      const double* v = basis[i].data();
-      for (std::size_t x = begin; x < end; ++x) w[x] -= c * v[x];
-    }
-  });
+                          std::span<const double> coeff) {
+  const std::size_t n = w.size();
+  for (std::size_t i = 0; i < coeff.size(); ++i) {
+    const double c = coeff[i];
+    if (c == 0.0) continue;
+    const double* v = basis[i].data();
+    for (std::size_t x = 0; x < n; ++x) w[x] -= c * v[x];
+  }
 }
 
 /// Two-pass classical Gram-Schmidt of w against the whole basis — the
@@ -111,29 +66,26 @@ void subtract_projections(std::vector<double>& w,
 /// orthonormal to machine precision (plain Lanczos loses orthogonality and
 /// produces ghost eigenvalues).
 void full_reorthogonalize(std::vector<double>& w,
-                          const std::vector<std::vector<double>>& basis,
-                          util::ThreadPool* pool) {
+                          const std::vector<std::vector<double>>& basis) {
   std::vector<double> coeff(basis.size());
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < basis.size(); ++i)
-      coeff[i] = deterministic_dot(basis[i], w, pool);
-    subtract_projections(w, basis, coeff, pool);
+      coeff[i] = deterministic_dot(basis[i], w);
+    subtract_projections(w, basis, coeff);
   }
 }
 
-/// y = sum_j s[j] * columns[j], element-parallel.
+/// y = sum_j s[j] * columns[j], columns in ascending j.
 void combine_columns(const std::vector<std::vector<double>>& columns,
-                     std::span<const double> s, std::vector<double>& y,
-                     util::ThreadPool* pool) {
-  parallel_elements(y.size(), pool, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t x = begin; x < end; ++x) y[x] = 0.0;
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      const double c = s[j];
-      if (c == 0.0) continue;
-      const double* v = columns[j].data();
-      for (std::size_t x = begin; x < end; ++x) y[x] += c * v[x];
-    }
-  });
+                     std::span<const double> s, std::vector<double>& y) {
+  const std::size_t n = y.size();
+  std::fill(y.begin(), y.end(), 0.0);
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    const double c = s[j];
+    if (c == 0.0) continue;
+    const double* v = columns[j].data();
+    for (std::size_t x = 0; x < n; ++x) y[x] += c * v[x];
+  }
 }
 
 }  // namespace
@@ -143,7 +95,6 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
   const std::size_t n = a.rows();
   AUTONCS_CHECK(a.cols() == n, "lanczos needs a square matrix");
   AUTONCS_CHECK(k >= 1 && k <= n, "lanczos requires 1 <= k <= n");
-  util::ThreadPool* pool = options.pool;
 
   std::size_t cap = std::max(
       k, options.max_iterations == 0 ? n : std::min(n, options.max_iterations));
@@ -182,8 +133,7 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
 
   // Appends an already-orthonormalized vector and its matvec image.
   const auto append = [&](std::vector<double> v) {
-    std::vector<double> image(n);
-    a.multiply_into(v, image, pool);
+    std::vector<double> image = a.multiply(v);
     ++matvec_count;
     basis.push_back(std::move(v));
     av.push_back(std::move(image));
@@ -191,11 +141,11 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
     std::vector<double> hc(q + 1);
     std::vector<double> gc(q + 1);
     for (std::size_t i = 0; i < q; ++i) {
-      hc[i] = deterministic_dot(basis[i], av[q], pool);
-      gc[i] = deterministic_dot(av[i], av[q], pool);
+      hc[i] = deterministic_dot(basis[i], av[q]);
+      gc[i] = deterministic_dot(av[i], av[q]);
     }
-    hc[q] = deterministic_dot(basis[q], av[q], pool);
-    gc[q] = deterministic_dot(av[q], av[q], pool);
+    hc[q] = deterministic_dot(basis[q], av[q]);
+    gc[q] = deterministic_dot(av[q], av[q]);
     h_col.push_back(std::move(hc));
     g_col.push_back(std::move(gc));
   };
@@ -205,10 +155,10 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
   const auto inject_fresh = [&]() {
     while (stream < n + 2 * block + 16) {
       std::vector<double> w = seed_vector(n, stream++);
-      const double raw = std::sqrt(deterministic_dot(w, w, pool));
+      const double raw = std::sqrt(deterministic_dot(w, w));
       for (double& x : w) x /= raw;
-      full_reorthogonalize(w, basis, pool);
-      const double nrm = std::sqrt(deterministic_dot(w, w, pool));
+      full_reorthogonalize(w, basis);
+      const double nrm = std::sqrt(deterministic_dot(w, w));
       if (nrm > 1e-8) {
         for (double& x : w) x /= nrm;
         append(std::move(w));
@@ -302,13 +252,11 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
     for (std::size_t i = 0; i < k; ++i) {
       std::vector<double> s(m);
       for (std::size_t j = 0; j < m; ++j) s[j] = ritz.vectors(j, i);
-      combine_columns(basis, s, y, pool);
-      combine_columns(av, s, z, pool);
+      combine_columns(basis, s, y);
+      combine_columns(av, s, z);
       const double theta = ritz.values[i];
-      parallel_elements(n, pool, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t x = begin; x < end; ++x) z[x] -= theta * y[x];
-      });
-      const double resid = std::sqrt(deterministic_dot(z, z, pool));
+      for (std::size_t x = 0; x < n; ++x) z[x] -= theta * y[x];
+      const double resid = std::sqrt(deterministic_dot(z, z));
       if (resid > options.tolerance * std::max(scale, std::abs(theta)))
         return false;
     }
@@ -328,8 +276,8 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
     for (std::size_t idx = block_lo; idx < block_hi && basis.size() < cap;
          ++idx) {
       std::vector<double> w = av[idx];
-      full_reorthogonalize(w, basis, pool);
-      const double nrm = std::sqrt(deterministic_dot(w, w, pool));
+      full_reorthogonalize(w, basis);
+      const double nrm = std::sqrt(deterministic_dot(w, w));
       if (nrm > breakdown_tol) {
         for (double& x : w) x /= nrm;
         append(std::move(w));
@@ -372,8 +320,8 @@ EigenDecomposition lanczos_smallest(const SparseMatrix& a, std::size_t k,
   for (std::size_t i = 0; i < k; ++i) {
     std::vector<double> s(m);
     for (std::size_t j = 0; j < m; ++j) s[j] = ritz.vectors(j, i);
-    combine_columns(basis, s, y, pool);
-    const double nrm = std::sqrt(deterministic_dot(y, y, pool));
+    combine_columns(basis, s, y);
+    const double nrm = std::sqrt(deterministic_dot(y, y));
     const double inv = nrm > 0.0 ? 1.0 / nrm : 1.0;
     for (std::size_t x = 0; x < n; ++x) out.vectors(x, i) = y[x] * inv;
   }
@@ -399,7 +347,7 @@ EigenDecomposition sparse_laplacian_embedding(
       degrees[r] += vals[e];
     }
 
-  std::vector<double> inv_sqrt(n);
+  std::vector<double> inv_sqrt(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     inv_sqrt[i] = 1.0 / std::sqrt(std::max(degrees[i], options.degree_floor));
 

@@ -10,13 +10,12 @@
 // is what lets the ISC front end scale past the ~10^3 neurons the dense
 // solver can afford.
 //
-// Determinism: every floating-point reduction (dot products, norms) is
-// computed block-wise with a fixed block size and folded in a fixed
-// sequential order, and the sparse matvec parallelizes over rows with each
-// row accumulated sequentially. The result is therefore bit-identical for
-// any thread count, the same guarantee the placer and router give (see
-// docs/threading.md). Starting vectors are fixed SplitMix64-derived
-// pseudo-random vectors, so repeated runs are bit-identical as well.
+// Determinism: the solver runs on the calling thread (a pool bought
+// nothing here; see docs/clustering_perf.md). Every floating-point
+// reduction (dot products, norms) is computed block-wise with a fixed
+// block size and folded in a fixed sequential order, and starting vectors
+// are fixed SplitMix64-derived pseudo-random vectors, so repeated runs
+// are bit-identical.
 //
 // Degenerate eigenvalues: a Krylov space grown from one vector contains a
 // single direction per distinct eigenvalue, so the basis grows in blocks
@@ -35,10 +34,6 @@
 #include "linalg/generalized_eigen.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/symmetric_eigen.hpp"
-
-namespace autoncs::util {
-class ThreadPool;
-}
 
 namespace autoncs::linalg {
 
@@ -68,10 +63,6 @@ struct LanczosOptions {
   /// Convergence threshold on the Ritz residual bound |beta_m * s_{m,i}|,
   /// relative to max(1, |theta_i|).
   double tolerance = 1e-10;
-  /// Optional pool for the matvec / reorthogonalization hot loops. Null or
-  /// single-thread pools run the identical blocked arithmetic sequentially,
-  /// so results do not depend on this in any way.
-  util::ThreadPool* pool = nullptr;
   /// Optional convergence-telemetry sink (see LanczosStats). Purely
   /// observational; null disables collection.
   LanczosStats* stats = nullptr;
@@ -97,9 +88,7 @@ EigenDecomposition sparse_laplacian_embedding(
     const LanczosOptions& lanczos = {});
 
 /// Deterministic blocked dot product: partial sums over fixed 2048-element
-/// blocks (computed in parallel when a pool is given) folded sequentially
-/// in block order. Bit-identical for every thread count, including 1.
-double deterministic_dot(std::span<const double> a, std::span<const double> b,
-                         util::ThreadPool* pool = nullptr);
+/// blocks folded sequentially in block order.
+double deterministic_dot(std::span<const double> a, std::span<const double> b);
 
 }  // namespace autoncs::linalg

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autoncs::linalg {
 
@@ -54,33 +53,15 @@ double SparseMatrix::at(std::size_t r, std::size_t c) const {
 }
 
 std::vector<double> SparseMatrix::multiply(std::span<const double> x) const {
-  std::vector<double> y(rows_, 0.0);
-  multiply_into(x, y, nullptr);
-  return y;
-}
-
-void SparseMatrix::multiply_into(std::span<const double> x, std::span<double> y,
-                                 util::ThreadPool* pool) const {
   AUTONCS_CHECK(x.size() == cols_, "vector size must match matrix columns");
-  AUTONCS_CHECK(y.size() == rows_, "output size must match matrix rows");
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      double acc = 0.0;
-      for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-        acc += values_[k] * x[col_indices_[k]];
-      y[r] = acc;
-    }
-  };
-  // Each row accumulates sequentially within itself, so the partition does
-  // not affect the arithmetic — bit-identical for any thread count.
-  if (pool != nullptr && pool->size() > 1 && rows_ >= 512) {
-    pool->parallel_for(rows_,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         body(begin, end);
-                       });
-  } else {
-    body(0, rows_);
+  std::vector<double> y(rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double acc = 0.0;
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
+      acc += values_[k] * x[col_indices_[k]];
+    y[r] = acc;
   }
+  return y;
 }
 
 std::vector<double> SparseMatrix::row_sums() const {

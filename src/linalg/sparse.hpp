@@ -10,10 +10,6 @@
 
 #include "linalg/matrix.hpp"
 
-namespace autoncs::util {
-class ThreadPool;
-}
-
 namespace autoncs::linalg {
 
 /// One explicit entry of a sparse matrix.
@@ -39,15 +35,9 @@ class SparseMatrix {
   /// Value at (r, c); O(log nnz_row) binary search, 0 if absent.
   double at(std::size_t r, std::size_t c) const;
 
-  /// y = A x.
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// y = A x into a caller-provided buffer; rows are distributed over the
-  /// pool (when given) with each row accumulated sequentially, so the
-  /// result is bit-identical for any thread count. This is the Lanczos
+  /// y = A x, each row accumulated in column order. This is the Lanczos
   /// matvec kernel.
-  void multiply_into(std::span<const double> x, std::span<double> y,
-                     util::ThreadPool* pool = nullptr) const;
+  std::vector<double> multiply(std::span<const double> x) const;
 
   /// Row-sum vector (degrees for a nonnegative adjacency matrix).
   std::vector<double> row_sums() const;

@@ -106,7 +106,7 @@ double DensityModel::value_pass(const netlist::Netlist& netlist,
     index_.classify(netlist);
     index_stale_ = false;
   }
-  index_.build(netlist, state, half_w_.data(), half_h_.data(), tail, pool);
+  index_.build(netlist, state, half_w_.data(), half_h_.data(), tail);
 
   // Phases 1-2 of one block: the sweep records each kept pair with its
   // penetration depths (zx, zy) in the overlap slots, then the kernel

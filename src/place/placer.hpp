@@ -39,8 +39,9 @@ struct PlacerOptions {
   /// Deterministic jitter seed for the initial grid (breaks exact ties).
   std::uint64_t seed = 1;
   /// Worker threads for the WA-wirelength and density gradient evaluation;
-  /// 0 = hardware concurrency. The placement is bit-identical for any
-  /// value (per-item parallel phase, sequential fixed-order reduction).
+  /// 0 = the CPUs the process may run on. The placement is bit-identical
+  /// for any value (per-item parallel phase, sequential fixed-order
+  /// reduction).
   std::size_t threads = 0;
   /// Wall-clock budget for the outer penalty loop in milliseconds; 0 =
   /// unlimited (the default — clean runs never consult the clock). When

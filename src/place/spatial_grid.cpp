@@ -28,8 +28,7 @@ double dense_bucket_cap(std::size_t n) {
 void UniformGrid::build(const netlist::Netlist& netlist,
                         const std::vector<double>& state,
                         double interaction_reach, double bucket,
-                        util::ThreadPool* pool, const double* aux_a,
-                        const double* aux_b,
+                        const double* aux_a, const double* aux_b,
                         const std::vector<std::uint32_t>* cells) {
   AUTONCS_CHECK(bucket > 0.0, "grid bucket must be positive");
   AUTONCS_CHECK(state.size() == netlist.cells.size() * 2,
@@ -49,20 +48,10 @@ void UniformGrid::build(const netlist::Netlist& netlist,
   if (bin_x_.capacity() < n) grew = true;
   bin_x_.resize(n);
   bin_y_.resize(n);
-  const auto compute_bins = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t c = id_of(k);
-      bin_x_[k] = bin_coord(state[2 * c]);
-      bin_y_[k] = bin_coord(state[2 * c + 1]);
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && n >= 2048) {
-    pool->parallel_for(n, [&](std::size_t begin, std::size_t end,
-                              std::size_t /*worker*/) {
-      compute_bins(begin, end);
-    });
-  } else {
-    compute_bins(0, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t c = id_of(k);
+    bin_x_[k] = bin_coord(state[2 * c]);
+    bin_y_[k] = bin_coord(state[2 * c + 1]);
   }
 
   min_x_ = min_y_ = std::numeric_limits<long long>::max();
@@ -182,7 +171,7 @@ void MixedSizeIndex::classify(const netlist::Netlist& netlist) {
 void MixedSizeIndex::build(const netlist::Netlist& netlist,
                            const std::vector<double>& state,
                            const double* half_w, const double* half_h,
-                           double tail, util::ThreadPool* pool) {
+                           double tail) {
   AUTONCS_CHECK(coarse_.size() == netlist.cells.size(),
                 "classify() the netlist before building the index");
   double r_max = 0.0;
@@ -207,10 +196,9 @@ void MixedSizeIndex::build(const netlist::Netlist& netlist,
   // when the small cells are vanishingly small.
   fine_.build(netlist, state, fine_reach,
               std::max(covering_bucket(fine_reach, 2), macro_reach / 32.0),
-              pool, half_w, half_h, &small_);
+              half_w, half_h, &small_);
   macro_grid_.build(netlist, state, macro_reach,
-                    covering_bucket(macro_reach, 1), pool, half_w, half_h,
-                    &macros_);
+                    covering_bucket(macro_reach, 1), half_w, half_h, &macros_);
   // A macro's partners lie within its own half extent plus the largest
   // half extent of the other group (plus the tail).
   for (std::size_t m = 0; m < macro_grid_.size(); ++m) {

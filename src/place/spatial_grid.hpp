@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 
@@ -71,10 +70,9 @@ class UniformGrid {
  public:
   /// Rebins the cells of `netlist` at the positions in `state` — all of
   /// them, or only `cells` (ascending ids) when given. `interaction_reach`
-  /// sets the half-shell sweep's span. `pool` parallelizes
-  /// the per-cell bin-coordinate pass; the counting sort is sequential
-  /// (O(n + buckets), stable in cell index). Buffers are reused across
-  /// builds — steady-state rebuilds allocate nothing.
+  /// sets the half-shell sweep's span. The counting sort is O(n + buckets)
+  /// and stable in cell index. Buffers are reused across builds —
+  /// steady-state rebuilds allocate nothing.
   ///
   /// `aux_a` / `aux_b` (optional, indexed by cell id) are per-cell
   /// payloads packed next to each cell's coordinates in bucket order, so a
@@ -84,8 +82,7 @@ class UniformGrid {
   /// way.
   void build(const netlist::Netlist& netlist, const std::vector<double>& state,
              double interaction_reach, double bucket,
-             util::ThreadPool* pool = nullptr, const double* aux_a = nullptr,
-             const double* aux_b = nullptr,
+             const double* aux_a = nullptr, const double* aux_b = nullptr,
              const std::vector<std::uint32_t>* cells = nullptr);
 
   /// Binned cells; slot k in [0, size()) runs in (bx, by, id) order.
@@ -230,8 +227,7 @@ class MixedSizeIndex {
   /// largest half extent, the coarse reach is 2 * r_max + tail. `half_w` /
   /// `half_h` are packed with the positions.
   void build(const netlist::Netlist& netlist, const std::vector<double>& state,
-             const double* half_w, const double* half_h, double tail,
-             util::ThreadPool* pool = nullptr);
+             const double* half_w, const double* half_h, double tail);
 
   /// Sweep blocks: fine-grid slot ranges of kSweepGrain, then one block
   /// per macro. The grid depends on the split and the cell count only,

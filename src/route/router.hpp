@@ -91,8 +91,8 @@ struct RouterOptions {
   /// handling — is unchanged; only searches whose congested detour exceeds
   /// the margin pay extra passes.
   std::size_t window_margin_bins = 16;
-  /// Worker threads for the speculative routing waves; 0 = hardware
-  /// concurrency. The routing result is bit-identical for any value.
+  /// Worker threads for the speculative routing waves; 0 = the CPUs the
+  /// process may run on. The routing result is bit-identical for any value.
   std::size_t threads = 0;
   /// Strict capacity mode: disable the unconstrained fallback after
   /// max_relax_steps. A segment that cannot route under the most-relaxed

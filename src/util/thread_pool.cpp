@@ -1,8 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "util/check.hpp"
 #include "util/trace.hpp"
@@ -114,15 +117,16 @@ std::vector<PoolStats> stop_pool_stats() {
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("AUTONCS_THREADS")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      return static_cast<std::size_t>(value);
-    }
-    // A malformed override falls through to hardware detection rather
-    // than silently serializing the flow.
+#if defined(__linux__)
+  // The affinity mask, not the machine: a container or `taskset` that
+  // narrows it is what the pool can actually run on.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int cpus = CPU_COUNT(&set);
+    if (cpus > 0) return static_cast<std::size_t>(cpus);
   }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
@@ -130,8 +134,7 @@ std::size_t resolve_thread_count(std::size_t requested) {
 ThreadPool::ThreadPool(std::size_t threads, const char* label)
     : worker_count_(resolve_thread_count(threads)),
       label_(label),
-      spin_(worker_count_ > 1 &&
-            worker_count_ <= std::max(1u, std::thread::hardware_concurrency())),
+      spin_(worker_count_ > 1 && worker_count_ <= resolve_thread_count(0)),
       born_(Clock::now()) {
   threads_.reserve(worker_count_ - 1);
   slots_.reserve(worker_count_ - 1);
@@ -210,14 +213,6 @@ void ThreadPool::flush_stats() {
   }
 }
 
-void ThreadPool::chunk_bounds(std::size_t count, std::size_t chunk,
-                              std::size_t chunks, std::size_t* begin,
-                              std::size_t* end) {
-  AUTONCS_CHECK(chunks > 0 && chunk < chunks, "chunk index out of range");
-  *begin = chunk * count / chunks;
-  *end = (chunk + 1) * count / chunks;
-}
-
 void ThreadPool::run_blocks(std::size_t worker, std::size_t first) {
   const std::uint64_t t0 = job_stats_ ? now_ns() : 0;
   std::uint64_t executed = 0;
@@ -247,11 +242,9 @@ void ThreadPool::run_blocks(std::size_t worker, std::size_t first) {
 
 void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
                               std::size_t grain) {
+  AUTONCS_CHECK(grain > 0, "parallel_for needs a grain of at least 1");
   if (count == 0) return;
-  std::size_t g = grain;
-  if (g == 0) g = (count + worker_count_ - 1) / worker_count_;
-  if (g == 0) g = 1;
-  const std::size_t blocks = (count + g - 1) / g;
+  const std::size_t blocks = (count + grain - 1) / grain;
   const std::size_t active = std::min(worker_count_, blocks);
   const bool stats = label_ != nullptr && pool_stats_enabled();
   if (active <= 1) {
@@ -274,7 +267,7 @@ void ThreadPool::parallel_for(std::size_t count, const RangeFn& fn,
   // before any worker can claim, so it always runs at least one block.
   job_ = &fn;
   job_count_ = count;
-  job_grain_ = g;
+  job_grain_ = grain;
   job_blocks_ = blocks;
   job_stats_ = stats;
   next_block_.store(1, std::memory_order_relaxed);

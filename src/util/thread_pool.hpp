@@ -3,14 +3,15 @@
 // The pool partitions an index range [0, count) into a FIXED BLOCK GRID:
 // block b covers [b * grain, min((b + 1) * grain, count)), so the block
 // boundaries depend only on (count, grain) — never on the worker count or
-// on scheduling. Workers CLAIM blocks from a shared atomic counter (the
+// on scheduling. Every caller passes the grain; there is no other
+// partition. Workers CLAIM blocks from a shared atomic counter (the
 // caller always takes block 0), so which thread runs a block varies run
 // to run, but the blocks themselves never do: any per-block computation
 // that writes its own outputs and shares no mutable state is reproducible
-// run to run and across thread counts. The router and placer hot paths
-// compute each item's output independently and reduce in a fixed order
-// afterwards; per-worker scratch (the `worker` argument) must never feed
-// into a result.
+// run to run and across thread counts. The router, placer and k-means
+// hot paths compute each item's output independently and reduce in a
+// fixed order afterwards; per-worker scratch (the `worker` argument) must
+// never feed into a result.
 //
 // Hand-off is built for back-to-back jobs of tens of microseconds: after
 // its blocks a worker spins on its job word for kSpinWindow, so a job
@@ -18,9 +19,14 @@
 // (std::atomic::wait). The caller notifies only workers that actually
 // parked, and waits for completion on an atomic countdown, spinning for
 // the same window before it blocks. A range that fits a single block runs
-// inline on the calling thread with no cross-thread traffic at all. Pass
-// a `grain` sized so one block is worth a hand-off (tens of microseconds
-// of work) and small inputs degrade to the plain sequential loop.
+// inline on the calling thread with no cross-thread traffic at all, so a
+// `grain` sized to one hand-off's worth of work (tens of microseconds)
+// also serves as the cutoff below which a loop stays sequential.
+//
+// The auto pool size is the number of CPUs the process may run on (its
+// affinity mask on Linux), which is also the most threads a pool keeps
+// spinning. The sites that dispatch, with their grains and the
+// measurements that keep them, are listed in docs/threading.md.
 //
 // Scheduler telemetry (docs/observability.md): a pool constructed with a
 // label records, while pool stats are enabled, per-worker busy time,
@@ -107,10 +113,9 @@ std::vector<PoolStats> pool_stats_snapshot();
 std::vector<PoolStats> stop_pool_stats();
 
 /// Maps a user-facing thread knob to a concrete worker count: 0 means
-/// "auto" — the AUTONCS_THREADS environment variable when set to a
-/// positive integer (the escape hatch for CI and cgroup limits, where
-/// hardware_concurrency() often misreports), otherwise the hardware
-/// concurrency (at least 1). An explicit nonzero request is used as given.
+/// "auto" — the number of CPUs the calling thread may run on
+/// (sched_getaffinity on Linux, hardware_concurrency() elsewhere; at
+/// least 1). An explicit nonzero request is used as given.
 std::size_t resolve_thread_count(std::size_t requested);
 
 class ThreadPool {
@@ -144,23 +149,15 @@ class ThreadPool {
   /// Total workers including the calling thread (>= 1).
   std::size_t size() const { return worker_count_; }
 
-  /// Runs fn over [0, count) split into fixed blocks of `grain` indices
-  /// (the last block may be short); blocks until every block finished.
-  /// The caller runs block 0; it and min(size(), blocks) - 1 signalled
-  /// workers claim the remaining blocks from an atomic counter, so every
-  /// block runs exactly once, on some worker. Workers beyond the block
-  /// count are never signalled, and a single-block range runs inline on
-  /// the caller. `grain == 0` (the default) derives one block per worker,
-  /// the legacy contiguous partition. The first exception thrown by any
-  /// block is rethrown on the calling thread. Not reentrant.
-  void parallel_for(std::size_t count, const RangeFn& fn,
-                    std::size_t grain = 0);
-
-  /// Chunk `chunk` of `chunks` over [0, count): [begin, end). Contiguous,
-  /// covers the range exactly, sizes differ by at most one.
-  static void chunk_bounds(std::size_t count, std::size_t chunk,
-                           std::size_t chunks, std::size_t* begin,
-                           std::size_t* end);
+  /// Runs fn over [0, count) split into fixed blocks of `grain` (>= 1)
+  /// indices (the last block may be short); blocks until every block
+  /// finished. The caller runs block 0; it and min(size(), blocks) - 1
+  /// signalled workers claim the remaining blocks from an atomic counter,
+  /// so every block runs exactly once, on some worker. Workers beyond the
+  /// block count are never signalled, and a single-block range runs
+  /// inline on the caller as fn(0, count, 0). The first exception thrown
+  /// by any block is rethrown on the calling thread. Not reentrant.
+  void parallel_for(std::size_t count, const RangeFn& fn, std::size_t grain);
 
  private:
   /// Hand-off word of one spawned worker plus its park/wake counters.
@@ -189,8 +186,8 @@ class ThreadPool {
   std::size_t worker_count_;
   const char* label_;
   /// Whether idle threads spin before blocking: false when the pool has
-  /// more threads than the machine has cores, where a spinning thread
-  /// could only delay the thread it waits for.
+  /// more threads than the process may run on CPUs, where a spinning
+  /// thread could only delay the thread it waits for.
   bool spin_;
   std::chrono::steady_clock::time_point born_;
   std::vector<std::thread> threads_;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autoncs::linalg {
 namespace {
@@ -85,6 +88,41 @@ TEST(KMeans, DeterministicGivenSeed) {
   const auto b = kmeans(points, 2, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
+}
+
+TEST(KMeans, BitIdenticalAcrossThreadCounts) {
+  // The assignment passes run in blocks of 256 points: n below one block
+  // (inline), exactly one block, and several blocks plus a short tail.
+  for (std::size_t n : {200u, 256u, 3u * 256u + 40u}) {
+    util::Rng gen(n);
+    Matrix points(n, 5);
+    for (double& v : points.data()) v = gen.uniform(-1.0, 1.0);
+    Matrix warm(6, 5);
+    for (double& v : warm.data()) v = gen.uniform(-1.0, 1.0);
+    util::Rng rng_serial(17);
+    const auto cold = kmeans(points, 6, rng_serial);
+    const auto hot = kmeans_warm(points, warm, rng_serial);
+    for (std::size_t threads : {1u, 2u, 3u, 8u}) {
+      util::ThreadPool pool(threads);
+      KMeansOptions options;
+      options.pool = &pool;
+      util::Rng rng(17);
+      const auto pooled_cold = kmeans(points, 6, rng, options);
+      const auto pooled_hot = kmeans_warm(points, warm, rng, options);
+      for (const auto& [serial, pooled] :
+           {std::pair{&cold, &pooled_cold}, std::pair{&hot, &pooled_hot}}) {
+        EXPECT_EQ(pooled->assignment, serial->assignment)
+            << "n = " << n << ", threads = " << threads;
+        EXPECT_EQ(std::memcmp(pooled->centroids.data().data(),
+                              serial->centroids.data().data(),
+                              serial->centroids.data().size() * sizeof(double)),
+                  0)
+            << "n = " << n << ", threads = " << threads;
+        EXPECT_EQ(pooled->inertia, serial->inertia);
+        EXPECT_EQ(pooled->iterations, serial->iterations);
+      }
+    }
+  }
 }
 
 TEST(KMeansWarm, DegenerateZeroCentroidsReseeded) {

@@ -246,7 +246,9 @@ TEST(BidiMaze, BlockedSeedStillRoutesCorrectly) {
   for (std::size_t k = 0; k + 1 < path->size(); ++k) {
     const BinRef a = (*path)[k];
     const BinRef b = (*path)[k + 1];
-    if (a.iy == b.iy && a.iy == 2) EXPECT_NE(std::min(a.ix, b.ix), 2u);
+    if (a.iy == b.iy && a.iy == 2) {
+      EXPECT_NE(std::min(a.ix, b.ix), 2u);
+    }
   }
 }
 

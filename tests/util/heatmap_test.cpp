@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace autoncs::util {
@@ -87,8 +88,9 @@ TEST(WritePgm, ProducesValidHeaderAndSize) {
   EXPECT_EQ(h, 3);
   EXPECT_EQ(maxval, 255);
   in.get();  // single whitespace after header
-  std::string pixels((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  std::ostringstream rest;
+  rest << in.rdbuf();
+  const std::string pixels = rest.str();
   EXPECT_EQ(pixels.size(), 15u);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -12,7 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace autoncs::util {
 namespace {
@@ -23,53 +27,31 @@ TEST(ThreadPool, ResolveThreadCount) {
   EXPECT_EQ(resolve_thread_count(7), 7u);
 }
 
-TEST(ThreadPool, ResolveThreadCountEnvOverride) {
-  // AUTONCS_THREADS caps the AUTO resolution only — explicit requests are
-  // honored as given (tests and benches rely on exact pool sizes).
-  ASSERT_EQ(setenv("AUTONCS_THREADS", "3", 1), 0);
-  EXPECT_EQ(resolve_thread_count(0), 3u);
-  EXPECT_EQ(resolve_thread_count(8), 8u);
-  ASSERT_EQ(setenv("AUTONCS_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // garbage ignored, falls back
-  ASSERT_EQ(setenv("AUTONCS_THREADS", "0", 1), 0);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // zero is not a usable cap
-  ASSERT_EQ(unsetenv("AUTONCS_THREADS"), 0);
-  EXPECT_GE(resolve_thread_count(0), 1u);
-}
-
-TEST(ThreadPool, ChunkBoundsPartitionExactly) {
-  for (std::size_t count : {0u, 1u, 5u, 16u, 17u, 1000u}) {
-    for (std::size_t chunks : {1u, 2u, 3u, 4u, 8u}) {
-      std::size_t covered = 0;
-      std::size_t prev_end = 0;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        ThreadPool::chunk_bounds(count, c, chunks, &begin, &end);
-        EXPECT_EQ(begin, prev_end);  // contiguous, in order
-        EXPECT_LE(begin, end);
-        covered += end - begin;
-        prev_end = end;
-      }
-      EXPECT_EQ(prev_end, count);
-      EXPECT_EQ(covered, count);
-    }
-  }
-}
-
-TEST(ThreadPool, ChunkSizesDifferByAtMostOne) {
-  const std::size_t count = 23;
-  const std::size_t chunks = 5;
-  std::size_t min_size = count;
-  std::size_t max_size = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    ThreadPool::chunk_bounds(count, c, chunks, &begin, &end);
-    min_size = std::min(min_size, end - begin);
-    max_size = std::max(max_size, end - begin);
-  }
-  EXPECT_LE(max_size - min_size, 1u);
+TEST(ThreadPool, AutoCountFollowsAffinity) {
+#if defined(__linux__)
+  // Narrow this thread to one of its CPUs: the auto count and a default
+  // pool follow the mask, explicit requests stay as given. The mask is
+  // restored before any assertion can return early.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t narrowed_auto = resolve_thread_count(0);
+  const std::size_t narrowed_pool = ThreadPool().size();
+  const std::size_t narrowed_explicit = ThreadPool(3).size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed_auto, 1u);
+  EXPECT_EQ(narrowed_pool, 1u);
+  EXPECT_EQ(narrowed_explicit, 3u);
+  EXPECT_EQ(resolve_thread_count(0),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+#else
+  GTEST_SKIP() << "CPU affinity masks are a Linux interface";
+#endif
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
@@ -79,11 +61,13 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
     const std::size_t count = 777;
     std::vector<std::atomic<int>> hits(count);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(count, [&](std::size_t begin, std::size_t end,
-                                 std::size_t worker) {
-      EXPECT_LT(worker, threads);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    pool.parallel_for(
+        count,
+        [&](std::size_t begin, std::size_t end, std::size_t worker) {
+          EXPECT_LT(worker, threads);
+          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        },
+        100);
     for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1);
   }
 }
@@ -91,10 +75,16 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(4);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t, std::size_t) {
-    called = true;
-  });
+  pool.parallel_for(
+      0, [&](std::size_t, std::size_t, std::size_t) { called = true; }, 1);
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, ZeroGrainIsRejected) {
+  ThreadPool pool(2);
+  EXPECT_THROW(
+      pool.parallel_for(10, [](std::size_t, std::size_t, std::size_t) {}, 0),
+      CheckError);
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
@@ -102,11 +92,13 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   const std::size_t count = 100;
   std::vector<double> out(count, 0.0);
   for (int job = 0; job < 50; ++job) {
-    pool.parallel_for(count, [&](std::size_t begin, std::size_t end,
-                                 std::size_t) {
-      for (std::size_t i = begin; i < end; ++i)
-        out[i] = static_cast<double>(i) * 2.0;
-    });
+    pool.parallel_for(
+        count,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t i = begin; i < end; ++i)
+            out[i] = static_cast<double>(i) * 2.0;
+        },
+        7);
     const double sum = std::accumulate(out.begin(), out.end(), 0.0);
     EXPECT_DOUBLE_EQ(sum, static_cast<double>(count * (count - 1)));
   }
@@ -115,26 +107,34 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.parallel_for(10,
-                        [](std::size_t begin, std::size_t, std::size_t) {
-                          if (begin == 0) throw std::runtime_error("boom");
-                        }),
+      pool.parallel_for(
+          10,
+          [](std::size_t begin, std::size_t, std::size_t) {
+            if (begin == 0) throw std::runtime_error("boom");
+          },
+          5),
       std::runtime_error);
   // The pool survives a throwing job.
   std::atomic<int> total{0};
-  pool.parallel_for(10, [&](std::size_t begin, std::size_t end, std::size_t) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
+  pool.parallel_for(
+      10,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        total.fetch_add(static_cast<int>(end - begin));
+      },
+      5);
   EXPECT_EQ(total.load(), 10);
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
-  pool.parallel_for(5, [&](std::size_t, std::size_t, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
+  pool.parallel_for(
+      5,
+      [&](std::size_t, std::size_t, std::size_t worker) {
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      },
+      1);
 }
 
 TEST(ThreadPool, SmallRangeRunsInlineWithGrain) {
@@ -187,7 +187,7 @@ TEST(ThreadPoolStats, DisabledPoolsFlushNothing) {
   ASSERT_FALSE(pool_stats_enabled());
   {
     ThreadPool pool(2, "stats-test-disabled");
-    pool.parallel_for(100, [](std::size_t, std::size_t, std::size_t) {});
+    pool.parallel_for(100, [](std::size_t, std::size_t, std::size_t) {}, 10);
   }
   start_pool_stats();
   const auto stats = stop_pool_stats();
@@ -198,7 +198,7 @@ TEST(ThreadPoolStats, UnlabeledPoolsNeverRegister) {
   start_pool_stats();
   {
     ThreadPool pool(2);
-    pool.parallel_for(100, [](std::size_t, std::size_t, std::size_t) {});
+    pool.parallel_for(100, [](std::size_t, std::size_t, std::size_t) {}, 10);
   }
   EXPECT_TRUE(stop_pool_stats().empty());
   EXPECT_FALSE(pool_stats_enabled());
@@ -209,12 +209,14 @@ TEST(ThreadPoolStats, EnabledPoolsReportDispatchesAndBusyTime) {
   {
     ThreadPool pool(3, "stats-test");
     for (int job = 0; job < 4; ++job) {
-      pool.parallel_for(300, [](std::size_t begin, std::size_t end,
-                                std::size_t) {
-        volatile double sink = 0.0;
-        for (std::size_t i = begin; i < end; ++i)
-          sink = sink + static_cast<double>(i);
-      });
+      pool.parallel_for(
+          300,
+          [](std::size_t begin, std::size_t end, std::size_t) {
+            volatile double sink = 0.0;
+            for (std::size_t i = begin; i < end; ++i)
+              sink = sink + static_cast<double>(i);
+          },
+          100);
     }
   }
   const auto stats = stop_pool_stats();
@@ -263,7 +265,7 @@ TEST(ThreadPoolStats, SameLabelMergesAcrossPools) {
   start_pool_stats();
   for (int round = 0; round < 2; ++round) {
     ThreadPool pool(2, "stats-merge");
-    pool.parallel_for(64, [](std::size_t, std::size_t, std::size_t) {});
+    pool.parallel_for(64, [](std::size_t, std::size_t, std::size_t) {}, 16);
   }
   const auto stats = stop_pool_stats();
   const auto it = std::find_if(stats.begin(), stats.end(), [](const auto& p) {

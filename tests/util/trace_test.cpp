@@ -51,13 +51,16 @@ TEST(Trace, WorkerSpansCarryDistinctThreadIds) {
   // barrier holds each block until all four are running, which can only
   // happen on four different threads.
   std::atomic<int> arrived{0};
-  pool.parallel_for(4, [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t i = begin; i < end; ++i) {
-      AUTONCS_TRACE_SCOPE("worker/chunk");
-      arrived.fetch_add(1);
-      while (arrived.load() < 4) std::this_thread::yield();
-    }
-  });
+  pool.parallel_for(
+      4,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) {
+          AUTONCS_TRACE_SCOPE("worker/chunk");
+          arrived.fetch_add(1);
+          while (arrived.load() < 4) std::this_thread::yield();
+        }
+      },
+      1);
   const auto events = stop_tracing();
   // The pool adds its own scheduler spans (pool/dispatch + pool/drain on
   // the caller, pool/run per active worker); count only the user spans.

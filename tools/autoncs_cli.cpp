@@ -269,7 +269,8 @@ int cmd_flow(const Args& args) {
   const auto network = nn::load_network_checked(args.positional[0]);
   FlowConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2015));
-  // 0 = hardware concurrency; the flow result is identical for any value.
+  // 0 = the CPUs the process may run on; the flow result is identical for
+  // any value.
   config.threads = static_cast<std::size_t>(args.get_long("threads", 0));
   const auto max_size = static_cast<std::size_t>(args.get_long("max-size", 64));
   std::vector<std::size_t> sizes;
