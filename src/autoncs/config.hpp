@@ -1,13 +1,20 @@
 // Flow configuration: one struct bundling every stage's options, with the
 // paper's experimental defaults (crossbar sizes 16..64 step 4, alpha = beta
 // = delta = 1, ISC threshold tied to the FullCro baseline utilization).
+//
+// Each setting has exactly one field. Every field that can change a result
+// is written to the run manifest's `config` object, which
+// checkpoint::config_hash hashes (docs/observability.md). Solver constants
+// that no caller sets (WA gamma, density beta, the lambda schedule, the
+// Armijo line search, the routing ladder) are named constants in the one
+// .cpp that reads them, not options. Stage wall-clock budgets live on the
+// stages: isc / placer / router.wall_budget_ms (docs/robustness.md).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "autoncs/checkpoint.hpp"
-#include "autoncs/recovery.hpp"
 #include "autoncs/telemetry.hpp"
 #include "clustering/isc.hpp"
 #include "place/placer.hpp"
@@ -52,12 +59,6 @@ struct FlowConfig {
   /// docs/observability.md).
   TelemetryOptions telemetry{};
 
-  /// Per-stage wall-clock budgets (docs/robustness.md). All zero by
-  /// default: no stage consults the clock and results are bit-identical
-  /// to a budget-free build. Filled into the per-stage wall_budget_ms
-  /// options by the pipeline unless those are set (nonzero) themselves.
-  StageBudget stage_budget{};
-
   /// Checkpoint/resume policy (docs/robustness.md). Empty dir = off.
   CheckpointOptions checkpoint{};
 
@@ -65,10 +66,10 @@ struct FlowConfig {
   /// pipeline polls the flag at every stage boundary and aborts the run
   /// with ResourceError("resource.deadline") once it is set — this is how
   /// the resident service's deadline watchdog cancels a job between
-  /// stages (in-stage hangs are bounded by stage_budget). Null (the
-  /// default) is never consulted; like the telemetry sinks this cannot
-  /// change a completed run's results, so it is excluded from the config
-  /// hash and checkpoints stay compatible across attempts.
+  /// stages (in-stage hangs are bounded by the stages' wall_budget_ms).
+  /// Null (the default) is never consulted; like the telemetry sinks this
+  /// cannot change a completed run's results, so it is excluded from the
+  /// config hash and checkpoints stay compatible across attempts.
   const std::atomic<bool>* cancel = nullptr;
 };
 

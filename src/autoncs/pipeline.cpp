@@ -23,8 +23,8 @@ namespace {
 /// Stage-boundary cancellation poll (docs/service.md): one relaxed load
 /// when a token is installed, nothing otherwise. Cancellation is
 /// deliberately cooperative and coarse — it fires between stages, where
-/// no partial state can leak, while stage_budget bounds time spent inside
-/// a stage.
+/// no partial state can leak, while each stage's wall_budget_ms bounds the
+/// time spent inside it.
 void throw_if_cancelled(const FlowConfig& config, const char* stage) {
   if (config.cancel != nullptr &&
       config.cancel->load(std::memory_order_relaxed)) {
@@ -79,11 +79,7 @@ FlowResult physical_design(mapping::HybridMapping mapping,
     place::PlacerOptions placer = config.placer;
     placer.seed = config.seed;
     if (placer.threads == 0) placer.threads = config.threads;
-    if (placer.wall_budget_ms == 0.0)
-      placer.wall_budget_ms = config.stage_budget.placement_ms;
     placer.recovery = &result.recovery;
-    // Keep the legalizer's notion of routing space in sync with the placer.
-    placer.legalizer.omega = placer.omega;
     {
       AUTONCS_TRACE_SCOPE("flow/place");
       util::set_log_stage("placement");
@@ -117,8 +113,6 @@ FlowResult physical_design(mapping::HybridMapping mapping,
   throw_if_cancelled(config, "routing");
   route::RouterOptions router = config.router;
   if (router.threads == 0) router.threads = config.threads;
-  if (router.wall_budget_ms == 0.0)
-    router.wall_budget_ms = config.stage_budget.routing_ms;
   router.recovery = &result.recovery;
   stage.restart();
   {
@@ -154,8 +148,6 @@ clustering::IscResult run_isc(const nn::ConnectionMatrix& network,
                               util::RecoveryLog* recovery) {
   clustering::IscOptions isc = config.isc;
   if (isc.threads == 0) isc.threads = config.threads;
-  if (isc.wall_budget_ms == 0.0)
-    isc.wall_budget_ms = config.stage_budget.clustering_ms;
   if (isc.recovery == nullptr) isc.recovery = recovery;
   if (config.derive_threshold_from_baseline) {
     isc.utilization_threshold = mapping::fullcro_utilization_threshold(

@@ -1,5 +1,5 @@
-// Flow-level robustness: per-stage wall-clock budgets and the numerical
-// guards the pipeline runs at every stage boundary.
+// Flow-level robustness: the numerical guards the pipeline runs at every
+// stage boundary.
 //
 // The guards implement the cheap half of the recovery contract (see
 // docs/robustness.md): every value handed from one stage to the next is
@@ -11,32 +11,11 @@
 // has already been exhausted.
 #pragma once
 
-#include <cstddef>
-
 #include "netlist/netlist.hpp"
-#include "place/placer.hpp"
 #include "route/router.hpp"
 #include "util/error.hpp"
 
-namespace autoncs {
-
-/// Per-stage wall-clock budgets (milliseconds). 0 = unlimited — the
-/// default, under which no stage ever consults the clock and the flow is
-/// bit-identical to a build without budgets. A stage that exhausts its
-/// budget returns its best-so-far result flagged degraded (see the
-/// wall_budget_ms fields of IscOptions / PlacerOptions / RouterOptions for
-/// the exact per-stage semantics) — it never throws.
-struct StageBudget {
-  double clustering_ms = 0.0;
-  double placement_ms = 0.0;
-  double routing_ms = 0.0;
-
-  bool any() const {
-    return clustering_ms > 0.0 || placement_ms > 0.0 || routing_ms > 0.0;
-  }
-};
-
-namespace recovery {
+namespace autoncs::recovery {
 
 /// Sweeps cell geometry/positions and wire weights/delays. `stage` names
 /// the boundary being guarded ("netlist" right after construction,
@@ -51,5 +30,4 @@ void check_netlist_finite(const netlist::Netlist& netlist,
 /// "routing", ...) on the first non-finite value.
 void check_routing_finite(const route::RoutingResult& routing);
 
-}  // namespace recovery
-}  // namespace autoncs
+}  // namespace autoncs::recovery

@@ -70,53 +70,37 @@ void write_config_object(util::JsonWriter& w, const FlowConfig& config) {
       .field("pack_limit", config.isc.pack_limit)
       .field("size_by_demand", config.isc.size_by_demand)
       .field("embedding_solver", solver_name(config.isc.embedding_solver))
-      .field("dense_fallback_n", config.isc.dense_fallback_n)
-      .field("threads", config.isc.threads);
+      .field("threads", config.isc.threads)
+      .field("wall_budget_ms", config.isc.wall_budget_ms);
   w.end_object();
   w.field("derive_threshold_from_baseline",
           config.derive_threshold_from_baseline)
       .field("baseline_crossbar_size", config.baseline_crossbar_size);
 
   w.key("placer").begin_object();
-  w.field("gamma", config.placer.gamma)
-      .field("omega", config.placer.omega)
-      .field("beta", config.placer.beta)
+  w.field("omega", config.placer.omega)
       .field("target_density", config.placer.target_density)
-      .field("overlap_stop_ratio", config.placer.overlap_stop_ratio)
       .field("max_outer_iterations", config.placer.max_outer_iterations)
-      .field("lambda_growth", config.placer.lambda_growth)
       .field("cg_max_iterations", config.placer.cg.max_iterations)
       .field("cg_gradient_tolerance", config.placer.cg.gradient_tolerance)
-      .field("cg_armijo_c1", config.placer.cg.armijo_c1)
-      .field("cg_backtrack", config.placer.cg.backtrack)
-      .field("cg_max_backtracks", config.placer.cg.max_backtracks)
-      .field("cg_initial_step", config.placer.cg.initial_step)
-      .field("cg_max_recovery_restarts", config.placer.cg.max_recovery_restarts)
       .field("legalizer_margin", config.placer.legalizer.margin)
       .field("legalizer_max_passes", config.placer.legalizer.max_passes)
       .field("legalizer_overlap_tolerance",
              config.placer.legalizer.overlap_tolerance)
-      .field("threads", config.placer.threads);
+      .field("threads", config.placer.threads)
+      .field("wall_budget_ms", config.placer.wall_budget_ms);
   w.end_object();
   w.field("refine_placement", config.refine_placement);
 
   w.key("router").begin_object();
   w.field("theta", config.router.theta)
-      .field("decomposition",
-             config.router.decomposition == route::MultiPinDecomposition::kMst
-                 ? "mst"
-                 : "star")
       .field("capacity_per_um", config.router.capacity_per_um)
-      .field("congestion_penalty", config.router.congestion_penalty)
-      .field("capacity_limit_factor", config.router.capacity_limit_factor)
-      .field("relax_factor", config.router.relax_factor)
       .field("max_relax_steps", config.router.max_relax_steps)
       .field("margin_bins", config.router.margin_bins)
-      .field("window_margin_bins", config.router.window_margin_bins)
       .field("strict_capacity", config.router.strict_capacity)
       .field("reroute_passes", config.router.reroute_passes)
-      .field("history_weight", config.router.history_weight)
-      .field("threads", config.router.threads);
+      .field("threads", config.router.threads)
+      .field("wall_budget_ms", config.router.wall_budget_ms);
   w.end_object();
 
   w.key("tech").begin_object();
@@ -136,12 +120,6 @@ void write_config_object(util::JsonWriter& w, const FlowConfig& config) {
   w.field("alpha", config.cost_weights.alpha)
       .field("beta", config.cost_weights.beta)
       .field("delta", config.cost_weights.delta);
-  w.end_object();
-
-  w.key("stage_budget_ms").begin_object();
-  w.field("clustering", config.stage_budget.clustering_ms)
-      .field("placement", config.stage_budget.placement_ms)
-      .field("routing", config.stage_budget.routing_ms);
   w.end_object();
 
   w.end_object();  // config

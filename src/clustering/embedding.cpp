@@ -13,6 +13,12 @@ namespace autoncs::clustering {
 
 namespace {
 
+/// Network size at or below which kAuto routes to the dense solver. The
+/// dense path is faster at small n and returns the full column set, so
+/// this is also what keeps small-network results bit-identical to the
+/// historical dense-only implementation.
+constexpr std::size_t kDenseFallbackN = 512;
+
 /// Structurally equivalent neurons (identical neighbourhoods — common in
 /// the finder cliques of QR-trained Hopfield nets) get EXACTLY equal
 /// embedding rows, which ties every k-means distance and defeats GCP's
@@ -41,7 +47,7 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
       options.max_vectors == 0 ? n : std::min(options.max_vectors, n);
   bool use_lanczos = options.solver == EmbeddingSolver::kLanczos;
   if (options.solver == EmbeddingSolver::kAuto)
-    use_lanczos = n > options.dense_fallback_n && k < n;
+    use_lanczos = n > kDenseFallbackN && k < n;
 
   linalg::EigenDecomposition embedding;
   if (use_lanczos) {

@@ -28,7 +28,8 @@ struct LanczosStats;
 namespace autoncs::clustering {
 
 enum class EmbeddingSolver {
-  /// Dense below dense_fallback_n neurons, Lanczos above.
+  /// Dense up to 512 neurons (or when every column is requested),
+  /// Lanczos above.
   kAuto,
   /// Always densify and solve with tred2/tql2 (all n columns).
   kDense,
@@ -42,11 +43,6 @@ struct EmbeddingOptions {
   /// once the factorization ran); the Lanczos solver returns exactly
   /// min(max_vectors, n) columns.
   std::size_t max_vectors = 0;
-  /// Network size at or below which kAuto routes to the dense solver. The
-  /// dense path is faster at small n and returns the full column set, so
-  /// this is also the knob that keeps small-network results bit-identical
-  /// to the historical dense-only implementation.
-  std::size_t dense_fallback_n = 512;
   EmbeddingSolver solver = EmbeddingSolver::kAuto;
   /// Optional Lanczos convergence-telemetry sink; only populated when the
   /// sparse solver actually runs. Purely observational (the embedding is

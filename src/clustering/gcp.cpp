@@ -177,11 +177,4 @@ GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
   return gcp_from_embedding(spectral_embedding(network), max_size, rng);
 }
 
-GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
-                                         std::size_t max_size, util::Rng& rng,
-                                         const EmbeddingOptions& embedding_options) {
-  return gcp_from_embedding(spectral_embedding(network, embedding_options),
-                            max_size, rng);
-}
-
 }  // namespace autoncs::clustering

@@ -35,12 +35,6 @@ struct GcpResult {
 GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
                                          std::size_t max_size, util::Rng& rng);
 
-/// Same, but with explicit embedding options (column budget, sparse
-/// Lanczos solver) — the scalable path ISC uses.
-GcpResult greedy_cluster_size_prediction(const nn::ConnectionMatrix& network,
-                                         std::size_t max_size, util::Rng& rng,
-                                         const EmbeddingOptions& embedding_options);
-
 /// Same with a caller-provided embedding (ISC reuses one per iteration).
 /// The optional pool parallelizes the k-means assignment steps; results
 /// are bit-identical for any thread count.

@@ -284,7 +284,6 @@ IscResult iterative_spectral_clustering(const nn::ConnectionMatrix& network,
     // practice (embedding_points clamps if it ever splits further).
     EmbeddingOptions embed;
     embed.solver = options.embedding_solver;
-    embed.dense_fallback_n = options.dense_fallback_n;
     embed.recovery = options.recovery;
     const std::size_t base_k = (active.size() + max_size - 1) / max_size;
     embed.max_vectors = std::min(active.size(), 2 * base_k + 16);

@@ -75,11 +75,10 @@ struct IscOptions {
   /// (see docs/clustering_perf.md).
   std::size_t threads = 0;
   /// Which eigensolver produces the spectral embedding. kAuto uses the
-  /// dense tred2/tql2 path for active subnetworks of up to
-  /// dense_fallback_n neurons (exactly reproducing the historical results)
-  /// and the sparse block-Lanczos path above that.
+  /// dense tred2/tql2 path for active subnetworks of up to 512 neurons
+  /// (exactly reproducing the historical results) and the sparse
+  /// block-Lanczos path above that.
   EmbeddingSolver embedding_solver = EmbeddingSolver::kAuto;
-  std::size_t dense_fallback_n = 512;
   /// Wall-clock budget for the ISC iteration loop in milliseconds; 0 =
   /// unlimited (clean runs never consult the clock). On exhaustion the
   /// loop stops before its next iteration and every remaining connection

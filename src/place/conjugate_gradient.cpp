@@ -11,6 +11,19 @@ namespace autoncs::place {
 
 namespace {
 
+/// Armijo sufficient-decrease constant.
+constexpr double kArmijoC1 = 1e-4;
+/// Step shrink factor for backtracking.
+constexpr double kBacktrack = 0.5;
+/// Maximum backtracking trials per line search.
+constexpr std::size_t kMaxBacktracks = 30;
+/// First trial step of the first line search.
+constexpr double kInitialStep = 1.0;
+/// Damped steepest-descent restarts from the last finite iterate allowed
+/// when the gradient goes non-finite, before the solver gives up and
+/// returns best-so-far flagged degraded.
+constexpr std::size_t kMaxRecoveryRestarts = 3;
+
 double infinity_norm(const std::vector<double>& v) {
   double out = 0.0;
   for (double x : v) out = std::max(out, std::abs(x));
@@ -102,7 +115,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     return result;
   }
   for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
-  double step = options.initial_step;
+  double step = kInitialStep;
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -120,7 +133,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
     double t = step;
     double trial_value = value;
     bool accepted = false;
-    for (std::size_t bt = 0; bt < options.max_backtracks; ++bt) {
+    for (std::size_t bt = 0; bt < kMaxBacktracks; ++bt) {
       for (std::size_t i = 0; i < n; ++i) trial[i] = x[i] + t * direction[i];
       trial_value = eval(trial, nullptr);
       trial_value = retry_if_bad(trial_value, trial, nullptr);
@@ -130,11 +143,11 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
       // additionally rejects -inf, which would vacuously pass while meaning
       // the objective diverged.
       if (std::isfinite(trial_value) &&
-          trial_value <= value + options.armijo_c1 * t * slope) {
+          trial_value <= value + kArmijoC1 * t * slope) {
         accepted = true;
         break;
       }
-      t *= options.backtrack;
+      t *= kBacktrack;
     }
     if (!accepted) break;  // no progress possible along this direction
     // Gradient at the accepted point. The returned value is bit-identical
@@ -148,7 +161,7 @@ CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
       // iterate (x, grad and value are untouched and finite).
       ++result.recovery_restarts;
       const bool exhausted =
-          result.recovery_restarts > options.max_recovery_restarts;
+          result.recovery_restarts > kMaxRecoveryRestarts;
       record("cg.grad_nan", "damped_restart", !exhausted, true,
              "non-finite gradient at accepted point, restart " +
                  std::to_string(result.recovery_restarts));

@@ -22,18 +22,6 @@ struct CgOptions {
   std::size_t max_iterations = 200;
   /// Stop when the infinity norm of the gradient falls below this.
   double gradient_tolerance = 1e-7;
-  /// Armijo sufficient-decrease constant.
-  double armijo_c1 = 1e-4;
-  /// Step shrink factor for backtracking.
-  double backtrack = 0.5;
-  /// Maximum backtracking trials per line search.
-  std::size_t max_backtracks = 30;
-  /// First trial step of the first line search.
-  double initial_step = 1.0;
-  /// Damped steepest-descent restarts from the last finite iterate allowed
-  /// when the gradient goes non-finite, before the solver gives up and
-  /// returns best-so-far flagged degraded.
-  std::size_t max_recovery_restarts = 3;
   /// Optional recovery-event sink for the numerical guards (transparent
   /// retries, damped restarts). Null runs the identical guards silently.
   util::RecoveryLog* recovery = nullptr;
@@ -73,8 +61,7 @@ using Objective = std::function<double(const std::vector<double>& x,
 /// takes the next rung). Non-finite line-search trials are rejected like any
 /// failed Armijo trial; a non-finite gradient at an accepted point triggers
 /// a damped steepest-descent restart from the last finite iterate, up to
-/// CgOptions::max_recovery_restarts before returning best-so-far with
-/// `degraded` set. Throws util::NumericalError only when the STARTING point
+/// three times before returning best-so-far with `degraded` set. Throws util::NumericalError only when the STARTING point
 /// is non-finite even after retry — there is no finite iterate to return.
 CgResult minimize_cg(std::vector<double>& x, const Objective& objective,
                      const CgOptions& options = {});

@@ -15,6 +15,15 @@ namespace autoncs::place {
 
 namespace {
 
+/// WA smoothness gamma (um).
+constexpr double kWaGamma = 2.0;
+/// Softplus sharpness of the density model (1/um).
+constexpr double kDensityBeta = 16.0;
+/// The outer loop stops once overlap_ratio() <= this (Alg. 4 line 6).
+constexpr double kOverlapStopRatio = 0.03;
+/// lambda multiplier per outer iteration (Alg. 4 line 5).
+constexpr double kLambdaGrowth = 2.0;
+
 /// Regular-grid initial placement (Alg. 4 line 1) within the die, with a
 /// small deterministic jitter so symmetric configurations don't stall CG.
 void initial_grid(netlist::Netlist& netlist, double die_side, std::uint64_t seed) {
@@ -99,8 +108,8 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   initial_grid(netlist, die_side, options.seed);
   std::vector<double> state = pack_positions(netlist);
 
-  WaModel wl_model{options.gamma};
-  DensityModel density_model{options.omega, options.beta};
+  WaModel wl_model{kWaGamma};
+  DensityModel density_model{options.omega, kDensityBeta};
   CgOptions cg_options = options.cg;
   cg_options.recovery = options.recovery;
   util::ThreadPool pool(options.threads, "place");
@@ -207,7 +216,7 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
     report.outer.push_back(stats);
     report.lambda_final = lambda_now;
     report.overlap_ratio_before_legalization = ratio;
-    if (ratio <= options.overlap_stop_ratio) break;
+    if (ratio <= kOverlapStopRatio) break;
     if (options.wall_budget_ms > 0.0) {
       const double elapsed_ms =
           std::chrono::duration<double, std::milli>(
@@ -222,7 +231,7 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
         break;
       }
     }
-    lambda *= options.lambda_growth;
+    lambda *= kLambdaGrowth;
   }
 
   LegalizerOptions legal = options.legalizer;

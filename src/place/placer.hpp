@@ -18,22 +18,14 @@
 namespace autoncs::place {
 
 struct PlacerOptions {
-  /// WA smoothness gamma (um).
-  double gamma = 2.0;
   /// Routing-space factor for virtual widths.
   double omega = 1.2;
-  /// Softplus sharpness of the density model (1/um).
-  double beta = 16.0;
   /// Fraction of the square die the virtual cell area should fill; the die
   /// side is sqrt(total virtual area / target_density). Cells straying
   /// outside pay a quadratic penalty scaled by the same lambda as the
   /// density term, so the outline tightens together with overlap removal.
   double target_density = 0.8;
-  /// Outer loop stops when overlap_ratio() <= this (Alg. 4 line 6).
-  double overlap_stop_ratio = 0.03;
   std::size_t max_outer_iterations = 24;
-  /// lambda multiplier per outer iteration (Alg. 4 line 5).
-  double lambda_growth = 2.0;
   CgOptions cg{.max_iterations = 100, .gradient_tolerance = 1e-6};
   LegalizerOptions legalizer{};
   /// Deterministic jitter seed for the initial grid (breaks exact ties).

@@ -19,6 +19,23 @@ namespace autoncs::route {
 
 namespace {
 
+/// Maze cost: base congestion penalty on usage / capacity.
+constexpr double kCongestionPenalty = 2.0;
+/// Virtual-capacity limit factor of the ladder's first rung (see the
+/// capacity invariant in maze_router.hpp).
+constexpr double kCapacityLimitFactor = 1.0;
+/// Virtual-capacity relaxation multiplier per ladder rung.
+constexpr double kRelaxFactor = 1.5;
+/// Weight of the accumulated history in the maze cost during negotiated
+/// reroutes (the initial pass ignores history).
+constexpr double kHistoryWeight = 2.0;
+/// Maze window: each segment's search is restricted to its bounding box
+/// expanded by this many bins. A failed windowed search grows the margin
+/// geometrically until the window covers the grid, so routability is
+/// unchanged; only searches whose congested detour exceeds the margin pay
+/// extra passes.
+constexpr std::size_t kWindowMarginBins = 16;
+
 struct Segment {
   std::size_t wire_index;
   std::size_t pin_a;  // cell indices
@@ -40,7 +57,7 @@ struct Attempt {
 
 /// The capacity-relaxation ladder of Sec. 3.5. Rung r searches under the
 /// limit factor `factors[r]` (virtual limit `limits[r]`): factors[0] is
-/// capacity_limit_factor and each rung multiplies by relax_factor, the
+/// kCapacityLimitFactor and each rung multiplies by kRelaxFactor, the
 /// same repeated product a retry loop computes, so every rung's limit is
 /// the same double whichever rung a search starts at.
 struct Ladder {
@@ -48,11 +65,11 @@ struct Ladder {
   std::vector<double> limits;
 
   Ladder(const RouterOptions& options, double capacity) {
-    double factor = options.capacity_limit_factor;
+    double factor = kCapacityLimitFactor;
     for (std::size_t r = 0; r <= options.max_relax_steps; ++r) {
       factors.push_back(factor);
       limits.push_back(factor * capacity);
-      factor *= options.relax_factor;
+      factor *= kRelaxFactor;
     }
   }
   /// One past the last rung: the unconstrained fallback.
@@ -86,9 +103,9 @@ Attempt route_segment(const GridGraph& grid, BinRef source, BinRef target,
                       std::size_t entry_rung = 0) {
   Attempt out;
   MazeOptions maze;
-  maze.congestion_penalty = options.congestion_penalty;
+  maze.congestion_penalty = kCongestionPenalty;
   maze.history_weight = history_weight;
-  maze.window_margin_bins = options.window_margin_bins;
+  maze.window_margin_bins = kWindowMarginBins;
   maze.seed_path = seed;
   const auto search_rung = [&](std::size_t rung) {
     maze.capacity_limit_factor = ladder.factors[rung];
@@ -141,8 +158,6 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
   util::WallTimer timer;
   AUTONCS_CHECK(netlist.validate().empty(), "netlist failed validation");
   AUTONCS_CHECK(options.theta > 0.0, "theta must be positive");
-  AUTONCS_CHECK(options.capacity_limit_factor > 0.0,
-                "capacity limit factor must be positive");
 
   RoutingResult result;
   if (netlist.cells.empty() || netlist.wires.empty()) {
@@ -188,8 +203,8 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
   GridGraph& grid = result.grid;
   const Ladder ladder(options, grid.edge_capacity());
 
-  // Decompose wires into 2-pin segments: star from the driver, or an MST
-  // over the pin positions (better trunk sharing for multi-pin nets).
+  // Decompose wires into 2-pin segments: an MST over the pin positions
+  // (better trunk sharing for multi-pin nets than a star from the driver).
   std::vector<Segment> segments;
   for (std::size_t w = 0; w < netlist.wires.size(); ++w) {
     const auto& wire = netlist.wires[w];
@@ -199,8 +214,7 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
       closest = std::min(closest, std::abs(cell.x - cog_x) +
                                       std::abs(cell.y - cog_y));
     }
-    if (wire.pins.size() <= 2 ||
-        options.decomposition == MultiPinDecomposition::kStar) {
+    if (wire.pins.size() <= 2) {
       for (std::size_t p = 1; p < wire.pins.size(); ++p) {
         segments.push_back(
             {w, wire.pins[0], wire.pins[p], closest, wire.weight});
@@ -418,7 +432,7 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
   // (see the capacity invariant in maze_router.hpp). This stage is
   // sequential by construction; the heavy initial pass above carries the
   // parallelism.
-  const double overflow_limit = options.capacity_limit_factor * capacity;
+  const double overflow_limit = kCapacityLimitFactor * capacity;
   if (options.reroute_passes > 0) {
     // Negotiated rerouting is not monotone — a pass can trade overflow up.
     // Keep the best configuration seen (the initial routing included) and
@@ -457,7 +471,7 @@ RoutingResult route(const netlist::Netlist& netlist, const RouterOptions& option
         // Entry rung 0: the rip-up freed usage, so lower rungs may route.
         Attempt fresh =
             route_segment(grid, seg_source[s], seg_target[s], options, ladder,
-                          options.history_weight, workspaces[0],
+                          kHistoryWeight, workspaces[0],
                           sabotaged[s] != 0, &old_path);
         result.maze_invocations += fresh.searches;
         if (!fresh.path) {

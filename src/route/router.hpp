@@ -1,7 +1,8 @@
 // Global routing driver — Sec. 3.5 of the paper.
 //
 // A grid graph with user bin width theta is built over the placed die.
-// Wires are decomposed into two-pin segments and ordered by "distance from
+// Wires are decomposed into two-pin segments (a Manhattan minimum spanning
+// tree over each wire's pins) and ordered by "distance from
 // the center of gravity of all cells to the wire's closest pin", with the
 // wire weight as tie breaker. A wire that cannot be routed under the
 // current virtual capacity is retried with the capacity relaxed until it
@@ -51,29 +52,11 @@
 
 namespace autoncs::route {
 
-/// How multi-pin wires decompose into routable 2-pin segments.
-enum class MultiPinDecomposition {
-  /// Every sink connects straight to the driver (pin 0).
-  kStar,
-  /// Minimum spanning tree over pin positions (Manhattan metric) — shorter
-  /// trunks for shared output nets.
-  kMst,
-};
-
 struct RouterOptions {
   /// Bin width theta (um).
   double theta = 4.0;
-  MultiPinDecomposition decomposition = MultiPinDecomposition::kMst;
   /// Routing tracks per edge per um of bin width (capacity = theta * this).
   double capacity_per_um = 2.0;
-  /// Base congestion penalty for maze cost.
-  double congestion_penalty = 2.0;
-  /// Starting virtual-capacity limit factor (see the capacity invariant in
-  /// maze_router.hpp); < 1 reserves headroom below the physical capacity
-  /// and makes at-limit edges eligible for negotiated rerouting.
-  double capacity_limit_factor = 1.0;
-  /// Virtual-capacity relaxation multiplier per failed attempt.
-  double relax_factor = 1.5;
   /// Maximum relaxation retries per segment before routing unconstrained.
   std::size_t max_relax_steps = 8;
   /// Extra margin of empty bins around the die.
@@ -82,15 +65,6 @@ struct RouterOptions {
   /// (PathFinder-style): overflowed edges accumulate history cost and the
   /// wires crossing them are rerouted. 0 = the paper's single-pass flow.
   std::size_t reroute_passes = 0;
-  /// Weight of the accumulated history in the maze cost during reroutes.
-  double history_weight = 2.0;
-  /// Maze window: each segment's search is restricted to its bounding box
-  /// expanded by this many bins (MazeOptions::kNoWindow = whole grid). A
-  /// failed windowed search grows the margin geometrically until the
-  /// window covers the grid, so routability — including unroutable-net
-  /// handling — is unchanged; only searches whose congested detour exceeds
-  /// the margin pay extra passes.
-  std::size_t window_margin_bins = 16;
   /// Worker threads for the speculative routing waves; 0 = the CPUs the
   /// process may run on. The routing result is bit-identical for any value.
   std::size_t threads = 0;

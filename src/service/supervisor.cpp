@@ -137,9 +137,9 @@ JobOutcome run_job(const JobRequest& request, const std::string& job_key,
       // aggregate overrun at the next stage boundary. Constant across
       // attempts by construction (never derived from remaining time), so
       // retries can still resume the first attempt's checkpoints.
-      config.stage_budget.clustering_ms = deadline_ms;
-      config.stage_budget.placement_ms = deadline_ms;
-      config.stage_budget.routing_ms = deadline_ms;
+      config.isc.wall_budget_ms = deadline_ms;
+      config.placer.wall_budget_ms = deadline_ms;
+      config.router.wall_budget_ms = deadline_ms;
     }
     config.cancel = cancel;
 

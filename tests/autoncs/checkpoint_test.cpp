@@ -177,7 +177,7 @@ TEST_F(CheckpointTest, ConfigHashIsStableAndSensitive) {
   const FlowConfig a = fast_config();
   FlowConfig b = fast_config();
   EXPECT_EQ(checkpoint::config_hash(a), checkpoint::config_hash(b));
-  b.placer.gamma *= 2.0;
+  b.placer.omega *= 2.0;
   EXPECT_NE(checkpoint::config_hash(a), checkpoint::config_hash(b));
   // Telemetry sinks are excluded from the stamp: turning tracing on must
   // not invalidate checkpoints.
@@ -187,21 +187,60 @@ TEST_F(CheckpointTest, ConfigHashIsStableAndSensitive) {
 }
 
 TEST_F(CheckpointTest, ConfigHashCoversPlacerAndRouterKnobs) {
-  // Each of these changes the flow's result, so a checkpoint saved under
-  // the old value must not resume as compatible.
-  const std::vector<std::pair<const char*, void (*)(FlowConfig&)>> edits = {
+  // One edit per FlowConfig field that can change the flow's result: a
+  // checkpoint saved under the old value must not resume as compatible.
+  // (The seed is checked by the checkpoint header, see
+  // SeedMismatchInvalidatesCheckpoints.)
+  using Edit = void (*)(FlowConfig&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"isc.crossbar_sizes", [](FlowConfig& c) { c.isc.crossbar_sizes.push_back(32); }},
+      {"isc.utilization_threshold",
+       [](FlowConfig& c) { c.isc.utilization_threshold *= 2.0; }},
+      {"isc.selection_fraction", [](FlowConfig& c) { c.isc.selection_fraction *= 2.0; }},
+      {"isc.max_iterations", [](FlowConfig& c) { c.isc.max_iterations += 1; }},
+      {"isc.preference",
+       [](FlowConfig& c) { c.isc.preference = clustering::PreferenceKind::kUtilization; }},
+      {"isc.pack_clusters", [](FlowConfig& c) { c.isc.pack_clusters = !c.isc.pack_clusters; }},
+      {"isc.pack_limit", [](FlowConfig& c) { c.isc.pack_limit += 1; }},
+      {"isc.size_by_demand", [](FlowConfig& c) { c.isc.size_by_demand = !c.isc.size_by_demand; }},
+      {"isc.embedding_solver",
+       [](FlowConfig& c) { c.isc.embedding_solver = clustering::EmbeddingSolver::kLanczos; }},
+      {"isc.wall_budget_ms", [](FlowConfig& c) { c.isc.wall_budget_ms = 5.0; }},
+      {"derive_threshold_from_baseline",
+       [](FlowConfig& c) { c.derive_threshold_from_baseline = !c.derive_threshold_from_baseline; }},
+      {"baseline_crossbar_size", [](FlowConfig& c) { c.baseline_crossbar_size += 4; }},
+      {"placer.omega", [](FlowConfig& c) { c.placer.omega *= 2.0; }},
+      {"placer.target_density", [](FlowConfig& c) { c.placer.target_density *= 0.5; }},
+      {"placer.max_outer_iterations", [](FlowConfig& c) { c.placer.max_outer_iterations += 1; }},
+      {"placer.wall_budget_ms", [](FlowConfig& c) { c.placer.wall_budget_ms = 5.0; }},
+      {"cg.max_iterations", [](FlowConfig& c) { c.placer.cg.max_iterations += 1; }},
+      {"cg.gradient_tolerance", [](FlowConfig& c) { c.placer.cg.gradient_tolerance *= 2.0; }},
       {"legalizer.margin", [](FlowConfig& c) { c.placer.legalizer.margin *= 2.0; }},
       {"legalizer.max_passes", [](FlowConfig& c) { c.placer.legalizer.max_passes += 1; }},
       {"legalizer.overlap_tolerance",
        [](FlowConfig& c) { c.placer.legalizer.overlap_tolerance *= 2.0; }},
-      {"cg.armijo_c1", [](FlowConfig& c) { c.placer.cg.armijo_c1 *= 2.0; }},
-      {"cg.backtrack", [](FlowConfig& c) { c.placer.cg.backtrack *= 0.5; }},
-      {"cg.max_backtracks", [](FlowConfig& c) { c.placer.cg.max_backtracks += 1; }},
-      {"cg.initial_step", [](FlowConfig& c) { c.placer.cg.initial_step *= 2.0; }},
-      {"cg.max_recovery_restarts",
-       [](FlowConfig& c) { c.placer.cg.max_recovery_restarts += 1; }},
+      {"refine_placement", [](FlowConfig& c) { c.refine_placement = !c.refine_placement; }},
+      {"router.theta", [](FlowConfig& c) { c.router.theta *= 2.0; }},
+      {"router.capacity_per_um", [](FlowConfig& c) { c.router.capacity_per_um *= 2.0; }},
+      {"router.max_relax_steps", [](FlowConfig& c) { c.router.max_relax_steps += 1; }},
+      {"router.margin_bins", [](FlowConfig& c) { c.router.margin_bins += 1; }},
       {"router.strict_capacity",
        [](FlowConfig& c) { c.router.strict_capacity = !c.router.strict_capacity; }},
+      {"router.reroute_passes", [](FlowConfig& c) { c.router.reroute_passes += 1; }},
+      {"router.wall_budget_ms", [](FlowConfig& c) { c.router.wall_budget_ms = 5.0; }},
+      {"tech.memristor_pitch_um", [](FlowConfig& c) { c.tech.memristor_pitch_um *= 2.0; }},
+      {"tech.crossbar_periphery_um", [](FlowConfig& c) { c.tech.crossbar_periphery_um *= 2.0; }},
+      {"tech.synapse_side_um", [](FlowConfig& c) { c.tech.synapse_side_um *= 2.0; }},
+      {"tech.neuron_side_um", [](FlowConfig& c) { c.tech.neuron_side_um *= 2.0; }},
+      {"tech.wire_resistance_ohm_per_um",
+       [](FlowConfig& c) { c.tech.wire_resistance_ohm_per_um *= 2.0; }},
+      {"tech.wire_capacitance_ff_per_um",
+       [](FlowConfig& c) { c.tech.wire_capacitance_ff_per_um *= 2.0; }},
+      {"tech.crossbar_delay_at_64_ns", [](FlowConfig& c) { c.tech.crossbar_delay_at_64_ns *= 2.0; }},
+      {"tech.synapse_delay_ns", [](FlowConfig& c) { c.tech.synapse_delay_ns *= 2.0; }},
+      {"cost_weights.alpha", [](FlowConfig& c) { c.cost_weights.alpha *= 2.0; }},
+      {"cost_weights.beta", [](FlowConfig& c) { c.cost_weights.beta *= 2.0; }},
+      {"cost_weights.delta", [](FlowConfig& c) { c.cost_weights.delta *= 2.0; }},
   };
   const FlowConfig base = fast_config();
   for (const auto& [name, edit] : edits) {

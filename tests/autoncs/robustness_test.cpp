@@ -112,7 +112,7 @@ TEST(RouterLadder, UnderCapacitatedStrictGridReportsPartialRouting) {
 
 TEST(StageBudgets, ClusteringBudgetYieldsAllOutlierMappingFlaggedDegraded) {
   FlowConfig config = fast_config();
-  config.stage_budget.clustering_ms = 1e-6;  // exhausted before iteration 1
+  config.isc.wall_budget_ms = 1e-6;  // exhausted before iteration 1
   const auto result = run_autoncs(small_network(), config);
 
   ASSERT_TRUE(result.isc.has_value());
@@ -134,7 +134,7 @@ TEST(StageBudgets, ClusteringBudgetYieldsAllOutlierMappingFlaggedDegraded) {
 
 TEST(StageBudgets, PlacementBudgetStopsOuterLoopWithLegalizedResult) {
   FlowConfig config = fast_config();
-  config.stage_budget.placement_ms = 1e-6;
+  config.placer.wall_budget_ms = 1e-6;
   const auto result = run_autoncs(small_network(), config);
 
   EXPECT_TRUE(result.placement.budget_exhausted);
@@ -150,7 +150,7 @@ TEST(StageBudgets, PlacementBudgetStopsOuterLoopWithLegalizedResult) {
 TEST(StageBudgets, RoutingBudgetCutsOnlyTheReroutePasses) {
   FlowConfig config = fast_config();
   config.router.reroute_passes = 2;
-  config.stage_budget.routing_ms = 1e-6;
+  config.router.wall_budget_ms = 1e-6;
   const auto result = run_autoncs(small_network(), config);
 
   EXPECT_TRUE(result.routing.budget_exhausted);
@@ -159,16 +159,6 @@ TEST(StageBudgets, RoutingBudgetCutsOnlyTheReroutePasses) {
   EXPECT_EQ(result.routing.wires.size(), result.netlist.wires.size());
   EXPECT_TRUE(result.routing.failed_wires.empty());
   EXPECT_GT(result.routing.total_wirelength_um, 0.0);
-}
-
-TEST(StageBudgets, ExplicitPerStageBudgetWinsOverTheFlowDefault) {
-  // stage_budget only fills budgets left at 0; a stage configured
-  // directly keeps its own (here: effectively unlimited) budget.
-  FlowConfig config = fast_config();
-  config.stage_budget.placement_ms = 1e-6;
-  config.placer.wall_budget_ms = 1e9;
-  const auto result = run_autoncs(small_network(), config);
-  EXPECT_FALSE(result.placement.budget_exhausted);
 }
 
 TEST(StageBudgets, UnlimitedBudgetsLeaveTheFlowClean) {

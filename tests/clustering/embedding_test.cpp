@@ -27,7 +27,7 @@ bool same_isc_result(const IscResult& a, const IscResult& b) {
 }
 
 TEST(Embedding, AutoSolverMatchesDenseAtSmallN) {
-  // Below dense_fallback_n the kAuto path routes to the identical dense
+  // Up to 512 neurons the kAuto path routes to the identical dense
   // code and must be bit-for-bit the same embedding.
   util::Rng rng(4);
   const auto net = nn::random_sparse(60, 0.1, rng);
@@ -62,11 +62,11 @@ TEST(Embedding, PointsClampToAvailableColumns) {
 TEST(Embedding, IscResultsIdenticalOnSeedTestbench) {
   // The acceptance bar for the sparse rewrite: clustering results on the
   // paper's Hopfield testbenches must not change. Their active networks
-  // are below dense_fallback_n, so kAuto takes the dense fallback and the
+  // are at most 512 neurons, so kAuto takes the dense fallback and the
   // outcome is bit-identical to the historical dense-only code by
   // construction; this test pins that.
   const auto bench = nn::build_testbench(1);
-  IscOptions options;  // defaults: kAuto, dense_fallback_n = 512
+  IscOptions options;  // default: kAuto
 
   util::Rng rng_auto(2015);
   const auto with_auto =

@@ -52,8 +52,10 @@ std::string effort_line(const route::RoutingResult& r) {
   for (std::uint64_t v :
        {static_cast<std::uint64_t>(r.maze_invocations),
         r.maze_nodes_expanded, r.maze_heap_pushes, r.maze_window_retries,
-        r.maze_meets, r.oracle_calls, r.oracle_nodes})
-    line += (line.empty() ? "" : " ") + std::to_string(v);
+        r.maze_meets, r.oracle_calls, r.oracle_nodes}) {
+    if (!line.empty()) line += ' ';
+    line += std::to_string(v);
+  }
   return line;
 }
 

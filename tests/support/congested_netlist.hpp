@@ -10,7 +10,7 @@ namespace autoncs::testing {
 
 /// Deterministic congested netlist: a lattice of cells with pseudo-random
 /// 2-pin and multi-pin wires (tiny LCG, no global RNG state) so both the
-/// star/MST decomposition and the relaxation path are exercised.
+/// MST decomposition and the relaxation path are exercised.
 inline netlist::Netlist congested_netlist(std::size_t cols, std::size_t rows,
                                           std::size_t wires) {
   netlist::Netlist net;

@@ -102,9 +102,11 @@ TEST(Flight, ConcurrentWritersProduceAValidDocument) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([t] {
+      std::string label = "t";
+      label += std::to_string(t);
       for (int i = 0; i < kEvents; ++i) {
         flight_record_span("concurrent/span", (i & 1) == 0);
-        flight_record_log(("t" + std::to_string(t)).c_str());
+        flight_record_log(label.c_str());
       }
     });
   }

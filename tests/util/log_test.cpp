@@ -159,9 +159,10 @@ TEST(Log, ConcurrentWritersNeverInterleaveCharacters) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([t] {
+      std::string tag = "t";
+      tag += std::to_string(t);
       for (int i = 0; i < kLines; ++i)
-        LogLine(LogLevel::kInfo, "t" + std::to_string(t))
-            << "line " << i << " end";
+        LogLine(LogLevel::kInfo, tag) << "line " << i << " end";
     });
   }
   for (auto& w : writers) w.join();

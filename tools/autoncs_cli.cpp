@@ -5,7 +5,7 @@
 //   autoncs generate --kind ldpc --variables 324 --checks 162 --out net.ncsnet
 //   autoncs info net.ncsnet
 //   autoncs flow net.ncsnet [--baseline] [--seed N] [--max-size 64]
-//                            [--threads T] [--layout] [--csv out.csv]
+//                            [--threads T] [--layout]
 //                            [--trace trace.json] [--metrics metrics.jsonl]
 //                            [--manifest run.json] [--log-level LEVEL]
 //                            [--checkpoint-dir DIR] [--resume]
@@ -33,9 +33,13 @@
 // build type, stage wall times, final cost) lands next to either artifact
 // (or at an explicit --manifest path). The flow result is bit-identical
 // with telemetry on or off.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <new>
 #include <string>
@@ -68,6 +72,8 @@ namespace {
 using namespace autoncs;
 
 /// Tiny flag parser: --name value pairs plus positional arguments.
+/// Numeric getters reject a value that is not one whole finite number with
+/// an InputError naming the flag (exit 2).
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -76,16 +82,14 @@ struct Args {
     Args args;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        const std::string name = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          args.flags[name] = argv[++i];
-        } else {
-          args.flags[name] = "1";
-        }
-      } else {
+      if (arg.rfind("--", 0) != 0) {
         args.positional.push_back(arg);
+        continue;
       }
+      std::string value(1, '1');  // a bare switch
+      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
+        value.assign(argv[++i]);
+      args.flags[arg.substr(2)] = std::move(value);
     }
     return args;
   }
@@ -94,15 +98,49 @@ struct Args {
     const auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
-  long get_long(const std::string& name, long fallback) const {
+  /// A non-negative integer (counts, sizes, seeds).
+  std::size_t get_size(const std::string& name, std::size_t fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    // strtoull would accept (and negate) a sign or skip leading spaces.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE)
+      reject(name, "a non-negative integer");
+    return static_cast<std::size_t>(value);
   }
   double get_double(const std::string& name, double fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value))
+      reject(name, "a finite number");
+    return value;
   }
   bool has(const std::string& name) const { return flags.contains(name); }
+
+  /// Throws InputError for the first flag not in `known`.
+  void require_known(std::initializer_list<const char*> known) const {
+    for (const auto& [name, value] : flags) {
+      bool found = false;
+      for (const char* k : known) found = found || name == k;
+      if (!found)
+        throw util::InputError("input.usage", "cli",
+                               "unknown flag --" + name);
+    }
+  }
+
+ private:
+  [[noreturn]] void reject(const std::string& name, const char* what) const {
+    throw util::InputError("input.usage", "cli",
+                           "--" + name + " expects " + what + ", got '" +
+                               flags.at(name) + "'");
+  }
 };
 
 int usage() {
@@ -161,30 +199,25 @@ int cmd_generate(const Args& args) {
     std::fprintf(stderr, "generate: --out FILE is required\n");
     return 2;
   }
-  util::Rng rng(static_cast<std::uint64_t>(args.get_long("seed", 2015)));
+  util::Rng rng(args.get_size("seed", 2015));
   nn::ConnectionMatrix network;
   if (kind == "testbench") {
-    const auto id = static_cast<int>(args.get_long("id", 1));
+    const auto id = static_cast<int>(args.get_size("id", 1));
     network = nn::build_testbench(id).topology;
   } else if (kind == "random") {
-    network = nn::random_sparse(
-        static_cast<std::size_t>(args.get_long("n", 200)),
-        args.get_double("density", 0.08), rng);
+    network = nn::random_sparse(args.get_size("n", 200),
+                                args.get_double("density", 0.08), rng);
   } else if (kind == "block") {
     nn::BlockSparseOptions options;
-    options.blocks = static_cast<std::size_t>(args.get_long("blocks", 8));
+    options.blocks = args.get_size("blocks", 8);
     options.intra_density = args.get_double("intra", 0.4);
     options.inter_density = args.get_double("inter", 0.005);
-    network = nn::block_sparse(
-        static_cast<std::size_t>(args.get_long("n", 200)), options, rng);
+    network = nn::block_sparse(args.get_size("n", 200), options, rng);
   } else if (kind == "ldpc") {
     nn::LdpcOptions options;
-    options.variable_nodes =
-        static_cast<std::size_t>(args.get_long("variables", 324));
-    options.check_nodes =
-        static_cast<std::size_t>(args.get_long("checks", 162));
-    options.row_weight =
-        static_cast<std::size_t>(args.get_long("row-weight", 7));
+    options.variable_nodes = args.get_size("variables", 324);
+    options.check_nodes = args.get_size("checks", 162);
+    options.row_weight = args.get_size("row-weight", 7);
     network = nn::ldpc_like(options, rng);
   } else {
     std::fprintf(stderr, "generate: unknown kind '%s'\n", kind.c_str());
@@ -265,14 +298,19 @@ int cmd_validate_json(const Args& args) {
 }
 
 int cmd_flow(const Args& args) {
+  args.require_known({"baseline", "seed", "max-size", "threads", "layout",
+                      "trace", "metrics", "manifest", "flight", "log-level",
+                      "log-timestamps", "log-stage", "checkpoint-dir",
+                      "resume", "fault", "budget-clustering-ms",
+                      "budget-placement-ms", "budget-routing-ms"});
   if (args.positional.empty()) return usage();
   const auto network = nn::load_network_checked(args.positional[0]);
   FlowConfig config;
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2015));
+  config.seed = args.get_size("seed", 2015);
   // 0 = the CPUs the process may run on; the flow result is identical for
   // any value.
-  config.threads = static_cast<std::size_t>(args.get_long("threads", 0));
-  const auto max_size = static_cast<std::size_t>(args.get_long("max-size", 64));
+  config.threads = args.get_size("threads", 0);
+  const auto max_size = args.get_size("max-size", 64);
   std::vector<std::size_t> sizes;
   for (std::size_t s = 16; s <= max_size; s += 4) sizes.push_back(s);
   if (!sizes.empty()) config.isc.crossbar_sizes = sizes;
@@ -285,11 +323,9 @@ int cmd_flow(const Args& args) {
   if (args.has("log-stage")) util::set_log_stage_context(true);
   config.checkpoint.dir = args.get("checkpoint-dir", "");
   config.checkpoint.resume = args.has("resume");
-  config.stage_budget.clustering_ms =
-      args.get_double("budget-clustering-ms", 0.0);
-  config.stage_budget.placement_ms =
-      args.get_double("budget-placement-ms", 0.0);
-  config.stage_budget.routing_ms = args.get_double("budget-routing-ms", 0.0);
+  config.isc.wall_budget_ms = args.get_double("budget-clustering-ms", 0.0);
+  config.placer.wall_budget_ms = args.get_double("budget-placement-ms", 0.0);
+  config.router.wall_budget_ms = args.get_double("budget-routing-ms", 0.0);
 
   // The CLI owns the telemetry session so a --baseline comparison lands
   // both flows in ONE trace/metrics artifact set (the nested per-flow
@@ -351,14 +387,11 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve: --socket PATH is required\n");
     return 2;
   }
-  options.workers = static_cast<std::size_t>(args.get_long("workers", 2));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.get_long("queue", 8));
+  options.workers = args.get_size("workers", 2);
+  options.queue_capacity = args.get_size("queue", 8);
   options.supervisor.default_deadline_ms = args.get_double("deadline-ms", 0.0);
-  options.supervisor.max_attempts =
-      static_cast<std::size_t>(args.get_long("max-attempts", 3));
-  options.supervisor.flow_threads =
-      static_cast<std::size_t>(args.get_long("threads", 1));
+  options.supervisor.max_attempts = args.get_size("max-attempts", 3);
+  options.supervisor.flow_threads = args.get_size("threads", 1);
   // Warm-started retries need checkpoints, so the work dir defaults on
   // (next to the socket); artifacts stay opt-in.
   options.supervisor.work_dir =
@@ -395,19 +428,14 @@ int cmd_submit(const Args& args) {
     }
     if (args.has("id")) w.field("id", args.get("id", ""));
     w.field("network", args.positional[0]);
-    if (args.has("seed"))
-      w.field("seed", static_cast<std::size_t>(args.get_long("seed", 2015)));
+    if (args.has("seed")) w.field("seed", args.get_size("seed", 2015));
     if (args.has("max-size"))
-      w.field("max_size",
-              static_cast<std::size_t>(args.get_long("max-size", 64)));
-    if (args.has("threads"))
-      w.field("threads",
-              static_cast<std::size_t>(args.get_long("threads", 1)));
+      w.field("max_size", args.get_size("max-size", 64));
+    if (args.has("threads")) w.field("threads", args.get_size("threads", 1));
     if (args.has("deadline-ms"))
       w.field("deadline_ms", args.get_double("deadline-ms", 0.0));
     if (args.has("max-attempts"))
-      w.field("max_attempts",
-              static_cast<std::size_t>(args.get_long("max-attempts", 3)));
+      w.field("max_attempts", args.get_size("max-attempts", 3));
     if (args.has("fault")) w.field("fault", args.get("fault", ""));
   }
   w.end_object();
