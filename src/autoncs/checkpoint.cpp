@@ -1,10 +1,8 @@
 #include "autoncs/checkpoint.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -111,44 +109,12 @@ bool write_checkpoint(const std::string& dir, const std::string& path,
 
 // ---- reading ----
 
-bool get_size(const util::JsonValue& obj, const char* key, std::size_t& out) {
-  const util::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number() || v->number_value < 0.0 ||
-      v->number_value != std::floor(v->number_value))
-    return false;
-  out = static_cast<std::size_t>(v->number_value);
-  return true;
-}
-
-bool get_double(const util::JsonValue& obj, const char* key, double& out) {
-  const util::JsonValue* v = obj.find(key);
-  // null encodes a non-finite double (json_number writes NaN/Inf as null).
-  if (v != nullptr && v->kind == util::JsonValue::Kind::kNull) {
-    out = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
-  if (v == nullptr || !v->is_number()) return false;
-  out = v->number_value;
-  return true;
-}
-
-bool get_bool(const util::JsonValue& obj, const char* key, bool& out) {
-  const util::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_bool()) return false;
-  out = v->bool_value;
-  return true;
-}
-
 bool read_indices(const util::JsonValue* v, std::vector<std::size_t>& out) {
   if (v == nullptr || !v->is_array()) return false;
   out.clear();
   out.reserve(v->items.size());
-  for (const util::JsonValue& item : v->items) {
-    if (!item.is_number() || item.number_value < 0.0 ||
-        item.number_value != std::floor(item.number_value))
-      return false;
-    out.push_back(static_cast<std::size_t>(item.number_value));
-  }
+  for (const util::JsonValue& item : v->items)
+    if (!util::json_read(&item, out.emplace_back())) return false;
   return true;
 }
 
@@ -171,7 +137,8 @@ bool read_connections(const util::JsonValue* v,
 
 bool read_mapping(const util::JsonValue* v, mapping::HybridMapping& out) {
   if (v == nullptr || !v->is_object()) return false;
-  if (!get_size(*v, "neuron_count", out.neuron_count)) return false;
+  if (!util::json_read(v->find("neuron_count"), out.neuron_count))
+    return false;
   const util::JsonValue* crossbars = v->find("crossbars");
   if (crossbars == nullptr || !crossbars->is_array()) return false;
   out.crossbars.clear();
@@ -179,8 +146,8 @@ bool read_mapping(const util::JsonValue* v, mapping::HybridMapping& out) {
   for (const util::JsonValue& item : crossbars->items) {
     if (!item.is_object()) return false;
     clustering::CrossbarInstance xbar;
-    if (!get_size(item, "size", xbar.size) ||
-        !get_size(item, "iteration", xbar.iteration) ||
+    if (!util::json_read(item.find("size"), xbar.size) ||
+        !util::json_read(item.find("iteration"), xbar.iteration) ||
         !read_indices(item.find("rows"), xbar.rows) ||
         !read_indices(item.find("cols"), xbar.cols) ||
         !read_connections(item.find("connections"), xbar.connections))
@@ -227,7 +194,7 @@ bool load_document(const std::string& path, const FlowConfig& config,
     return false;
   }
   std::size_t seed = 0;
-  if (!get_size(doc, "seed", seed) ||
+  if (!util::json_read(doc.find("seed"), seed) ||
       static_cast<std::uint64_t>(seed) != config.seed) {
     warn(path, "checkpoint was written under a different seed", recovery);
     return false;
@@ -288,33 +255,8 @@ bool save_placement(const std::string& dir, const FlowConfig& config,
   w.key("y").begin_array();
   for (const netlist::Cell& cell : netlist.cells) w.value(cell.y);
   w.end_array();
-  w.key("report").begin_object();
-  w.field("outer_iterations", report.outer_iterations)
-      .field("lambda_final", report.lambda_final)
-      .field("overlap_ratio_before_legalization",
-             report.overlap_ratio_before_legalization)
-      .field("legalization_passes", report.legalization.passes)
-      .field("legalization_final_overlap",
-             report.legalization.final_overlap_ratio)
-      .field("legalization_converged", report.legalization.converged)
-      .field("hpwl_um", report.hpwl_um)
-      .field("area_um2", report.area_um2)
-      .field("die_min_x", report.die.min_x)
-      .field("die_min_y", report.die.min_y)
-      .field("die_max_x", report.die.max_x)
-      .field("die_max_y", report.die.max_y)
-      .field("cg_value_evals_total", report.cg_value_evals_total)
-      .field("cg_gradient_evals_total", report.cg_gradient_evals_total)
-      .field("density_grid_builds_total", report.density_grid_builds_total)
-      .field("density_grid_reallocations", report.density_grid_reallocations)
-      .field("density_pair_candidates_total",
-             report.density_pair_candidates_total)
-      .field("density_pairs_kept_total", report.density_pairs_kept_total)
-      .field("legalization_pairs_checked", report.legalization.pairs_checked)
-      .field("legalization_separations", report.legalization.separations)
-      .field("budget_exhausted", report.budget_exhausted)
-      .field("degraded", report.degraded);
-  w.end_object();
+  w.key("report");
+  util::write_json(w, report);
   w.end_object();
   return write_checkpoint(dir, placement_path(dir), w.str());
 }
@@ -351,40 +293,7 @@ std::optional<PlacementState> load_placement(const std::string& dir,
     return std::nullopt;
   }
   const util::JsonValue* report = doc.find("report");
-  place::PlacementReport& r = state.report;
-  if (report == nullptr || !report->is_object() ||
-      !get_size(*report, "outer_iterations", r.outer_iterations) ||
-      !get_double(*report, "lambda_final", r.lambda_final) ||
-      !get_double(*report, "overlap_ratio_before_legalization",
-                  r.overlap_ratio_before_legalization) ||
-      !get_size(*report, "legalization_passes", r.legalization.passes) ||
-      !get_double(*report, "legalization_final_overlap",
-                  r.legalization.final_overlap_ratio) ||
-      !get_bool(*report, "legalization_converged",
-                r.legalization.converged) ||
-      !get_double(*report, "hpwl_um", r.hpwl_um) ||
-      !get_double(*report, "area_um2", r.area_um2) ||
-      !get_double(*report, "die_min_x", r.die.min_x) ||
-      !get_double(*report, "die_min_y", r.die.min_y) ||
-      !get_double(*report, "die_max_x", r.die.max_x) ||
-      !get_double(*report, "die_max_y", r.die.max_y) ||
-      !get_size(*report, "cg_value_evals_total", r.cg_value_evals_total) ||
-      !get_size(*report, "cg_gradient_evals_total",
-                r.cg_gradient_evals_total) ||
-      !get_size(*report, "density_grid_builds_total",
-                r.density_grid_builds_total) ||
-      !get_size(*report, "density_grid_reallocations",
-                r.density_grid_reallocations) ||
-      !get_size(*report, "density_pair_candidates_total",
-                r.density_pair_candidates_total) ||
-      !get_size(*report, "density_pairs_kept_total",
-                r.density_pairs_kept_total) ||
-      !get_size(*report, "legalization_pairs_checked",
-                r.legalization.pairs_checked) ||
-      !get_size(*report, "legalization_separations",
-                r.legalization.separations) ||
-      !get_bool(*report, "budget_exhausted", r.budget_exhausted) ||
-      !get_bool(*report, "degraded", r.degraded)) {
+  if (report == nullptr || !util::read_fields(*report, state.report)) {
     warn(path, "malformed placement report payload", recovery);
     return std::nullopt;
   }

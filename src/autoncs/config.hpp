@@ -2,13 +2,25 @@
 // paper's experimental defaults (crossbar sizes 16..64 step 4, alpha = beta
 // = delta = 1, ISC threshold tied to the FullCro baseline utilization).
 //
-// Each setting has exactly one field. Every field that can change a result
-// is written to the run manifest's `config` object, which
-// checkpoint::config_hash hashes (docs/observability.md). Solver constants
-// that no caller sets (WA gamma, density beta, the lambda schedule, the
-// Armijo line search, the routing ladder) are named constants in the one
-// .cpp that reads them, not options. Stage wall-clock budgets live on the
-// stages: isc / placer / router.wall_budget_ms (docs/robustness.md).
+// Each setting has exactly one field. visit_fields(FlowConfig) below is the
+// config view, every field that can change a result: it is the run
+// manifest's `config` object, which checkpoint::config_hash hashes
+// (docs/observability.md). Solver constants that no caller sets (WA gamma,
+// density beta, the lambda schedule, the Armijo line search, the routing
+// ladder) are named constants in the one .cpp that reads them, not options.
+// Stage wall-clock budgets live on the stages: isc / placer /
+// router.wall_budget_ms (docs/robustness.md).
+//
+// Members the visitors bind but do not visit (util/fields.hpp), and why:
+//   - seed, threads: written at the manifest's top level; checkpoints
+//     stamp the seed in their header.
+//   - telemetry, checkpoint, cancel: none can change a completed run.
+//   - the stages' recovery pointers: event sinks the pipeline and place()
+//     set; they record, not steer.
+//   - placer.seed, placer.legalizer.omega / die_half: the pipeline and
+//     place() overwrite them (from FlowConfig::seed, placer.omega, the die).
+//   - PlacementReport::outer: the per-iteration trajectory, carried by the
+//     metrics series; checkpoints do not keep it.
 #pragma once
 
 #include <atomic>
@@ -22,6 +34,7 @@
 #include "route/router.hpp"
 #include "tech/cost.hpp"
 #include "tech/tech_model.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs {
 
@@ -72,5 +85,21 @@ struct FlowConfig {
   /// config hash and checkpoints stay compatible across attempts.
   const std::atomic<bool>* cancel = nullptr;
 };
+
+/// The config view: the manifest `config` object and the config hash.
+template <util::RecordOf<FlowConfig> Config, class F>
+void visit_fields(Config& config, F&& f) {
+  auto& [isc, derive_threshold_from_baseline, baseline_crossbar_size, placer,
+         refine_placement, router, tech, cost_weights, seed, threads,
+         telemetry, checkpoint, cancel] = config;
+  f("isc", isc);
+  f("derive_threshold_from_baseline", derive_threshold_from_baseline);
+  f("baseline_crossbar_size", baseline_crossbar_size);
+  f("placer", placer);
+  f("refine_placement", refine_placement);
+  f("router", router);
+  f("tech", tech);
+  f("cost_weights", cost_weights);
+}
 
 }  // namespace autoncs

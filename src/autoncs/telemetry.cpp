@@ -31,100 +31,6 @@ namespace {
 /// sufficient.
 Session* g_active = nullptr;
 
-const char* preference_name(clustering::PreferenceKind kind) {
-  switch (kind) {
-    case clustering::PreferenceKind::kPaper:
-      return "paper";
-    case clustering::PreferenceKind::kUtilization:
-      return "utilization";
-    case clustering::PreferenceKind::kConnectionsPerRow:
-      return "connections_per_row";
-  }
-  return "unknown";
-}
-
-const char* solver_name(clustering::EmbeddingSolver solver) {
-  switch (solver) {
-    case clustering::EmbeddingSolver::kAuto:
-      return "auto";
-    case clustering::EmbeddingSolver::kDense:
-      return "dense";
-    case clustering::EmbeddingSolver::kLanczos:
-      return "lanczos";
-  }
-  return "unknown";
-}
-
-void write_config_object(util::JsonWriter& w, const FlowConfig& config) {
-  w.begin_object();
-
-  w.key("isc").begin_object();
-  w.key("crossbar_sizes").begin_array();
-  for (std::size_t s : config.isc.crossbar_sizes) w.value(s);
-  w.end_array();
-  w.field("utilization_threshold", config.isc.utilization_threshold)
-      .field("selection_fraction", config.isc.selection_fraction)
-      .field("max_iterations", config.isc.max_iterations)
-      .field("preference", preference_name(config.isc.preference))
-      .field("pack_clusters", config.isc.pack_clusters)
-      .field("pack_limit", config.isc.pack_limit)
-      .field("size_by_demand", config.isc.size_by_demand)
-      .field("embedding_solver", solver_name(config.isc.embedding_solver))
-      .field("threads", config.isc.threads)
-      .field("wall_budget_ms", config.isc.wall_budget_ms);
-  w.end_object();
-  w.field("derive_threshold_from_baseline",
-          config.derive_threshold_from_baseline)
-      .field("baseline_crossbar_size", config.baseline_crossbar_size);
-
-  w.key("placer").begin_object();
-  w.field("omega", config.placer.omega)
-      .field("target_density", config.placer.target_density)
-      .field("max_outer_iterations", config.placer.max_outer_iterations)
-      .field("cg_max_iterations", config.placer.cg.max_iterations)
-      .field("cg_gradient_tolerance", config.placer.cg.gradient_tolerance)
-      .field("legalizer_margin", config.placer.legalizer.margin)
-      .field("legalizer_max_passes", config.placer.legalizer.max_passes)
-      .field("legalizer_overlap_tolerance",
-             config.placer.legalizer.overlap_tolerance)
-      .field("threads", config.placer.threads)
-      .field("wall_budget_ms", config.placer.wall_budget_ms);
-  w.end_object();
-  w.field("refine_placement", config.refine_placement);
-
-  w.key("router").begin_object();
-  w.field("theta", config.router.theta)
-      .field("capacity_per_um", config.router.capacity_per_um)
-      .field("max_relax_steps", config.router.max_relax_steps)
-      .field("margin_bins", config.router.margin_bins)
-      .field("strict_capacity", config.router.strict_capacity)
-      .field("reroute_passes", config.router.reroute_passes)
-      .field("threads", config.router.threads)
-      .field("wall_budget_ms", config.router.wall_budget_ms);
-  w.end_object();
-
-  w.key("tech").begin_object();
-  w.field("memristor_pitch_um", config.tech.memristor_pitch_um)
-      .field("crossbar_periphery_um", config.tech.crossbar_periphery_um)
-      .field("synapse_side_um", config.tech.synapse_side_um)
-      .field("neuron_side_um", config.tech.neuron_side_um)
-      .field("wire_resistance_ohm_per_um",
-             config.tech.wire_resistance_ohm_per_um)
-      .field("wire_capacitance_ff_per_um",
-             config.tech.wire_capacitance_ff_per_um)
-      .field("crossbar_delay_at_64_ns", config.tech.crossbar_delay_at_64_ns)
-      .field("synapse_delay_ns", config.tech.synapse_delay_ns);
-  w.end_object();
-
-  w.key("cost_weights").begin_object();
-  w.field("alpha", config.cost_weights.alpha)
-      .field("beta", config.cost_weights.beta)
-      .field("delta", config.cost_weights.delta);
-  w.end_object();
-
-  w.end_object();  // config
-}
-
 void write_result(util::JsonWriter& w, const FlowConfig& config,
                   const FlowResult& result) {
   w.key("timings_ms").begin_object();
@@ -151,32 +57,8 @@ void write_result(util::JsonWriter& w, const FlowConfig& config,
         .field("budget_exhausted", result.isc->budget_exhausted);
     w.end_object();
   }
-  w.key("placement").begin_object();
-  w.field("outer_iterations", result.placement.outer_iterations)
-      .field("lambda_final", result.placement.lambda_final)
-      .field("overlap_before_legalization",
-             result.placement.overlap_ratio_before_legalization)
-      .field("legalization_passes", result.placement.legalization.passes)
-      .field("legalization_converged", result.placement.legalization.converged)
-      .field("final_overlap",
-             result.placement.legalization.final_overlap_ratio)
-      .field("hpwl_um", result.placement.hpwl_um)
-      .field("area_um2", result.placement.area_um2)
-      .field("cg_value_evals", result.placement.cg_value_evals_total)
-      .field("cg_gradient_evals", result.placement.cg_gradient_evals_total)
-      .field("density_grid_builds", result.placement.density_grid_builds_total)
-      .field("density_grid_reallocations",
-             result.placement.density_grid_reallocations)
-      .field("density_pair_candidates",
-             result.placement.density_pair_candidates_total)
-      .field("density_pairs_kept", result.placement.density_pairs_kept_total)
-      .field("legalization_pairs_checked",
-             result.placement.legalization.pairs_checked)
-      .field("legalization_separations",
-             result.placement.legalization.separations)
-      .field("budget_exhausted", result.placement.budget_exhausted)
-      .field("degraded", result.placement.degraded);
-  w.end_object();
+  w.key("placement");
+  util::write_json(w, result.placement);
   w.key("routing").begin_object();
   w.field("wirelength_um", result.routing.total_wirelength_um)
       .field("average_delay_ns", result.routing.average_delay_ns)
@@ -235,6 +117,14 @@ std::string derived_manifest_path(const TelemetryOptions& options) {
   if (!options.manifest_path.empty()) return options.manifest_path;
   const std::string stem = artifact_stem(options);
   return stem.empty() ? std::string() : stem + ".manifest.json";
+}
+
+/// <stem>.<flow>.manifest.json: the manifest of a flow after the first.
+std::string later_flow_manifest_path(const TelemetryOptions& options,
+                                     const std::string& flow_name) {
+  const std::string stem = artifact_stem(options);
+  return stem.empty() ? std::string()
+                      : stem + "." + flow_name + ".manifest.json";
 }
 
 /// <stem>.flight.json; written only when the flow dies.
@@ -386,7 +276,7 @@ void remove_signal_handlers() {}
 
 std::string flow_config_json(const FlowConfig& config) {
   util::JsonWriter w;
-  write_config_object(w, config);
+  util::write_json(w, config);
   return w.str();
 }
 
@@ -395,7 +285,7 @@ std::string run_manifest_json(const FlowConfig& config,
                               const std::string& flow_name) {
   util::JsonWriter w;
   w.begin_object();
-  w.field("schema", "autoncs-run-manifest/3")
+  w.field("schema", "autoncs-run-manifest/4")
       .field("flow", flow_name)
       .field("build_type", AUTONCS_BUILD_TYPE)
       .field("seed", config.seed)
@@ -419,7 +309,7 @@ std::string run_manifest_json(const FlowConfig& config,
   }
   w.end_array();
   w.key("config");
-  write_config_object(w, config);
+  util::write_json(w, config);
   write_result(w, config, result);
   write_pool_section(w);
   write_memory_section(w);
@@ -431,7 +321,7 @@ std::string run_error_manifest_json(const util::FlowError& error,
                                     const std::string& flight_path) {
   util::JsonWriter w;
   w.begin_object();
-  w.field("schema", "autoncs-run-manifest/3")
+  w.field("schema", "autoncs-run-manifest/4")
       .field("build_type", AUTONCS_BUILD_TYPE)
       .field("status", "error")
       .field("error_category", util::error_category_name(error.category()))
@@ -564,11 +454,10 @@ Session::~Session() {
   util::stop_flight_recorder();
   util::stop_mem_accounting();
   util::stop_pool_stats();
-  const std::string manifest_path = derived_manifest_path(options_);
-  if (!manifest_path.empty() && !manifest_json_.empty()) {
-    if (!util::write_text_file(manifest_path, manifest_json_)) {
+  for (const auto& [path, json] : manifests_) {
+    if (!path.empty() && !util::write_text_file(path, json)) {
       util::LogLine(util::LogLevel::kError, "telemetry")
-          << "failed to write manifest to " << manifest_path;
+          << "failed to write manifest to " << path;
     }
   }
 }
@@ -579,18 +468,23 @@ void Session::record_manifest(const FlowConfig& config,
   if (g_active == nullptr) return;
   if (!g_active->options_.metrics_path.empty())
     g_active->metrics_jsonl_ += metrics_jsonl(result, flow_name);
-  if (g_active->manifest_json_.empty())
-    g_active->manifest_json_ = run_manifest_json(config, result, flow_name);
+  const TelemetryOptions& options = g_active->options_;
+  g_active->manifests_.emplace_back(
+      g_active->manifests_.empty()
+          ? derived_manifest_path(options)
+          : later_flow_manifest_path(options, flow_name),
+      run_manifest_json(config, result, flow_name));
 }
 
 void Session::record_error(const util::FlowError& error) {
   if (g_active == nullptr) return;
   // The flight artifact is written for any recorded error, even when an
-  // earlier flow already claimed the manifest slot.
+  // earlier flow already claimed the manifest path.
   g_active->error_recorded_ = true;
-  if (!g_active->manifest_json_.empty()) return;
-  g_active->manifest_json_ = run_error_manifest_json(
-      error, derived_flight_path(g_active->options_));
+  if (!g_active->manifests_.empty()) return;
+  g_active->manifests_.emplace_back(
+      derived_manifest_path(g_active->options_),
+      run_error_manifest_json(error, derived_flight_path(g_active->options_)));
 }
 
 Session* Session::active() { return g_active; }

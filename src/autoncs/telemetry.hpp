@@ -11,14 +11,17 @@
 // Ownership model: the OUTERMOST Session owns the collection — nested
 // Sessions (the pipeline constructs one per flow run, the CLI wraps both
 // flows of a --baseline comparison in its own) are inert, so artifacts are
-// written exactly once, by whoever enabled telemetry first. The manifest
-// records the FIRST flow completed under the owning session (the AutoNCS
-// run of a comparison); stage timings of later runs still land in the
-// trace, and every completed flow's series land in the metrics file under
-// its flow name.
+// written exactly once, by whoever enabled telemetry first. Every flow
+// completed under the owning session leaves a manifest: the first one (the
+// AutoNCS run of a comparison) at <manifest_path>, each later one at
+// <stem>.<flow>.manifest.json (e.g. trace.fullcro.manifest.json). All
+// flows' stage timings land in the one trace, and their series in the one
+// metrics file under each flow's name.
 #pragma once
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -52,11 +55,11 @@ struct TelemetryOptions {
 
 namespace telemetry {
 
-/// Canonical JSON of the full FlowConfig — the "config" object of the run
-/// manifest. Also serves as the checkpoint compatibility stamp: the
-/// checkpoint layer hashes this string, so any option that can change the
-/// flow's results invalidates stale checkpoints. Telemetry and checkpoint
-/// paths are deliberately excluded (they never affect results).
+/// Canonical JSON of the FlowConfig's config view (visit_fields in
+/// autoncs/config.hpp) — the "config" object of the run manifest. Also
+/// serves as the checkpoint compatibility stamp: the checkpoint layer
+/// hashes this string, so any option that can change the flow's results
+/// invalidates stale checkpoints.
 std::string flow_config_json(const FlowConfig& config);
 
 /// Renders the run manifest for one completed flow as a JSON document:
@@ -99,15 +102,16 @@ class Session {
 
   /// Records a completed flow into the active session: appends its
   /// metrics series (when the session has a metrics sink) and keeps its
-  /// manifest (first call wins). A no-op when no session is active.
+  /// manifest (the first at the manifest path, later ones per flow, see
+  /// above). A no-op when no session is active.
   static void record_manifest(const FlowConfig& config,
                               const FlowResult& result,
                               const std::string& flow_name);
 
   /// Records an ERROR manifest for a flow that died with a typed error:
   /// schema, error category/code/stage, exit code and message — so scripts
-  /// can triage a failed run from its artifacts alone. First record wins
-  /// (a flow that completed before a later one failed keeps its manifest).
+  /// can triage a failed run from its artifacts alone. Only written when
+  /// no flow completed before (that flow keeps the manifest path).
   static void record_error(const util::FlowError& error);
 
   /// The currently owning session, or nullptr.
@@ -117,7 +121,8 @@ class Session {
   TelemetryOptions options_;
   bool owner_ = false;
   bool error_recorded_ = false;
-  std::string manifest_json_;
+  /// (path, manifest JSON) per recorded flow, in record order.
+  std::vector<std::pair<std::string, std::string>> manifests_;
   std::string metrics_jsonl_;
 };
 

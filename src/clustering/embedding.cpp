@@ -143,4 +143,13 @@ linalg::Matrix embedding_points(const linalg::EigenDecomposition& embedding,
   return points;
 }
 
+const char* enum_name(EmbeddingSolver solver) {
+  switch (solver) {
+    case EmbeddingSolver::kAuto: return "auto";
+    case EmbeddingSolver::kDense: return "dense";
+    case EmbeddingSolver::kLanczos: return "lanczos";
+  }
+  return "unknown";
+}
+
 }  // namespace autoncs::clustering

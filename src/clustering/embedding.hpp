@@ -37,6 +37,9 @@ enum class EmbeddingSolver {
   kLanczos,
 };
 
+/// "auto", "dense" or "lanczos" (the manifest text).
+const char* enum_name(EmbeddingSolver solver);
+
 struct EmbeddingOptions {
   /// Number of eigenvectors the caller will consume; 0 means all n. The
   /// dense solver always returns all n columns regardless (they are free

@@ -17,6 +17,7 @@
 #include "clustering/gcp.hpp"
 #include "clustering/preference.hpp"
 #include "nn/connection_matrix.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace autoncs::clustering {
@@ -89,6 +90,26 @@ struct IscOptions {
   /// Null runs the identical ladder silently.
   util::RecoveryLog* recovery = nullptr;
 };
+
+/// The manifest `config.isc` fields (util/fields.hpp).
+template <util::RecordOf<IscOptions> Options, class F>
+void visit_fields(Options& options, F&& f) {
+  auto& [crossbar_sizes, utilization_threshold, selection_fraction,
+         max_iterations, preference, pack_clusters, pack_limit,
+         size_by_demand, threads, embedding_solver, wall_budget_ms,
+         recovery] = options;
+  f("crossbar_sizes", crossbar_sizes);
+  f("utilization_threshold", utilization_threshold);
+  f("selection_fraction", selection_fraction);
+  f("max_iterations", max_iterations);
+  f("preference", preference);
+  f("pack_clusters", pack_clusters);
+  f("pack_limit", pack_limit);
+  f("size_by_demand", size_by_demand);
+  f("embedding_solver", embedding_solver);
+  f("threads", threads);
+  f("wall_budget_ms", wall_budget_ms);
+}
 
 /// Wall-clock breakdown of the clustering front end, accumulated over all
 /// ISC iterations.

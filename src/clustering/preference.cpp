@@ -24,4 +24,13 @@ double crossbar_preference(std::size_t m, std::size_t s, PreferenceKind kind) {
   return 0.0;
 }
 
+const char* enum_name(PreferenceKind kind) {
+  switch (kind) {
+    case PreferenceKind::kPaper: return "paper";
+    case PreferenceKind::kUtilization: return "utilization";
+    case PreferenceKind::kConnectionsPerRow: return "connections_per_row";
+  }
+  return "unknown";
+}
+
 }  // namespace autoncs::clustering

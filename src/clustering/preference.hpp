@@ -23,6 +23,9 @@ enum class PreferenceKind {
   kConnectionsPerRow,
 };
 
+/// "paper", "utilization" or "connections_per_row" (the manifest text).
+const char* enum_name(PreferenceKind kind);
+
 /// Crossbar preference of realizing m connections on an s x s crossbar.
 /// Requires s > 0; m may exceed s^2 only by caller error (checked).
 double crossbar_preference(std::size_t m, std::size_t s,

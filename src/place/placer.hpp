@@ -14,6 +14,7 @@
 #include "place/density.hpp"
 #include "place/legalizer.hpp"
 #include "place/wa_wirelength.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs::place {
 
@@ -45,6 +46,27 @@ struct PlacerOptions {
   /// non-finite state reverts). Null runs the identical guards silently.
   util::RecoveryLog* recovery = nullptr;
 };
+
+/// The manifest `config.placer` fields, with the CG and legalizer options
+/// flattened under cg_ / legalizer_ names (util/fields.hpp).
+template <util::RecordOf<PlacerOptions> Options, class F>
+void visit_fields(Options& options, F&& f) {
+  auto& [omega, target_density, max_outer_iterations, cg, legalizer, seed,
+         threads, wall_budget_ms, recovery] = options;
+  auto& [cg_max_iterations, cg_gradient_tolerance, cg_recovery] = cg;
+  auto& [legalizer_omega, legalizer_margin, legalizer_max_passes,
+         legalizer_overlap_tolerance, legalizer_die_half] = legalizer;
+  f("omega", omega);
+  f("target_density", target_density);
+  f("max_outer_iterations", max_outer_iterations);
+  f("cg_max_iterations", cg_max_iterations);
+  f("cg_gradient_tolerance", cg_gradient_tolerance);
+  f("legalizer_margin", legalizer_margin);
+  f("legalizer_max_passes", legalizer_max_passes);
+  f("legalizer_overlap_tolerance", legalizer_overlap_tolerance);
+  f("threads", threads);
+  f("wall_budget_ms", wall_budget_ms);
+}
 
 struct BoundingBox {
   double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;
@@ -108,6 +130,43 @@ struct PlacementReport {
   /// placement is still valid and legalized — just not the clean-path one.
   bool degraded = false;
 };
+
+/// The report fields a placement checkpoint and the manifest's
+/// `result.placement` carry, with the legalizer report and the die box
+/// flattened under legalization_ / die_ names (util/fields.hpp).
+template <util::RecordOf<PlacementReport> Report, class F>
+void visit_fields(Report& report, F&& f) {
+  auto& [outer_iterations, lambda_final, overlap_ratio_before_legalization,
+         outer, legalization, hpwl_um, area_um2, die, cg_value_evals_total,
+         cg_gradient_evals_total, density_grid_builds_total,
+         density_grid_reallocations, density_pair_candidates_total,
+         density_pairs_kept_total, budget_exhausted, degraded] = report;
+  auto& [passes, final_overlap_ratio, converged, pairs_checked,
+         separations] = legalization;
+  auto& [min_x, min_y, max_x, max_y] = die;
+  f("outer_iterations", outer_iterations);
+  f("lambda_final", lambda_final);
+  f("overlap_ratio_before_legalization", overlap_ratio_before_legalization);
+  f("legalization_passes", passes);
+  f("legalization_final_overlap", final_overlap_ratio);
+  f("legalization_converged", converged);
+  f("hpwl_um", hpwl_um);
+  f("area_um2", area_um2);
+  f("die_min_x", min_x);
+  f("die_min_y", min_y);
+  f("die_max_x", max_x);
+  f("die_max_y", max_y);
+  f("cg_value_evals_total", cg_value_evals_total);
+  f("cg_gradient_evals_total", cg_gradient_evals_total);
+  f("density_grid_builds_total", density_grid_builds_total);
+  f("density_grid_reallocations", density_grid_reallocations);
+  f("density_pair_candidates_total", density_pair_candidates_total);
+  f("density_pairs_kept_total", density_pairs_kept_total);
+  f("legalization_pairs_checked", pairs_checked);
+  f("legalization_separations", separations);
+  f("budget_exhausted", budget_exhausted);
+  f("degraded", degraded);
+}
 
 /// Places `netlist` in-place (cell x/y updated) and reports the outcome.
 PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options = {});

@@ -49,6 +49,7 @@
 #include "route/maze_router.hpp"
 #include "tech/tech_model.hpp"
 #include "util/error.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs::route {
 
@@ -84,6 +85,21 @@ struct RouterOptions {
   /// budget exhaustion). Null runs the identical ladder silently.
   util::RecoveryLog* recovery = nullptr;
 };
+
+/// The manifest `config.router` fields (util/fields.hpp).
+template <util::RecordOf<RouterOptions> Options, class F>
+void visit_fields(Options& options, F&& f) {
+  auto& [theta, capacity_per_um, max_relax_steps, margin_bins, reroute_passes,
+         threads, strict_capacity, wall_budget_ms, recovery] = options;
+  f("theta", theta);
+  f("capacity_per_um", capacity_per_um);
+  f("max_relax_steps", max_relax_steps);
+  f("margin_bins", margin_bins);
+  f("strict_capacity", strict_capacity);
+  f("reroute_passes", reroute_passes);
+  f("threads", threads);
+  f("wall_budget_ms", wall_budget_ms);
+}
 
 struct RoutedWire {
   std::size_t wire_index = 0;

@@ -3,6 +3,8 @@
 // The experiments set alpha = beta = delta = 1.
 #pragma once
 
+#include "util/fields.hpp"
+
 namespace autoncs::tech {
 
 struct CostWeights {
@@ -10,6 +12,15 @@ struct CostWeights {
   double beta = 1.0;   // area weight
   double delta = 1.0;  // delay weight
 };
+
+/// The manifest `config.cost_weights` fields (util/fields.hpp).
+template <util::RecordOf<CostWeights> Weights, class F>
+void visit_fields(Weights& weights, F&& f) {
+  auto& [alpha, beta, delta] = weights;
+  f("alpha", alpha);
+  f("beta", beta);
+  f("delta", delta);
+}
 
 struct PhysicalCost {
   double total_wirelength_um = 0.0;  // L

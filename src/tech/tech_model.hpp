@@ -12,6 +12,8 @@
 
 #include <cstddef>
 
+#include "util/fields.hpp"
+
 namespace autoncs::tech {
 
 struct TechnologyModel {
@@ -59,6 +61,23 @@ struct TechnologyModel {
   /// 0.5 * r * c * L^2 (distributed RC line).
   double wire_delay_ns(double length_um) const;
 };
+
+/// The manifest `config.tech` fields (util/fields.hpp).
+template <util::RecordOf<TechnologyModel> Model, class F>
+void visit_fields(Model& tech, F&& f) {
+  auto& [memristor_pitch_um, crossbar_periphery_um, synapse_side_um,
+         neuron_side_um, wire_resistance_ohm_per_um,
+         wire_capacitance_ff_per_um, crossbar_delay_at_64_ns,
+         synapse_delay_ns] = tech;
+  f("memristor_pitch_um", memristor_pitch_um);
+  f("crossbar_periphery_um", crossbar_periphery_um);
+  f("synapse_side_um", synapse_side_um);
+  f("neuron_side_um", neuron_side_um);
+  f("wire_resistance_ohm_per_um", wire_resistance_ohm_per_um);
+  f("wire_capacitance_ff_per_um", wire_capacitance_ff_per_um);
+  f("crossbar_delay_at_64_ns", crossbar_delay_at_64_ns);
+  f("synapse_delay_ns", synapse_delay_ns);
+}
 
 /// A 45 nm default instance.
 const TechnologyModel& default_tech();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 namespace autoncs::util {
 
@@ -486,6 +487,30 @@ bool json_parse(const std::string& text, JsonValue& out,
                 const JsonLimits& limits) {
   out = JsonValue{};
   return DomParser(text, limits).parse(out);
+}
+
+bool json_read(const JsonValue* v, std::size_t& out) {
+  if (v == nullptr || !v->is_number() || v->number_value < 0.0 ||
+      v->number_value != std::floor(v->number_value))
+    return false;
+  out = static_cast<std::size_t>(v->number_value);
+  return true;
+}
+
+bool json_read(const JsonValue* v, double& out) {
+  if (v != nullptr && v->kind == JsonValue::Kind::kNull) {
+    out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  if (v == nullptr || !v->is_number()) return false;
+  out = v->number_value;
+  return true;
+}
+
+bool json_read(const JsonValue* v, bool& out) {
+  if (v == nullptr || !v->is_bool()) return false;
+  out = v->bool_value;
+  return true;
 }
 
 bool write_text_file(const std::string& path, const std::string& content) {

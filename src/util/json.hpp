@@ -7,7 +7,10 @@
 
 #include <cstddef>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/fields.hpp"
 
 namespace autoncs::util {
 
@@ -112,6 +115,51 @@ class JsonValue {
 bool json_parse(const std::string& text, JsonValue& out);
 bool json_parse(const std::string& text, JsonValue& out,
                 const JsonLimits& limits);
+
+/// Typed reads of one value (`v` as JsonValue::find returns it, so nullptr
+/// is a missing member). Each returns false when the value is missing or
+/// of the wrong type: a size must be a non-negative whole number, and a
+/// double also accepts null, which json_number writes for a non-finite
+/// value (read back as NaN).
+bool json_read(const JsonValue* v, std::size_t& out);
+bool json_read(const JsonValue* v, double& out);
+bool json_read(const JsonValue* v, bool& out);
+
+/// Writes `value` as JSON: a record (see util/fields.hpp) as an object with
+/// one key per visited field in visit order, a vector as an array, an enum
+/// as the text of enum_name(value) (found by argument-dependent lookup),
+/// anything else through JsonWriter::value.
+template <class T>
+void write_json(JsonWriter& w, const T& value) {
+  if constexpr (Visitable<const T>) {
+    w.begin_object();
+    visit_fields(value, [&w](const char* name, const auto& field) {
+      w.key(name);
+      write_json(w, field);
+    });
+    w.end_object();
+  } else if constexpr (std::is_enum_v<T>) {
+    w.value(enum_name(value));
+  } else if constexpr (requires { typename T::value_type; }) {
+    w.begin_array();
+    for (const auto& item : value) write_json(w, item);
+    w.end_array();
+  } else {
+    w.value(value);
+  }
+}
+
+/// The inverse of write_json for a record of scalars: reads every visited
+/// field from the members of `object` with json_read. False when `object`
+/// is not an object or any field is missing or mistyped.
+template <Visitable Record>
+bool read_fields(const JsonValue& object, Record& record) {
+  bool ok = object.is_object();
+  visit_fields(record, [&](const char* name, auto& field) {
+    ok = ok && json_read(object.find(name), field);
+  });
+  return ok;
+}
 
 /// Writes `content` to `path`, returning false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,25 +61,53 @@ class CheckpointTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// Every visited field of a placement report, in visit order.
+std::vector<std::pair<std::string, double>> report_fields(
+    const place::PlacementReport& report) {
+  std::vector<std::pair<std::string, double>> fields;
+  visit_fields(report, [&](const char* name, const auto& value) {
+    fields.emplace_back(name, static_cast<double>(value));
+  });
+  return fields;
+}
+
 bool identical_results(const FlowResult& a, const FlowResult& b) {
   return a.cost.total_wirelength_um == b.cost.total_wirelength_um &&
          a.cost.area_um2 == b.cost.area_um2 &&
          a.cost.average_delay_ns == b.cost.average_delay_ns &&
-         a.placement.hpwl_um == b.placement.hpwl_um &&
-         a.placement.cg_value_evals_total == b.placement.cg_value_evals_total &&
-         a.placement.density_pair_candidates_total ==
-             b.placement.density_pair_candidates_total &&
-         a.placement.density_pairs_kept_total ==
-             b.placement.density_pairs_kept_total &&
-         a.placement.legalization.pairs_checked ==
-             b.placement.legalization.pairs_checked &&
-         a.placement.legalization.separations ==
-             b.placement.legalization.separations &&
+         report_fields(a.placement) == report_fields(b.placement) &&
          a.routing.total_wirelength_um == b.routing.total_wirelength_um &&
          a.routing.maze_invocations == b.routing.maze_invocations &&
          a.mapping.crossbars.size() == b.mapping.crossbars.size() &&
          a.mapping.discrete_synapses.size() ==
              b.mapping.discrete_synapses.size();
+}
+
+/// Calls leaf(path, field) for every field the config view visits,
+/// descending into the nested stage records ("placer.omega").
+template <class Record, class Leaf>
+void for_each_leaf(Record& record, const std::string& prefix, Leaf&& leaf) {
+  visit_fields(record, [&](const char* name, auto& field) {
+    if constexpr (util::Visitable<std::remove_reference_t<decltype(field)>>)
+      for_each_leaf(field, prefix + name + ".", leaf);
+    else
+      leaf(prefix + name, field);
+  });
+}
+
+/// Moves one config field to another value of its type.
+template <class T>
+void perturb(T& value) {
+  if constexpr (std::is_same_v<T, bool>)
+    value = !value;
+  else if constexpr (std::is_enum_v<T>)
+    value = static_cast<T>(static_cast<int>(value) == 0 ? 1 : 0);
+  else if constexpr (std::is_floating_point_v<T>)
+    value = value == 0.0 ? 5.0 : 2.0 * value;  // 0 is a budget's "off"
+  else if constexpr (std::is_integral_v<T>)
+    value += 1;
+  else
+    value.push_back(value.back() + 4);  // the crossbar size library
 }
 
 TEST_F(CheckpointTest, SaveWritesValidVersionedJson) {
@@ -186,69 +216,65 @@ TEST_F(CheckpointTest, ConfigHashIsStableAndSensitive) {
   EXPECT_EQ(checkpoint::config_hash(a), checkpoint::config_hash(c));
 }
 
-TEST_F(CheckpointTest, ConfigHashCoversPlacerAndRouterKnobs) {
-  // One edit per FlowConfig field that can change the flow's result: a
-  // checkpoint saved under the old value must not resume as compatible.
-  // (The seed is checked by the checkpoint header, see
-  // SeedMismatchInvalidatesCheckpoints.)
-  using Edit = void (*)(FlowConfig&);
-  const std::vector<std::pair<const char*, Edit>> edits = {
-      {"isc.crossbar_sizes", [](FlowConfig& c) { c.isc.crossbar_sizes.push_back(32); }},
-      {"isc.utilization_threshold",
-       [](FlowConfig& c) { c.isc.utilization_threshold *= 2.0; }},
-      {"isc.selection_fraction", [](FlowConfig& c) { c.isc.selection_fraction *= 2.0; }},
-      {"isc.max_iterations", [](FlowConfig& c) { c.isc.max_iterations += 1; }},
-      {"isc.preference",
-       [](FlowConfig& c) { c.isc.preference = clustering::PreferenceKind::kUtilization; }},
-      {"isc.pack_clusters", [](FlowConfig& c) { c.isc.pack_clusters = !c.isc.pack_clusters; }},
-      {"isc.pack_limit", [](FlowConfig& c) { c.isc.pack_limit += 1; }},
-      {"isc.size_by_demand", [](FlowConfig& c) { c.isc.size_by_demand = !c.isc.size_by_demand; }},
-      {"isc.embedding_solver",
-       [](FlowConfig& c) { c.isc.embedding_solver = clustering::EmbeddingSolver::kLanczos; }},
-      {"isc.wall_budget_ms", [](FlowConfig& c) { c.isc.wall_budget_ms = 5.0; }},
-      {"derive_threshold_from_baseline",
-       [](FlowConfig& c) { c.derive_threshold_from_baseline = !c.derive_threshold_from_baseline; }},
-      {"baseline_crossbar_size", [](FlowConfig& c) { c.baseline_crossbar_size += 4; }},
-      {"placer.omega", [](FlowConfig& c) { c.placer.omega *= 2.0; }},
-      {"placer.target_density", [](FlowConfig& c) { c.placer.target_density *= 0.5; }},
-      {"placer.max_outer_iterations", [](FlowConfig& c) { c.placer.max_outer_iterations += 1; }},
-      {"placer.wall_budget_ms", [](FlowConfig& c) { c.placer.wall_budget_ms = 5.0; }},
-      {"cg.max_iterations", [](FlowConfig& c) { c.placer.cg.max_iterations += 1; }},
-      {"cg.gradient_tolerance", [](FlowConfig& c) { c.placer.cg.gradient_tolerance *= 2.0; }},
-      {"legalizer.margin", [](FlowConfig& c) { c.placer.legalizer.margin *= 2.0; }},
-      {"legalizer.max_passes", [](FlowConfig& c) { c.placer.legalizer.max_passes += 1; }},
-      {"legalizer.overlap_tolerance",
-       [](FlowConfig& c) { c.placer.legalizer.overlap_tolerance *= 2.0; }},
-      {"refine_placement", [](FlowConfig& c) { c.refine_placement = !c.refine_placement; }},
-      {"router.theta", [](FlowConfig& c) { c.router.theta *= 2.0; }},
-      {"router.capacity_per_um", [](FlowConfig& c) { c.router.capacity_per_um *= 2.0; }},
-      {"router.max_relax_steps", [](FlowConfig& c) { c.router.max_relax_steps += 1; }},
-      {"router.margin_bins", [](FlowConfig& c) { c.router.margin_bins += 1; }},
-      {"router.strict_capacity",
-       [](FlowConfig& c) { c.router.strict_capacity = !c.router.strict_capacity; }},
-      {"router.reroute_passes", [](FlowConfig& c) { c.router.reroute_passes += 1; }},
-      {"router.wall_budget_ms", [](FlowConfig& c) { c.router.wall_budget_ms = 5.0; }},
-      {"tech.memristor_pitch_um", [](FlowConfig& c) { c.tech.memristor_pitch_um *= 2.0; }},
-      {"tech.crossbar_periphery_um", [](FlowConfig& c) { c.tech.crossbar_periphery_um *= 2.0; }},
-      {"tech.synapse_side_um", [](FlowConfig& c) { c.tech.synapse_side_um *= 2.0; }},
-      {"tech.neuron_side_um", [](FlowConfig& c) { c.tech.neuron_side_um *= 2.0; }},
-      {"tech.wire_resistance_ohm_per_um",
-       [](FlowConfig& c) { c.tech.wire_resistance_ohm_per_um *= 2.0; }},
-      {"tech.wire_capacitance_ff_per_um",
-       [](FlowConfig& c) { c.tech.wire_capacitance_ff_per_um *= 2.0; }},
-      {"tech.crossbar_delay_at_64_ns", [](FlowConfig& c) { c.tech.crossbar_delay_at_64_ns *= 2.0; }},
-      {"tech.synapse_delay_ns", [](FlowConfig& c) { c.tech.synapse_delay_ns *= 2.0; }},
-      {"cost_weights.alpha", [](FlowConfig& c) { c.cost_weights.alpha *= 2.0; }},
-      {"cost_weights.beta", [](FlowConfig& c) { c.cost_weights.beta *= 2.0; }},
-      {"cost_weights.delta", [](FlowConfig& c) { c.cost_weights.delta *= 2.0; }},
-  };
+TEST_F(CheckpointTest, ConfigHashCoversEveryVisitedField) {
+  // A checkpoint saved under one value of any field the config view
+  // visits must not resume under another. (The seed is checked by the
+  // checkpoint header, see SeedMismatchInvalidatesCheckpoints.)
   const FlowConfig base = fast_config();
-  for (const auto& [name, edit] : edits) {
+  std::vector<std::string> paths;
+  for_each_leaf(base, "", [&](const std::string& path, const auto&) {
+    paths.push_back(path);
+  });
+  ASSERT_FALSE(paths.empty());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     FlowConfig changed = fast_config();
-    edit(changed);
+    std::size_t leaf = 0;
+    for_each_leaf(changed, "", [&](const std::string&, auto& field) {
+      if (leaf++ == i) perturb(field);
+    });
     EXPECT_NE(checkpoint::config_hash(base), checkpoint::config_hash(changed))
-        << name;
+        << paths[i];
   }
+}
+
+TEST_F(CheckpointTest, DefaultConfigHashIsPinned) {
+  // The config JSON's bytes are the checkpoint stamp: a visitor edit that
+  // renames, reorders or reformats a field invalidates every checkpoint.
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    checkpoint::config_hash(FlowConfig{})));
+  EXPECT_STREQ(hex, "b88cd4b47c48e86c");
+}
+
+TEST_F(CheckpointTest, EveryReportFieldIsRequiredAndTypeChecked) {
+  FlowConfig config = fast_config();
+  config.checkpoint.dir = dir_;
+  (void)run_autoncs(small_network(), config);
+  const std::string path = checkpoint::placement_path(dir_);
+  std::stringstream buffer;
+  buffer << std::ifstream(path).rdbuf();
+  const std::string saved = buffer.str();
+  ASSERT_TRUE(checkpoint::load_placement(dir_, config).has_value());
+  // Each visited report field, once renamed away and once turned into a
+  // string, must make the load fail and recompute.
+  const place::PlacementReport report;
+  visit_fields(report, [&](const char* name, const auto&) {
+    const std::string key = std::string("\"") + name + "\":";
+    const std::size_t at = saved.find(key);
+    ASSERT_NE(at, std::string::npos) << name;
+    for (const std::string& edit :
+         {"\"renamed_" + std::string(name) + "\":",
+          key + "\"text\",\"old_" + name + "\":"}) {
+      std::string text = saved;
+      text.replace(at, key.size(), edit);
+      std::ofstream(path, std::ios::trunc) << text;
+      util::RecoveryLog log;
+      EXPECT_FALSE(checkpoint::load_placement(dir_, config, &log).has_value())
+          << edit;
+      EXPECT_FALSE(log.empty()) << edit;
+    }
+  });
 }
 
 TEST_F(CheckpointTest, MissingDirectoryIsCreatedOnSave) {

@@ -198,7 +198,7 @@ TEST(Telemetry, WritesValidArtifacts) {
       read_file(temp_path("artifacts_trace.manifest.json"));
   ASSERT_FALSE(manifest.empty());
   EXPECT_TRUE(util::json_valid(manifest));
-  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/3\""),
+  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/4\""),
             std::string::npos);
   EXPECT_NE(manifest.find("\"flow\":\"autoncs\""), std::string::npos);
   EXPECT_NE(manifest.find("\"seed\":77"), std::string::npos);
@@ -225,8 +225,10 @@ TEST(Telemetry, WritesValidArtifacts) {
   EXPECT_NE(manifest.find("\"stage\":\"routing\""), std::string::npos);
   EXPECT_NE(manifest.find("\"name\":\"route/grid\""), std::string::npos);
   // Placement work counters: useful work over attempts, per stage.
-  EXPECT_NE(manifest.find("\"density_pair_candidates\":"), std::string::npos);
-  EXPECT_NE(manifest.find("\"density_pairs_kept\":"), std::string::npos);
+  EXPECT_NE(manifest.find("\"density_pair_candidates_total\":"),
+            std::string::npos);
+  EXPECT_NE(manifest.find("\"density_pairs_kept_total\":"),
+            std::string::npos);
   EXPECT_NE(manifest.find("\"legalization_pairs_checked\":"),
             std::string::npos);
   EXPECT_NE(manifest.find("\"legalization_separations\":"),
@@ -441,6 +443,7 @@ TEST(Telemetry, OuterSessionOwnsNestedFlows) {
   // A previous run of this test may have left artifacts behind.
   std::remove(config.telemetry.trace_path.c_str());
   std::remove(config.telemetry.metrics_path.c_str());
+  std::remove(temp_path("outer_trace.fullcro.manifest.json").c_str());
   {
     telemetry::Session outer(config.telemetry);
     EXPECT_TRUE(outer.owns());
@@ -465,9 +468,24 @@ TEST(Telemetry, OuterSessionOwnsNestedFlows) {
   EXPECT_NE(metrics.find("autoncs/place/lambda"), std::string::npos);
   EXPECT_NE(metrics.find("fullcro/place/lambda"), std::string::npos);
 
-  // The manifest records the FIRST flow completed under the session.
+  // The first flow completed under the session keeps the manifest path;
+  // the FullCro flow after it gets its own manifest, cost included.
   const std::string manifest = read_file(temp_path("outer_trace.manifest.json"));
   EXPECT_NE(manifest.find("\"flow\":\"autoncs\""), std::string::npos);
+  const std::string fullcro =
+      read_file(temp_path("outer_trace.fullcro.manifest.json"));
+  util::JsonValue doc;
+  ASSERT_TRUE(util::json_parse(fullcro, doc));
+  const util::JsonValue* flow = doc.find("flow");
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->string_value, "fullcro");
+  const util::JsonValue* result = doc.find("result");
+  const util::JsonValue* cost =
+      result != nullptr ? result->find("cost") : nullptr;
+  ASSERT_NE(cost, nullptr);
+  double wirelength = 0.0;
+  ASSERT_TRUE(util::json_read(cost->find("total_wirelength_um"), wirelength));
+  EXPECT_GT(wirelength, 0.0);
 }
 
 TEST(Telemetry, SessionWithoutSinksIsInert) {
@@ -496,7 +514,7 @@ TEST(Telemetry, RecordedErrorWritesErrorManifestAndFlightArtifact) {
   const std::string manifest = read_file(manifest_path);
   ASSERT_FALSE(manifest.empty());
   EXPECT_TRUE(util::json_valid(manifest));
-  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/3\""),
+  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/4\""),
             std::string::npos);
   EXPECT_NE(manifest.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(manifest.find("\"error_code\":\"resource.bad_alloc\""),

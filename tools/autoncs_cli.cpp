@@ -124,10 +124,11 @@ struct Args {
   }
   bool has(const std::string& name) const { return flags.contains(name); }
 
-  /// Throws InputError for the first flag not in `known`.
+  /// Throws InputError for the first flag that is neither in `known` nor
+  /// one main reads for every subcommand (--log-level, --fault).
   void require_known(std::initializer_list<const char*> known) const {
     for (const auto& [name, value] : flags) {
-      bool found = false;
+      bool found = name == "log-level" || name == "fault";
       for (const char* k : known) found = found || name == k;
       if (!found)
         throw util::InputError("input.usage", "cli",
@@ -193,6 +194,8 @@ int usage() {
 }
 
 int cmd_generate(const Args& args) {
+  args.require_known({"kind", "out", "seed", "id", "n", "density", "blocks",
+                      "intra", "inter", "variables", "checks", "row-weight"});
   const std::string kind = args.get("kind", "testbench");
   const std::string out = args.get("out", "");
   if (out.empty()) {
@@ -234,6 +237,7 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
+  args.require_known({});
   if (args.positional.empty()) return usage();
   // The checked loader throws InputError with <file>:<line> context; main
   // maps it to exit code 2.
@@ -253,6 +257,7 @@ int cmd_info(const Args& args) {
 // JSON value per nonempty line (the metrics artifact format). Exit 0 iff
 // every file passes; CI uses this to gate the bench/telemetry artifacts.
 int cmd_validate_json(const Args& args) {
+  args.require_known({"jsonl"});
   if (args.positional.empty()) return usage();
   const bool jsonl = args.has("jsonl");
   bool ok = true;
@@ -299,10 +304,10 @@ int cmd_validate_json(const Args& args) {
 
 int cmd_flow(const Args& args) {
   args.require_known({"baseline", "seed", "max-size", "threads", "layout",
-                      "trace", "metrics", "manifest", "flight", "log-level",
+                      "trace", "metrics", "manifest", "flight",
                       "log-timestamps", "log-stage", "checkpoint-dir",
-                      "resume", "fault", "budget-clustering-ms",
-                      "budget-placement-ms", "budget-routing-ms"});
+                      "resume", "budget-clustering-ms", "budget-placement-ms",
+                      "budget-routing-ms"});
   if (args.positional.empty()) return usage();
   const auto network = nn::load_network_checked(args.positional[0]);
   FlowConfig config;
@@ -381,6 +386,9 @@ extern "C" void handle_drain_signal(int) {
 }
 
 int cmd_serve(const Args& args) {
+  args.require_known({"socket", "workers", "queue", "deadline-ms",
+                      "max-attempts", "threads", "work-dir", "artifact-dir",
+                      "allow-fault"});
   service::ServerOptions options;
   options.socket_path = args.get("socket", "");
   if (options.socket_path.empty()) {
@@ -412,6 +420,8 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_submit(const Args& args) {
+  args.require_known({"socket", "op", "id", "seed", "max-size", "threads",
+                      "deadline-ms", "max-attempts", "timeout-ms"});
   const std::string socket_path = args.get("socket", "");
   if (socket_path.empty()) {
     std::fprintf(stderr, "submit: --socket PATH is required\n");

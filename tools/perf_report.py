@@ -11,7 +11,7 @@ Merges any subset of the artifacts one flow run produces —
     (``"type":"sample"``). Reports each series' length and its first and
     last values.
   * ``--manifest run.manifest.json`` — run manifest (schema
-    autoncs-run-manifest/2 or /3). Reports the build (type and the
+    autoncs-run-manifest/2 to /4). Reports the build (type and the
     dense eigensolver's dispatched ISA variant), stage wall-clock, scheduler
     utilization per pool label (per-worker busy fractions, parks, hand-offs
     caught spinning vs woken from park, block imbalance histogram), and the memory section (peak RSS,
