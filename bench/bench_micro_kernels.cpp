@@ -131,11 +131,11 @@ void BM_WaWirelengthGradient(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(state.range(0)) * 4);
   const auto coords = place::pack_positions(net);
-  const place::WaModel model{2.0};
+  place::WaModel model(net, 2.0);
   std::vector<double> gradient(coords.size());
   for (auto _ : state) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
-    benchmark::DoNotOptimize(model.evaluate(net, coords, &gradient));
+    benchmark::DoNotOptimize(model.evaluate(coords, &gradient));
   }
 }
 BENCHMARK(BM_WaWirelengthGradient)->Arg(200)->Arg(1000);
@@ -144,11 +144,11 @@ void BM_DensityGradient(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)), 1);
   const auto coords = place::pack_positions(net);
-  const place::DensityModel model{1.2, 16.0};
+  place::DensityModel model(net, 1.2, 16.0);
   std::vector<double> gradient(coords.size());
   for (auto _ : state) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
-    benchmark::DoNotOptimize(model.evaluate(net, coords, &gradient));
+    benchmark::DoNotOptimize(model.evaluate(coords, &gradient));
   }
 }
 BENCHMARK(BM_DensityGradient)->Arg(200)->Arg(1000);
@@ -161,9 +161,9 @@ void BM_WaWirelengthValueOnly(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(state.range(0)) * 4);
   const auto coords = place::pack_positions(net);
-  const place::WaModel model{2.0};
+  place::WaModel model(net, 2.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(net, coords, nullptr));
+    benchmark::DoNotOptimize(model.evaluate(coords, nullptr));
   }
 }
 BENCHMARK(BM_WaWirelengthValueOnly)->Arg(200)->Arg(1000);
@@ -172,9 +172,9 @@ void BM_DensityValueOnly(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)), 1);
   const auto coords = place::pack_positions(net);
-  const place::DensityModel model{1.2, 16.0};
+  place::DensityModel model(net, 1.2, 16.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(net, coords, nullptr));
+    benchmark::DoNotOptimize(model.evaluate(coords, nullptr));
   }
 }
 BENCHMARK(BM_DensityValueOnly)->Arg(200)->Arg(1000);
@@ -277,12 +277,10 @@ void BM_DensityValuePass(benchmark::State& state) {
   auto second = first;
   second[0] += 0.25;
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  util::ThreadPool* pool_ptr = pool.size() > 1 ? &pool : nullptr;
-  const place::DensityModel model{1.2, 16.0};
+  place::DensityModel model(net, 1.2, 16.0, &pool);
   bool flip = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.evaluate(net, flip ? second : first, nullptr, pool_ptr));
+    benchmark::DoNotOptimize(model.evaluate(flip ? second : first, nullptr));
     flip = !flip;
   }
   state.counters["pairs_kept_per_pass"] =

@@ -124,12 +124,11 @@ bool read_connections(const util::JsonValue* v,
   out.clear();
   out.reserve(v->items.size());
   for (const util::JsonValue& item : v->items) {
-    if (!item.is_array() || item.items.size() != 2 ||
-        !item.items[0].is_number() || !item.items[1].is_number())
-      return false;
     nn::Connection c;
-    c.from = static_cast<std::size_t>(item.items[0].number_value);
-    c.to = static_cast<std::size_t>(item.items[1].number_value);
+    if (!item.is_array() || item.items.size() != 2 ||
+        !util::json_read(&item.items[0], c.from) ||
+        !util::json_read(&item.items[1], c.to))
+      return false;
     out.push_back(c);
   }
   return true;
@@ -167,6 +166,18 @@ bool read_doubles(const util::JsonValue* v, std::vector<double>& out) {
     out.push_back(item.number_value);
   }
   return true;
+}
+
+/// A loaded mapping is checked like a computed one: a valid stamp does not
+/// prove that the payload realizes `network` (an index past the neuron
+/// count would reach the netlist builder). False after warning why.
+bool realizes(const std::string& path, const mapping::HybridMapping& mapping,
+              const nn::ConnectionMatrix& network,
+              util::RecoveryLog* recovery) {
+  const std::string error = mapping::validate_mapping(mapping, network);
+  if (!error.empty())
+    warn(path, "mapping does not realize the network: " + error, recovery);
+  return error.empty();
 }
 
 /// Reads + parses + validates the stamp. Returns false after logging why.
@@ -263,7 +274,7 @@ bool save_placement(const std::string& dir, const FlowConfig& config,
 
 std::optional<mapping::HybridMapping> load_clustering(
     const std::string& dir, const FlowConfig& config,
-    util::RecoveryLog* recovery) {
+    const nn::ConnectionMatrix& network, util::RecoveryLog* recovery) {
   const std::string path = clustering_path(dir);
   util::JsonValue doc;
   if (!load_document(path, config, "clustering", doc, recovery))
@@ -273,13 +284,14 @@ std::optional<mapping::HybridMapping> load_clustering(
     warn(path, "malformed mapping payload", recovery);
     return std::nullopt;
   }
+  if (!realizes(path, mapping, network, recovery)) return std::nullopt;
   util::LogLine(util::LogLevel::kInfo, "checkpoint") << "loaded " << path;
   return mapping;
 }
 
-std::optional<PlacementState> load_placement(const std::string& dir,
-                                             const FlowConfig& config,
-                                             util::RecoveryLog* recovery) {
+std::optional<PlacementState> load_placement(
+    const std::string& dir, const FlowConfig& config,
+    const nn::ConnectionMatrix& network, util::RecoveryLog* recovery) {
   const std::string path = placement_path(dir);
   util::JsonValue doc;
   if (!load_document(path, config, "placement", doc, recovery))
@@ -292,6 +304,7 @@ std::optional<PlacementState> load_placement(const std::string& dir,
     warn(path, "malformed placement payload", recovery);
     return std::nullopt;
   }
+  if (!realizes(path, state.mapping, network, recovery)) return std::nullopt;
   const util::JsonValue* report = doc.find("report");
   if (report == nullptr || !util::read_fields(*report, state.report)) {
     warn(path, "malformed placement report payload", recovery);

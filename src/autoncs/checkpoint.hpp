@@ -11,7 +11,8 @@
 // Checkpoints are versioned JSON (schema "autoncs-checkpoint/1") stamped
 // with the flow seed and an FNV-1a hash of the canonical config JSON
 // (telemetry::flow_config_json). Loading validates schema, kind, seed and
-// config hash; any mismatch — or a missing, truncated or corrupt file — is
+// config hash, then checks the mapping against the network like a computed
+// one; any mismatch — or a missing, truncated or corrupt file — is
 // reported with a warning and the load returns nothing, so the flow falls
 // back to a full recompute instead of resuming into an inconsistent state.
 //
@@ -77,19 +78,23 @@ bool save_placement(const std::string& dir, const FlowConfig& config,
                     const place::PlacementReport& report);
 
 /// Load a checkpoint compatible with `config` (schema + seed + config
-/// hash). Returns nullopt — after logging why — when the file is missing,
-/// unparsable, or stamped by a different seed/config. When `recovery` is
-/// non-null, any incompatible-but-present checkpoint (corrupt payload,
-/// wrong schema/kind, seed or config-hash mismatch) additionally records a
-/// structured RecoveryEvent (point "checkpoint.mismatch", action
-/// "recompute") so a resumed-with-recompute run is visible in the run
-/// manifest, not just the warning log. A missing file is normal and
-/// records nothing.
+/// hash) whose mapping realizes `network` (mapping::validate_mapping).
+/// Returns nullopt — after logging why — when the file is missing,
+/// unparsable, stamped by a different seed/config, or holds a mapping that
+/// does not realize `network`. When `recovery` is non-null, any
+/// incompatible-but-present checkpoint (corrupt payload, wrong
+/// schema/kind, seed or config-hash mismatch, invalid mapping)
+/// additionally records a structured RecoveryEvent (point
+/// "checkpoint.mismatch", action "recompute") so a resumed-with-recompute
+/// run is visible in the run manifest, not just the warning log. A missing
+/// file is normal and records nothing.
 std::optional<mapping::HybridMapping> load_clustering(
     const std::string& dir, const FlowConfig& config,
+    const nn::ConnectionMatrix& network,
     util::RecoveryLog* recovery = nullptr);
 std::optional<PlacementState> load_placement(
     const std::string& dir, const FlowConfig& config,
+    const nn::ConnectionMatrix& network,
     util::RecoveryLog* recovery = nullptr);
 
 }  // namespace checkpoint

@@ -171,8 +171,8 @@ FlowResult run_autoncs(const nn::ConnectionMatrix& network,
   // flow takes, so the manifest shows WHY a --resume run recomputed.
   util::RecoveryLog resume_log;
   if (config.checkpoint.resume && !config.checkpoint.dir.empty()) {
-    if (auto placed = checkpoint::load_placement(config.checkpoint.dir,
-                                                 config, &resume_log)) {
+    if (auto placed = checkpoint::load_placement(
+            config.checkpoint.dir, config, network, &resume_log)) {
       // physical_design only reads positions + report from the restored
       // state; the mapping member is handed over separately.
       mapping::HybridMapping restored_mapping = std::move(placed->mapping);
@@ -184,8 +184,8 @@ FlowResult run_autoncs(const nn::ConnectionMatrix& network,
       telemetry::Session::record_manifest(config, result, "autoncs");
       return result;
     }
-    if (auto restored = checkpoint::load_clustering(config.checkpoint.dir,
-                                                    config, &resume_log)) {
+    if (auto restored = checkpoint::load_clustering(
+            config.checkpoint.dir, config, network, &resume_log)) {
       FlowResult result = physical_design(std::move(*restored), config,
                                           nullptr);
       result.resumed = true;

@@ -474,6 +474,10 @@ void Session::record_manifest(const FlowConfig& config,
           ? derived_manifest_path(options)
           : later_flow_manifest_path(options, flow_name),
       run_manifest_json(config, result, flow_name));
+  // Each manifest describes its own flow: the next one starts from empty
+  // pool and memory registries. The peak RSS stays the process's.
+  util::start_pool_stats();
+  util::start_mem_accounting();
 }
 
 void Session::record_error(const util::FlowError& error) {

@@ -95,18 +95,29 @@ double fold_rows(const std::vector<std::vector<Pair>>& blocks,
 
 }  // namespace
 
-double DensityModel::value_pass(const netlist::Netlist& netlist,
-                                const std::vector<double>& state,
-                                util::ThreadPool* pool) const {
+DensityModel::DensityModel(const netlist::Netlist& netlist, double omega,
+                           double beta, util::ThreadPool* pool)
+    : netlist_(netlist),
+      beta_(beta),
+      pool_(pool != nullptr && pool->size() > 1 ? pool : nullptr) {
+  AUTONCS_CHECK(omega >= 1.0, "omega must be at least 1");
+  AUTONCS_CHECK(beta > 0.0, "beta must be positive");
+  const std::size_t n = netlist.cells.size();
+  half_w_.resize(n);
+  half_h_.resize(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    half_w_[c] = 0.5 * omega * netlist.cells[c].width;
+    half_h_[c] = 0.5 * omega * netlist.cells[c].height;
+  }
+  index_.classify(netlist);
+}
+
+double DensityModel::value_pass(const std::vector<double>& state) {
   // Softplus tail: beyond penetration < -tail/beta the contribution is
   // below exp(-30) and can be skipped.
-  const double tail = 30.0 / beta;
+  const double tail = 30.0 / beta_;
   ++grid_builds_;
-  if (index_stale_) {
-    index_.classify(netlist);
-    index_stale_ = false;
-  }
-  index_.build(netlist, state, half_w_.data(), half_h_.data(), tail);
+  index_.build(netlist_, state, half_w_.data(), half_h_.data(), tail);
 
   // Phases 1-2 of one block: the sweep records each kept pair with its
   // penetration depths (zx, zy) in the overlap slots, then the kernel
@@ -128,15 +139,15 @@ double DensityModel::value_pass(const netlist::Netlist& netlist,
                      static_cast<std::uint32_t>(j), zx, zy});
     });
     for (CachedPair& p : out) {
-      p.ox = density_softplus(p.ox, beta);
-      p.oy = density_softplus(p.oy, beta);
+      p.ox = density_softplus(p.ox, beta_);
+      p.oy = density_softplus(p.oy, beta_);
     }
     block_candidates_[b] = candidates;
   };
-  if (pool == nullptr) {
+  if (pool_ == nullptr) {
     for (std::size_t b = 0; b < blocks; ++b) run_block(b);
   } else {
-    pool->parallel_for(
+    pool_->parallel_for(
         blocks,
         [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
           for (std::size_t b = begin; b < end; ++b) run_block(b);
@@ -146,15 +157,14 @@ double DensityModel::value_pass(const netlist::Netlist& netlist,
   for (std::size_t count : block_candidates_) pair_candidates_ += count;
 
   // Phase 3: the fold writes the cache in (i, key) order.
-  const double total = fold_rows(block_pairs_, index_, netlist.cells.size(),
-                                 row_end_, fold_keys_, cache_pairs_, pool);
+  const double total = fold_rows(block_pairs_, index_, netlist_.cells.size(),
+                                 row_end_, fold_keys_, cache_pairs_, pool_);
   pairs_kept_ += cache_pairs_.size();
   return total;
 }
 
 void DensityModel::replay(const std::vector<double>& state,
-                          std::vector<double>& gradient,
-                          util::ThreadPool* pool) const {
+                          std::vector<double>& gradient) {
   // The pair geometry is recomputed exactly as the value pass derived it:
   // dx from the same state doubles the grid packed, tx from the same
   // half-extent sums.
@@ -165,7 +175,7 @@ void DensityModel::replay(const std::vector<double>& state,
     const double dy = state[2 * p.i + 1] - state[2 * p.j + 1];
     const double tx = half_w_[p.i] + half_w_[p.j];
     const double ty = half_h_[p.i] + half_h_[p.j];
-    density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta, sx, sy);
+    density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta_, sx, sy);
   };
   const auto scatter = [&](std::size_t k, double sx, double sy) {
     const CachedPair& p = cache_pairs_[k];
@@ -174,7 +184,7 @@ void DensityModel::replay(const std::vector<double>& state,
     gradient[2 * p.i + 1] += sy;
     gradient[2 * p.j + 1] -= sy;
   };
-  if (pool == nullptr || pairs < 2) {
+  if (pool_ == nullptr || pairs < 2) {
     for (std::size_t k = 0; k < pairs; ++k) {
       double sx = 0.0;
       double sy = 0.0;
@@ -190,7 +200,7 @@ void DensityModel::replay(const std::vector<double>& state,
   constexpr std::size_t kReplayGrain = 1024;
   replay_sx_.resize(pairs);
   replay_sy_.resize(pairs);
-  pool->parallel_for(
+  pool_->parallel_for(
       pairs,
       [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
         for (std::size_t k = begin; k < end; ++k)
@@ -201,54 +211,27 @@ void DensityModel::replay(const std::vector<double>& state,
     scatter(k, replay_sx_[k], replay_sy_[k]);
 }
 
-double DensityModel::evaluate(const netlist::Netlist& netlist,
-                              const std::vector<double>& state,
-                              std::vector<double>* gradient,
-                              util::ThreadPool* pool) const {
-  AUTONCS_CHECK(state.size() == netlist.cells.size() * 2,
+double DensityModel::evaluate(const std::vector<double>& state,
+                              std::vector<double>* gradient) {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
                 "state size must be 2 * cell count");
-  AUTONCS_CHECK(omega >= 1.0, "omega must be at least 1");
-  AUTONCS_CHECK(beta > 0.0, "beta must be positive");
   if (gradient != nullptr) {
     AUTONCS_CHECK(gradient->size() == state.size(),
                   "gradient size must match the state");
   }
-  const std::size_t n = netlist.cells.size();
-  if (n < 2) return 0.0;
-  if (pool != nullptr && pool->size() == 1) pool = nullptr;
-
-  // The virtual half extents are the netlist data the value pass reads:
-  // a change re-splits the index and drops the cache.
-  bool extents_changed = half_w_.size() != n;
-  half_w_.resize(n);
-  half_h_.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    const double hw = 0.5 * omega * netlist.cells[c].width;
-    const double hh = 0.5 * omega * netlist.cells[c].height;
-    extents_changed = extents_changed || hw != half_w_[c] || hh != half_h_[c];
-    half_w_[c] = hw;
-    half_h_[c] = hh;
-  }
-  if (extents_changed) {
-    index_stale_ = true;
-    cache_valid_ = false;
-  }
-
-  // The cache holds this exact point when beta, omega, the half extents
-  // and the state all match the last value pass byte for byte — typically
-  // the accepted Armijo trial whose gradient CG now asks for.
-  if (!(cache_valid_ && cache_beta_ == beta && cache_omega_ == omega &&
-        cache_state_ == state)) {
+  if (netlist_.cells.size() < 2) return 0.0;
+  // The cache holds this exact point when the state matches the last
+  // value pass byte for byte — typically the accepted Armijo trial whose
+  // gradient CG now asks for.
+  if (!(cache_valid_ && cache_state_ == state)) {
     AUTONCS_TRACE_SCOPE("place/density");
-    cache_total_ = value_pass(netlist, state, pool);
+    cache_total_ = value_pass(state);
     cache_state_ = state;
-    cache_beta_ = beta;
-    cache_omega_ = omega;
     cache_valid_ = true;
   }
   if (gradient != nullptr) {
     AUTONCS_TRACE_SCOPE("place/density_replay");
-    replay(state, *gradient, pool);
+    replay(state, *gradient);
   }
   return cache_total_;
 }

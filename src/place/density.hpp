@@ -10,11 +10,16 @@
 // which matches the exact overlap (tx - |d|)+ as beta grows and has the
 // sigmoid as its derivative.
 //
+// A model is bound to one netlist: it is built once per placement from the
+// netlist, omega, beta and the pool, which fixes the virtual half extents
+// and the split of the cells into small cells and macros. Its evaluations
+// take only a state, the only key of the acceptance cache below.
+//
 // Pair enumeration (place/spatial_grid.hpp): a pair can contribute only
 // while both penetrations exceed -tail (tail = 30 / beta). Candidates come
-// from a MixedSizeIndex rebuilt — into reused buffers — on every
-// evaluation: small cells through a fine grid sized by the largest SMALL
-// extent, macros through a grid of their own.
+// from a MixedSizeIndex whose grids are rebuilt — into reused buffers — on
+// every value pass: small cells through a fine grid sized by the largest
+// SMALL extent, macros through a grid of their own.
 //
 // Every evaluation has one shape: a VALUE PASS that records each
 // survivor (i, j), i < j, with its 1-D softplus overlaps in the
@@ -92,25 +97,24 @@ inline void density_pair_gradient(double dx, double dy, double tx, double ty,
        density_sigmoid(zy, beta) * ox;
 }
 
-struct DensityModel {
-  /// Routing-space factor omega applied to both cell dimensions.
-  double omega = 1.2;
-  /// Softplus sharpness (1/um). Larger = closer to the exact hinge.
-  double beta = 16.0;
-
-  DensityModel() = default;
-  DensityModel(double omega_in, double beta_in) : omega(omega_in), beta(beta_in) {}
+/// D(x, y) of one netlist, read in place: the netlist must outlive the
+/// model and keep its cell count and sizes.
+class DensityModel {
+ public:
+  /// `omega` is the routing-space factor applied to both cell dimensions,
+  /// `beta` the softplus sharpness (1/um; larger = closer to the exact
+  /// hinge). `pool` parallelizes the pair enumeration and the replay when
+  /// it has more than one thread; the result is identical with or
+  /// without it.
+  DensityModel(const netlist::Netlist& netlist, double omega, double beta,
+               util::ThreadPool* pool = nullptr);
 
   /// D(x, y); accumulates into `gradient` when nonnull (caller zeroes it).
   /// `gradient == nullptr` is the cheap value-only mode (no sigmoids, no
-  /// scatter). `pool` parallelizes the pair enumeration and the replay;
-  /// the cache makes this method non-reentrant, but the result is
-  /// identical with or without a pool. The value pass and the replay are
-  /// traced as place/density and place/density_replay.
-  double evaluate(const netlist::Netlist& netlist,
-                  const std::vector<double>& state,
-                  std::vector<double>* gradient,
-                  util::ThreadPool* pool = nullptr) const;
+  /// scatter). The cache makes this method non-reentrant. The value pass
+  /// and the replay are traced as place/density and place/density_replay.
+  double evaluate(const std::vector<double>& state,
+                  std::vector<double>* gradient);
 
   /// Spatial-structure rebuilds performed so far (one per value pass —
   /// positions change between objective calls, but the index's buffers
@@ -161,51 +165,47 @@ struct DensityModel {
   };
   /// Value pass: enumerates the pairs at `state`, fills the acceptance
   /// cache and returns the total.
-  double value_pass(const netlist::Netlist& netlist,
-                    const std::vector<double>& state,
-                    util::ThreadPool* pool) const;
+  double value_pass(const std::vector<double>& state);
   /// Gradient replay over the cached pairs (accumulates into `gradient`).
-  void replay(const std::vector<double>& state, std::vector<double>& gradient,
-              util::ThreadPool* pool) const;
+  void replay(const std::vector<double>& state, std::vector<double>& gradient);
 
+  const netlist::Netlist& netlist_;
+  const double beta_;
+  /// Null for the serial loops.
+  util::ThreadPool* const pool_;
+  /// Virtual half extents 0.5 * omega * {width, height} per cell
+  /// (cache-friendly vs chasing the cell structs).
+  std::vector<double> half_w_;
+  std::vector<double> half_h_;
+  /// Mixed-size pair index, split once; its grids are rebuilt into reused
+  /// buffers on every value pass.
+  MixedSizeIndex index_;
   /// Phases 1-2 scratch, one buffer per sweep block, reused across
   /// evaluate() calls: the block's kept pairs (depths, then overlaps) and
   /// the candidates it examined.
-  mutable std::vector<std::vector<CachedPair>> block_pairs_;
-  mutable std::vector<std::size_t> block_candidates_;
+  std::vector<std::vector<CachedPair>> block_pairs_;
+  std::vector<std::size_t> block_candidates_;
   /// Fold scratch: per row the end of its range in the cache, per cached
   /// pair its fold key.
-  mutable std::vector<std::uint32_t> row_end_;
-  mutable std::vector<std::uint64_t> fold_keys_;
-  mutable std::size_t pair_candidates_ = 0;
-  mutable std::size_t pairs_kept_ = 0;
-  /// Virtual half extents 0.5 * omega * {width, height} per cell, refreshed
-  /// each evaluation (cache-friendly vs chasing the cell structs). Part of
-  /// the cache key: a change drops the cache and re-splits the index.
-  mutable std::vector<double> half_w_;
-  mutable std::vector<double> half_h_;
-  /// Reusable mixed-size pair index, re-split whenever the half extents
-  /// change.
-  mutable MixedSizeIndex index_;
-  mutable bool index_stale_ = true;
-  mutable std::size_t grid_builds_ = 0;
+  std::vector<std::uint32_t> row_end_;
+  std::vector<std::uint64_t> fold_keys_;
+  std::size_t pair_candidates_ = 0;
+  std::size_t pairs_kept_ = 0;
+  std::size_t grid_builds_ = 0;
   /// Acceptance cache: the surviving pairs, in fold order, and total of
-  /// the last value pass. A call whose state, beta, omega and half extents
-  /// match byte for byte skips the value pass; a gradient request replays
-  /// the pairs (identical order, identical FP terms) and only pays the
-  /// sigmoid work.
-  mutable std::vector<CachedPair> cache_pairs_;
+  /// the last value pass. A call whose state matches byte for byte skips
+  /// the value pass; a gradient request replays the pairs (identical
+  /// order, identical FP terms) and only pays the sigmoid work.
+  std::vector<CachedPair> cache_pairs_;
   /// Replay scratch: per cached pair the gradient terms (sx, sy), computed
   /// in parallel — each pair owns its slot — then scattered sequentially
   /// in the recorded pair order, so the replayed gradient stays
   /// bit-identical for any thread count.
-  mutable std::vector<double> replay_sx_;
-  mutable std::vector<double> replay_sy_;
-  mutable std::vector<double> cache_state_;
-  mutable double cache_total_ = 0.0;
-  mutable double cache_beta_ = 0.0;
-  mutable double cache_omega_ = 0.0;
-  mutable bool cache_valid_ = false;
+  std::vector<double> replay_sx_;
+  std::vector<double> replay_sy_;
+  std::vector<double> cache_state_;
+  double cache_total_ = 0.0;
+  bool cache_valid_ = false;
 };
 
 /// Exact total pairwise rectangle overlap AREA of the virtual cells; the

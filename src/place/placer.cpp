@@ -108,17 +108,16 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   initial_grid(netlist, die_side, options.seed);
   std::vector<double> state = pack_positions(netlist);
 
-  WaModel wl_model{kWaGamma};
-  DensityModel density_model{options.omega, kDensityBeta};
   CgOptions cg_options = options.cg;
   cg_options.recovery = options.recovery;
   util::ThreadPool pool(options.threads, "place");
-  util::ThreadPool* pool_ptr = pool.size() > 1 ? &pool : nullptr;
+  WaModel wl_model(netlist, kWaGamma, &pool);
+  DensityModel density_model(netlist, options.omega, kDensityBeta, &pool);
   // lambda_0 = sum |dWL| / sum |dD| at the initial placement.
   std::vector<double> grad_wl(state.size(), 0.0);
   std::vector<double> grad_d(state.size(), 0.0);
-  wl_model.evaluate(netlist, state, &grad_wl, pool_ptr);
-  density_model.evaluate(netlist, state, &grad_d, pool_ptr);
+  wl_model.evaluate(state, &grad_wl);
+  density_model.evaluate(state, &grad_d);
   const double denom = sum_abs(grad_d);
   double lambda = denom > 0.0 ? sum_abs(grad_wl) / denom : 1.0;
   if (lambda <= 0.0) lambda = 1.0;
@@ -151,8 +150,8 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
       if (gradient == nullptr) {
         // Value-only line-search trial: same terms, same FP operation
         // order as below, with all gradient work skipped.
-        const double wl = wl_model.evaluate(netlist, x, nullptr, pool_ptr);
-        double d = density_model.evaluate(netlist, x, nullptr, pool_ptr);
+        const double wl = wl_model.evaluate(x, nullptr);
+        double d = density_model.evaluate(x, nullptr);
         d += boundary_penalty(netlist, x, options.omega, die_half, nullptr);
         return wl + lambda_now * d;
       }
@@ -161,10 +160,10 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
         (*gradient)[i] = 0.0;
         dgrad[i] = 0.0;
       }
-      const double wl = wl_model.evaluate(netlist, x, gradient, pool_ptr);
+      const double wl = wl_model.evaluate(x, gradient);
       // Density + boundary gradients accumulate unscaled into the scratch
       // vector, then fold in scaled by lambda.
-      double d = density_model.evaluate(netlist, x, &dgrad, pool_ptr);
+      double d = density_model.evaluate(x, &dgrad);
       d += boundary_penalty(netlist, x, options.omega, die_half, &dgrad);
       for (std::size_t i = 0; i < gradient->size(); ++i)
         (*gradient)[i] += lambda_now * dgrad[i];

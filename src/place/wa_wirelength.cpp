@@ -88,80 +88,64 @@ constexpr std::size_t kCellGrain = 256;
 
 }  // namespace
 
-bool WaModel::sync_wires(const netlist::Netlist& netlist) const {
-  const std::size_t wires = netlist.wires.size();
-  bool same = cells_ == netlist.cells.size() &&
-              offsets_.size() == wires + 1 && weights_.size() == wires;
-  for (std::size_t w = 0; w < wires && same; ++w) {
-    const auto& wire = netlist.wires[w];
-    const auto off = static_cast<std::ptrdiff_t>(offsets_[w]);
-    same = weights_[w] == wire.weight &&
-           offsets_[w + 1] - offsets_[w] == wire.pins.size() &&
-           std::equal(wire.pins.begin(), wire.pins.end(), pins_.begin() + off);
-  }
-  if (same) return true;
-  cells_ = netlist.cells.size();
+WaModel::WaModel(const netlist::Netlist& netlist, double gamma,
+                 util::ThreadPool* pool)
+    : netlist_(netlist),
+      gamma_(gamma),
+      pool_(pool != nullptr && pool->size() > 1 && netlist.wires.size() > 1
+                ? pool
+                : nullptr) {
+  AUTONCS_CHECK(gamma > 0.0, "gamma must be positive");
   offsets_.assign(1, 0);
-  pins_.clear();
-  weights_.clear();
-  for (const auto& wire : netlist.wires) {
-    pins_.insert(pins_.end(), wire.pins.begin(), wire.pins.end());
-    offsets_.push_back(pins_.size());
-    weights_.push_back(wire.weight);
-  }
-  pin_index_valid_ = false;
-  return false;
-}
-
-void WaModel::build_pin_index() const {
-  if (pin_index_valid_) return;
-  const std::size_t wires = offsets_.size() - 1;
-  const std::size_t entries = pins_.size();
-  cell_off_.assign(cells_ + 1, 0);
-  for (std::size_t pin : pins_) ++cell_off_[pin + 1];
-  for (std::size_t c = 0; c < cells_; ++c) cell_off_[c + 1] += cell_off_[c];
-  cell_wire_.resize(entries);
-  cell_slot_.resize(entries);
+  for (const auto& wire : netlist.wires)
+    offsets_.push_back(offsets_.back() + wire.pins.size());
+  if (pool_ == nullptr) return;
+  const std::size_t cells = netlist.cells.size();
+  cell_off_.assign(cells + 1, 0);
+  for (const auto& wire : netlist.wires)
+    for (std::size_t pin : wire.pins) ++cell_off_[pin + 1];
+  for (std::size_t c = 0; c < cells; ++c) cell_off_[c + 1] += cell_off_[c];
+  cell_wire_.resize(offsets_.back());
+  cell_slot_.resize(offsets_.back());
   std::vector<std::size_t> cursor(cell_off_.begin(), cell_off_.end() - 1);
   // Scanning wires then pins in ascending order leaves every cell's entry
   // list sorted (wire, pin) ascending — the exact order the sequential
   // replay adds into that cell's gradient entries.
-  for (std::size_t w = 0; w < wires; ++w) {
-    for (std::size_t slot = offsets_[w]; slot < offsets_[w + 1]; ++slot) {
-      const std::size_t at = cursor[pins_[slot]]++;
+  for (std::size_t w = 0; w < netlist.wires.size(); ++w) {
+    const auto& pins = netlist.wires[w].pins;
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      const std::size_t at = cursor[pins[k]]++;
       cell_wire_[at] = static_cast<std::uint32_t>(w);
-      cell_slot_[at] = static_cast<std::uint32_t>(slot);
+      cell_slot_[at] = static_cast<std::uint32_t>(offsets_[w] + k);
     }
   }
-  pin_index_valid_ = true;
 }
 
-void WaModel::fill(const netlist::Netlist& netlist,
-                   const std::vector<double>& state,
-                   util::ThreadPool* pool) const {
+void WaModel::fill(const std::vector<double>& state) {
   // Each wire owns its cache slots, so the pass parallelizes; the total is
   // folded sequentially in wire order (the FP operation order of the
   // single-thread loop, independent of the thread count).
-  const std::size_t wires = netlist.wires.size();
+  const std::size_t wires = netlist_.wires.size();
+  const std::size_t pins = offsets_.back();
   cache_fp_.resize(8 * wires);
-  cache_ax_.resize(pins_.size());
-  cache_bx_.resize(pins_.size());
-  cache_ay_.resize(pins_.size());
-  cache_by_.resize(pins_.size());
+  cache_ax_.resize(pins);
+  cache_bx_.resize(pins);
+  cache_ay_.resize(pins);
+  cache_by_.resize(pins);
   const auto fill_wire = [&](std::size_t w) {
-    const auto& pins = netlist.wires[w].pins;
+    const auto& wire = netlist_.wires[w];
     const std::size_t off = offsets_[w];
     double* fp = &cache_fp_[8 * w];
-    return weights_[w] *
-           (wa_axis_fill(pins, state, 0, gamma, &cache_ax_[off],
+    return wire.weight *
+           (wa_axis_fill(wire.pins, state, 0, gamma_, &cache_ax_[off],
                          &cache_bx_[off], fp) +
-            wa_axis_fill(pins, state, 1, gamma, &cache_ay_[off],
+            wa_axis_fill(wire.pins, state, 1, gamma_, &cache_ay_[off],
                          &cache_by_[off], fp + 4));
   };
   double total = 0.0;
-  if (pool != nullptr) {
+  if (pool_ != nullptr) {
     wire_value_.resize(wires);
-    pool->parallel_for(
+    pool_->parallel_for(
         wires,
         [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
           for (std::size_t w = begin; w < end; ++w)
@@ -173,26 +157,23 @@ void WaModel::fill(const netlist::Netlist& netlist,
     for (std::size_t w = 0; w < wires; ++w) total += fill_wire(w);
   }
   cache_state_ = state;
-  cache_gamma_ = gamma;
   cache_value_ = total;
   cache_valid_ = true;
 }
 
-void WaModel::replay(const netlist::Netlist& netlist,
-                     const std::vector<double>& state,
-                     std::vector<double>& gradient,
-                     util::ThreadPool* pool) const {
+void WaModel::replay(const std::vector<double>& state,
+                     std::vector<double>& gradient) {
   // d WA / d v per pin, from the recorded exponentials and sums.
   const auto term = [&](double exp_a, double exp_b, const double* fp,
                         double v) {
-    const double d_plus = exp_a / fp[2] * (1.0 + (v - fp[0]) / gamma);
-    const double d_minus = exp_b / fp[3] * (1.0 - (v - fp[1]) / gamma);
+    const double d_plus = exp_a / fp[2] * (1.0 + (v - fp[0]) / gamma_);
+    const double d_minus = exp_b / fp[3] * (1.0 - (v - fp[1]) / gamma_);
     return d_plus - d_minus;
   };
-  if (pool != nullptr) {
-    build_pin_index();
-    pool->parallel_for(
-        cells_,
+  const auto& wires = netlist_.wires;
+  if (pool_ != nullptr) {
+    pool_->parallel_for(
+        netlist_.cells.size(),
         [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
           for (std::size_t c = begin; c < end; ++c) {
             const double vx = state[2 * c];
@@ -200,57 +181,50 @@ void WaModel::replay(const netlist::Netlist& netlist,
             for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
               const std::size_t w = cell_wire_[e];
               const std::size_t slot = cell_slot_[e];
+              const double weight = wires[w].weight;
               const double* fp = &cache_fp_[8 * w];
               gradient[2 * c] +=
-                  weights_[w] * term(cache_ax_[slot], cache_bx_[slot], fp, vx);
-              gradient[2 * c + 1] += weights_[w] * term(cache_ay_[slot],
-                                                        cache_by_[slot],
-                                                        fp + 4, vy);
+                  weight * term(cache_ax_[slot], cache_bx_[slot], fp, vx);
+              gradient[2 * c + 1] +=
+                  weight * term(cache_ay_[slot], cache_by_[slot], fp + 4, vy);
             }
           }
         },
         kCellGrain);
     return;
   }
-  for (std::size_t w = 0; w < netlist.wires.size(); ++w) {
-    const auto& pins = netlist.wires[w].pins;
+  for (std::size_t w = 0; w < wires.size(); ++w) {
+    const auto& pins = wires[w].pins;
+    const double weight = wires[w].weight;
     const std::size_t off = offsets_[w];
     const double* fp = &cache_fp_[8 * w];
     for (std::size_t k = 0; k < pins.size(); ++k) {
       const std::size_t x = 2 * pins[k];
-      gradient[x] += weights_[w] * term(cache_ax_[off + k], cache_bx_[off + k],
-                                        fp, state[x]);
+      gradient[x] += weight * term(cache_ax_[off + k], cache_bx_[off + k], fp,
+                                   state[x]);
     }
     for (std::size_t k = 0; k < pins.size(); ++k) {
       const std::size_t y = 2 * pins[k] + 1;
-      gradient[y] += weights_[w] * term(cache_ay_[off + k], cache_by_[off + k],
-                                        fp + 4, state[y]);
+      gradient[y] += weight * term(cache_ay_[off + k], cache_by_[off + k],
+                                   fp + 4, state[y]);
     }
   }
 }
 
-double WaModel::evaluate(const netlist::Netlist& netlist,
-                         const std::vector<double>& state,
-                         std::vector<double>* gradient,
-                         util::ThreadPool* pool) const {
-  AUTONCS_CHECK(state.size() == netlist.cells.size() * 2,
+double WaModel::evaluate(const std::vector<double>& state,
+                         std::vector<double>* gradient) {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
                 "state size must be 2 * cell count");
-  AUTONCS_CHECK(gamma > 0.0, "gamma must be positive");
   if (gradient != nullptr) {
     AUTONCS_CHECK(gradient->size() == state.size(),
                   "gradient size must match the state");
   }
   AUTONCS_TRACE_SCOPE("place/wa");
-  if (pool != nullptr && (pool->size() == 1 || netlist.wires.size() < 2))
-    pool = nullptr;
-  // The cache holds this exact point when the wires, gamma and state all
-  // match the last value pass byte for byte — typically the accepted
-  // Armijo trial whose gradient CG now asks for.
-  const bool same_wires = sync_wires(netlist);
-  if (!(same_wires && cache_valid_ && cache_gamma_ == gamma &&
-        cache_state_ == state))
-    fill(netlist, state, pool);
-  if (gradient != nullptr) replay(netlist, state, *gradient, pool);
+  // The cache holds this exact point when the state matches the last
+  // value pass byte for byte — typically the accepted Armijo trial whose
+  // gradient CG now asks for.
+  if (!(cache_valid_ && cache_state_ == state)) fill(state);
+  if (gradient != nullptr) replay(state, *gradient);
   return cache_value_;
 }
 

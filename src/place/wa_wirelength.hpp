@@ -9,6 +9,10 @@
 //   WL(x, y) = sum_e w_e (WA_x(e) + WA_y(e)).
 // Exponentials are max-shifted for numerical stability.
 //
+// A model is bound to one netlist: it is built once per placement from the
+// netlist, gamma and the pool, and its evaluations take only a state. The
+// state is the only key of the acceptance cache below.
+//
 // Every evaluation has one shape: a VALUE PASS that records, per wire and
 // axis, the smooth max/min and exponential sums plus every pin's
 // max-shifted exponentials (the acceptance cache), skipped when the cache
@@ -47,81 +51,72 @@ double wa_axis_fill(const std::vector<std::size_t>& pins,
                     const std::vector<double>& state, std::size_t axis,
                     double gamma, double* exp_a, double* exp_b, double* fp);
 
-struct WaModel {
-  /// Smoothness gamma of Eq. (1), in the same unit as the coordinates.
-  double gamma = 1.0;
-
-  WaModel() = default;
-  explicit WaModel(double gamma_in) : gamma(gamma_in) {}
+/// WL of one netlist, read in place: the netlist must outlive the model
+/// and keep its wires and weights.
+class WaModel {
+ public:
+  /// `gamma` is the smoothness of Eq. (1), in the same unit as the
+  /// coordinates. `pool` parallelizes the per-wire terms when it has more
+  /// than one thread and the netlist more than one wire; the result is
+  /// identical with or without it.
+  WaModel(const netlist::Netlist& netlist, double gamma,
+          util::ThreadPool* pool = nullptr);
 
   /// WL(x, y); if `gradient` is nonnull it must have state.size() entries
-  /// and receives d WL / d state (accumulated, caller zeroes it). `pool`
-  /// parallelizes the per-wire terms; the cache makes this method
-  /// non-reentrant, but the result is identical with or without a pool.
-  double evaluate(const netlist::Netlist& netlist,
-                  const std::vector<double>& state,
-                  std::vector<double>* gradient,
-                  util::ThreadPool* pool = nullptr) const;
+  /// and receives d WL / d state (accumulated, caller zeroes it). The
+  /// cache makes this method non-reentrant.
+  double evaluate(const std::vector<double>& state,
+                  std::vector<double>* gradient);
 
   /// Logical footprint of the scratch/acceptance-cache buffers in bytes
   /// (element counts, not capacities). NOT thread-count invariant: the
   /// pin inverse index is built only for pooled gather paths.
   double footprint_bytes() const {
     return static_cast<double>(
-        (wire_value_.size() + weights_.size() + cache_fp_.size() +
-         cache_ax_.size() + cache_bx_.size() + cache_ay_.size() +
-         cache_by_.size() + cache_state_.size()) *
+        (wire_value_.size() + cache_fp_.size() + cache_ax_.size() +
+         cache_bx_.size() + cache_ay_.size() + cache_by_.size() +
+         cache_state_.size()) *
             sizeof(double) +
-        (offsets_.size() + pins_.size() + cell_off_.size()) *
-            sizeof(std::size_t) +
+        (offsets_.size() + cell_off_.size()) * sizeof(std::size_t) +
         (cell_wire_.size() + cell_slot_.size()) * sizeof(std::uint32_t));
   }
 
  private:
-  /// Compares the wire pin lists and weights with the copies the cache was
-  /// filled from; true when nothing changed. Otherwise refreshes the
-  /// copies and drops the pin inverse index.
-  bool sync_wires(const netlist::Netlist& netlist) const;
   /// Value pass: fills the acceptance cache at `state`.
-  void fill(const netlist::Netlist& netlist, const std::vector<double>& state,
-            util::ThreadPool* pool) const;
+  void fill(const std::vector<double>& state);
   /// Gradient replay over the cache (accumulates into `gradient`).
-  void replay(const netlist::Netlist& netlist,
-              const std::vector<double>& state, std::vector<double>& gradient,
-              util::ThreadPool* pool) const;
-  /// Static cell -> incident (wire, pin-slot) CSR inverse of the wire pin
-  /// lists, entries sorted (wire, pin) ascending per cell — the order the
-  /// sequential replay touches each gradient entry. Built lazily for the
-  /// pooled replay.
-  void build_pin_index() const;
+  void replay(const std::vector<double>& state, std::vector<double>& gradient);
 
-  /// The wires the cache was filled from: pin lists flattened through
-  /// `offsets_` by pin count, and the weights. Part of the cache key.
-  mutable std::vector<std::size_t> offsets_;
-  mutable std::vector<std::size_t> pins_;
-  mutable std::vector<double> weights_;
-  mutable std::size_t cells_ = 0;
+  const netlist::Netlist& netlist_;
+  const double gamma_;
+  /// Null for the serial loops.
+  util::ThreadPool* const pool_;
+  /// Start of each wire's pin slots in the per-pin cache arrays, by pin
+  /// count; offsets_.back() is the total pin count.
+  std::vector<std::size_t> offsets_;
+  /// Pooled replay only: the static cell -> incident (wire, pin-slot) CSR
+  /// inverse of the wire pin lists, entries sorted (wire, pin) ascending
+  /// per cell — the order the sequential replay touches each gradient
+  /// entry.
+  std::vector<std::size_t> cell_off_;
+  std::vector<std::uint32_t> cell_wire_;
+  std::vector<std::uint32_t> cell_slot_;
   /// Pooled value pass: per-wire values, folded in wire order.
-  mutable std::vector<double> wire_value_;
+  std::vector<double> wire_value_;
   // Acceptance cache: per wire-axis the smooth max/min and exponential
   // sums {f_plus, f_minus, sum_a, sum_b} (x at 8w, y at 8w + 4) plus every
   // pin's max-shifted exponentials, in the offsets_ layout. A call at the
-  // same state, gamma and wires byte for byte skips the value pass; the
-  // replay runs only the gradient loops over the cached doubles.
-  mutable std::vector<double> cache_fp_;
-  mutable std::vector<double> cache_ax_;
-  mutable std::vector<double> cache_bx_;
-  mutable std::vector<double> cache_ay_;
-  mutable std::vector<double> cache_by_;
-  mutable std::vector<double> cache_state_;
-  mutable double cache_gamma_ = 0.0;
+  // same state byte for byte skips the value pass; the replay runs only
+  // the gradient loops over the cached doubles.
+  std::vector<double> cache_fp_;
+  std::vector<double> cache_ax_;
+  std::vector<double> cache_bx_;
+  std::vector<double> cache_ay_;
+  std::vector<double> cache_by_;
+  std::vector<double> cache_state_;
   /// Total of the cached value pass, folded in wire order.
-  mutable double cache_value_ = 0.0;
-  mutable bool cache_valid_ = false;
-  mutable std::vector<std::size_t> cell_off_;
-  mutable std::vector<std::uint32_t> cell_wire_;
-  mutable std::vector<std::uint32_t> cell_slot_;
-  mutable bool pin_index_valid_ = false;
+  double cache_value_ = 0.0;
+  bool cache_valid_ = false;
 };
 
 /// Exact weighted HPWL: sum_e w_e (max x - min x + max y - min y) — the

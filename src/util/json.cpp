@@ -135,153 +135,11 @@ JsonWriter& JsonWriter::null() {
 
 namespace {
 
-/// Recursive-descent recognizer over [pos, text.size()).
+/// Recursive-descent parser over [pos, text.size()): each production
+/// fills the value it parsed.
 class Parser {
  public:
   Parser(const std::string& text, const JsonLimits& limits)
-      : text_(text), limits_(limits) {}
-
-  bool parse() {
-    if (limits_.max_bytes != 0 && text_.size() > limits_.max_bytes)
-      return false;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    // Defense against pathological nesting: recursion depth (and therefore
-    // stack use) is bounded by the limit.
-    if (static_cast<std::size_t>(depth_) >= limits_.max_depth) return false;
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; --depth_; return true; }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"' || !string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    if (static_cast<std::size_t>(depth_) >= limits_.max_depth) return false;
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; --depth_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') { ++pos_; return true; }
-      if (c < 0x20) return false;  // raw control character
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(
-                    static_cast<unsigned char>(text_[pos_])))
-              return false;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (peek() == '0') {
-      ++pos_;
-    } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    } else {
-      return false;
-    }
-    if (peek() == '.') {
-      ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) return false;
-    }
-    return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  const std::string& text_;
-  const JsonLimits& limits_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-/// DOM-building parser: the same grammar as the recognizer above, but each
-/// production returns the parsed value. Kept separate so the recognizer
-/// stays allocation-free for the validate-json hot path.
-class DomParser {
- public:
-  DomParser(const std::string& text, const JsonLimits& limits)
       : text_(text), limits_(limits) {}
 
   bool parse(JsonValue& out) {
@@ -468,7 +326,8 @@ bool json_valid(const std::string& text) {
 }
 
 bool json_valid(const std::string& text, const JsonLimits& limits) {
-  return Parser(text, limits).parse();
+  JsonValue scratch;
+  return json_parse(text, scratch, limits);
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
@@ -486,12 +345,17 @@ bool json_parse(const std::string& text, JsonValue& out) {
 bool json_parse(const std::string& text, JsonValue& out,
                 const JsonLimits& limits) {
   out = JsonValue{};
-  return DomParser(text, limits).parse(out);
+  return Parser(text, limits).parse(out);
 }
 
 bool json_read(const JsonValue* v, std::size_t& out) {
+  // The largest size rounds up to 2^64 as a double, the first whole
+  // number past the range (a size_t cast of it or beyond is undefined).
+  constexpr double kSizeLimit =
+      static_cast<double>(std::numeric_limits<std::size_t>::max());
   if (v == nullptr || !v->is_number() || v->number_value < 0.0 ||
-      v->number_value != std::floor(v->number_value))
+      v->number_value != std::floor(v->number_value) ||
+      !(v->number_value < kSizeLimit))
     return false;
   out = static_cast<std::size_t>(v->number_value);
   return true;

@@ -1,8 +1,10 @@
-// Minimal JSON emission and validation shared by the telemetry layer
-// (Chrome trace export, metrics JSONL, run manifests) and the bench
-// harness JSON artifacts. Writing is string-building only — no DOM — and
-// the validator is a strict RFC 8259 recognizer used by tests and tools to
-// guarantee the emitted artifacts stay loadable.
+// Minimal JSON emission and parsing shared by the telemetry layer
+// (Chrome trace export, metrics JSONL, run manifests), the checkpoints, the
+// service protocol and the bench harness JSON artifacts. Writing is
+// string-building only — no DOM. Reading has one strict RFC 8259 parser
+// that builds a small DOM (json_parse); json_valid runs it into a scratch
+// value, so the tests and tools that check an emitted artifact stays
+// loadable accept exactly what the loaders accept.
 #pragma once
 
 #include <cstddef>
@@ -63,11 +65,11 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Parser hardening knobs. Both parsers reject — never crash on — input
-/// exceeding these bounds, so they are safe to point at adversarial data
-/// (network requests, user-supplied files). The recursion depth of either
-/// parser is bounded by max_depth, which keeps a deeply nested document
-/// from overflowing the stack.
+/// Parser hardening knobs. The parser rejects — never crashes on — input
+/// exceeding these bounds, so it is safe to point at adversarial data
+/// (network requests, user-supplied files). Its recursion depth is bounded
+/// by max_depth, which keeps a deeply nested document from overflowing the
+/// stack.
 struct JsonLimits {
   /// Maximum container nesting depth. A document nested deeper is a parse
   /// error. Must be small enough that max_depth recursive frames fit the
@@ -78,9 +80,10 @@ struct JsonLimits {
   std::size_t max_bytes = 0;
 };
 
-/// Strict JSON recognizer: true iff `text` is one complete, valid JSON
-/// value (with optional surrounding whitespace) within `limits`. Used by
-/// the telemetry tests to parse the emitted artifacts back.
+/// True iff `text` is one complete, valid JSON value (with optional
+/// surrounding whitespace) within `limits`: json_parse into a discarded
+/// value. Used by the tests and `autoncs validate-json` to check the
+/// emitted artifacts.
 bool json_valid(const std::string& text);
 bool json_valid(const std::string& text, const JsonLimits& limits);
 
@@ -110,8 +113,8 @@ class JsonValue {
 };
 
 /// Parses one complete JSON value (optional surrounding whitespace).
-/// Returns false and leaves `out` unspecified on any syntax error; accepts
-/// exactly the same language json_valid does, within the same limits.
+/// Returns false and leaves `out` unspecified on any syntax error or when
+/// `text` exceeds `limits`.
 bool json_parse(const std::string& text, JsonValue& out);
 bool json_parse(const std::string& text, JsonValue& out,
                 const JsonLimits& limits);

@@ -247,6 +247,22 @@ TEST_F(CheckpointTest, DefaultConfigHashIsPinned) {
   EXPECT_STREQ(hex, "b88cd4b47c48e86c");
 }
 
+TEST_F(CheckpointTest, PlacementReportKeysArePinned) {
+  // The checkpoint's report object is written from visit_fields: a field
+  // dropped from the visitor, renamed or reordered changes these bytes.
+  util::JsonWriter w;
+  util::write_json(w, place::PlacementReport{});
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
+  for (unsigned char c : w.str()) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  EXPECT_STREQ(hex, "4e67aa8bb2c77ef2") << w.str();
+}
+
 TEST_F(CheckpointTest, EveryReportFieldIsRequiredAndTypeChecked) {
   FlowConfig config = fast_config();
   config.checkpoint.dir = dir_;
@@ -255,7 +271,8 @@ TEST_F(CheckpointTest, EveryReportFieldIsRequiredAndTypeChecked) {
   std::stringstream buffer;
   buffer << std::ifstream(path).rdbuf();
   const std::string saved = buffer.str();
-  ASSERT_TRUE(checkpoint::load_placement(dir_, config).has_value());
+  ASSERT_TRUE(
+      checkpoint::load_placement(dir_, config, small_network()).has_value());
   // Each visited report field, once renamed away and once turned into a
   // string, must make the load fail and recompute.
   const place::PlacementReport report;
@@ -270,7 +287,9 @@ TEST_F(CheckpointTest, EveryReportFieldIsRequiredAndTypeChecked) {
       text.replace(at, key.size(), edit);
       std::ofstream(path, std::ios::trunc) << text;
       util::RecoveryLog log;
-      EXPECT_FALSE(checkpoint::load_placement(dir_, config, &log).has_value())
+      EXPECT_FALSE(checkpoint::load_placement(dir_, config, small_network(),
+                                              &log)
+                       .has_value())
           << edit;
       EXPECT_FALSE(log.empty()) << edit;
     }
@@ -305,8 +324,11 @@ TEST_F(CheckpointTest, MismatchRecordsStructuredRecoveryEvent) {
   FlowConfig other = fast_config();
   other.seed = config.seed + 1;
   util::RecoveryLog log;
-  EXPECT_FALSE(checkpoint::load_placement(dir_, other, &log).has_value());
-  EXPECT_FALSE(checkpoint::load_clustering(dir_, other, &log).has_value());
+  const auto network = small_network();
+  EXPECT_FALSE(
+      checkpoint::load_placement(dir_, other, network, &log).has_value());
+  EXPECT_FALSE(
+      checkpoint::load_clustering(dir_, other, network, &log).has_value());
   ASSERT_GE(log.events().size(), 2u);
   for (const auto& event : log.events()) {
     EXPECT_EQ(event.point, "checkpoint.mismatch");
@@ -318,9 +340,45 @@ TEST_F(CheckpointTest, MismatchRecordsStructuredRecoveryEvent) {
   // A missing checkpoint is the normal cold start — no event.
   util::RecoveryLog clean;
   const std::string empty_dir = dir_ + "_empty";
-  EXPECT_FALSE(
-      checkpoint::load_placement(empty_dir, config, &clean).has_value());
+  EXPECT_FALSE(checkpoint::load_placement(empty_dir, config, network, &clean)
+                   .has_value());
   EXPECT_TRUE(clean.empty());
+}
+
+TEST_F(CheckpointTest, ResumedMappingIsValidatedAgainstTheNetwork) {
+  // A checkpoint with a valid stamp whose mapping does not realize the
+  // network (a connection naming neuron n, or a wrong neuron count) must
+  // be recomputed like any other mismatch, never handed to the netlist
+  // builder.
+  const auto network = small_network();
+  FlowConfig config = fast_config();
+  config.checkpoint.dir = dir_;
+  const auto clean = run_autoncs(network, config);
+  ASSERT_FALSE(clean.mapping.crossbars.empty());
+
+  mapping::HybridMapping out_of_range = clean.mapping;
+  out_of_range.crossbars[0].connections[0].from = network.size();
+  mapping::HybridMapping wrong_count = clean.mapping;
+  wrong_count.neuron_count = network.size() - 1;
+  config.checkpoint.resume = true;
+  for (const mapping::HybridMapping* bad : {&out_of_range, &wrong_count}) {
+    for (const bool placed : {false, true}) {
+      std::filesystem::remove_all(dir_);
+      if (placed)
+        checkpoint::save_placement(dir_, config, *bad, clean.netlist,
+                                   clean.placement);
+      else
+        checkpoint::save_clustering(dir_, config, *bad);
+      const auto result = run_autoncs(network, config);
+      EXPECT_FALSE(result.resumed) << placed;
+      bool recomputed = false;
+      for (const auto& event : result.recovery.events())
+        recomputed = recomputed || (event.point == "checkpoint.mismatch" &&
+                                    event.action == "recompute");
+      EXPECT_TRUE(recomputed) << placed;
+      EXPECT_TRUE(identical_results(result, clean)) << placed;
+    }
+  }
 }
 
 TEST_F(CheckpointTest, MismatchEventIsVisibleInRunManifest) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -486,6 +487,33 @@ TEST(Telemetry, OuterSessionOwnsNestedFlows) {
   double wirelength = 0.0;
   ASSERT_TRUE(util::json_read(cost->find("total_wirelength_um"), wirelength));
   EXPECT_GT(wirelength, 0.0);
+
+  // Each manifest's pool and memory sections cover its own flow: FullCro
+  // runs no clustering, so it has no isc pool row and no clustering stage.
+  const auto pool_labels = [](const util::JsonValue& d) {
+    std::vector<std::string> labels;
+    if (const util::JsonValue* pool = d.find("pool"))
+      for (const auto& row : pool->items)
+        labels.push_back(row.find("label")->string_value);
+    return labels;
+  };
+  const auto memory_stages = [](const util::JsonValue& d) {
+    std::vector<std::string> stages;
+    const util::JsonValue* memory = d.find("memory");
+    if (const util::JsonValue* list = memory ? memory->find("stages") : nullptr)
+      for (const auto& row : list->items)
+        stages.push_back(row.find("stage")->string_value);
+    return stages;
+  };
+  const std::vector<std::string> fullcro_pools = pool_labels(doc);
+  EXPECT_EQ(std::count(fullcro_pools.begin(), fullcro_pools.end(), "isc"), 0);
+  EXPECT_EQ(memory_stages(doc),
+            (std::vector<std::string>{"netlist", "placement", "routing"}));
+  util::JsonValue ours_doc;
+  ASSERT_TRUE(util::json_parse(manifest, ours_doc));
+  EXPECT_EQ(memory_stages(ours_doc),
+            (std::vector<std::string>{"clustering", "netlist", "placement",
+                                      "routing"}));
 }
 
 TEST(Telemetry, SessionWithoutSinksIsInert) {

@@ -114,15 +114,15 @@ TEST(OverlapRatio, NormalizedByVirtualArea) {
 TEST(DensityModel, ZeroForFarCells) {
   const auto net = boxes({{0, 0, 1, 1}, {100, 100, 1, 1}});
   const auto state = pack_positions(net);
-  const DensityModel model{1.0, 8.0};
-  EXPECT_DOUBLE_EQ(model.evaluate(net, state, nullptr), 0.0);
+  DensityModel model(net, 1.0, 8.0);
+  EXPECT_DOUBLE_EQ(model.evaluate(state, nullptr), 0.0);
 }
 
 TEST(DensityModel, ApproachesExactOverlapForLargeBeta) {
   const auto net = boxes({{0, 0, 2, 2}, {1.0, 0.5, 2, 2}});
   const auto state = pack_positions(net);
-  const DensityModel sharp{1.0, 64.0};
-  EXPECT_NEAR(sharp.evaluate(net, state, nullptr),
+  DensityModel sharp(net, 1.0, 64.0);
+  EXPECT_NEAR(sharp.evaluate(state, nullptr),
               exact_overlap_area(net, state, 1.0), 0.1);
 }
 
@@ -138,9 +138,9 @@ TEST(DensityModel, GradientMatchesFiniteDifferences) {
     net.cells.push_back(cell);
   }
   auto state = pack_positions(net);
-  const DensityModel model{1.1, 4.0};
+  DensityModel model(net, 1.1, 4.0);
   std::vector<double> gradient(state.size(), 0.0);
-  model.evaluate(net, state, &gradient);
+  model.evaluate(state, &gradient);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -148,8 +148,8 @@ TEST(DensityModel, GradientMatchesFiniteDifferences) {
     auto minus = state;
     plus[i] += eps;
     minus[i] -= eps;
-    const double numeric = (model.evaluate(net, plus, nullptr) -
-                            model.evaluate(net, minus, nullptr)) /
+    const double numeric = (model.evaluate(plus, nullptr) -
+                            model.evaluate(minus, nullptr)) /
                            (2.0 * eps);
     EXPECT_NEAR(gradient[i], numeric, 1e-4) << "coordinate " << i;
   }
@@ -168,8 +168,8 @@ TEST(DensityModel, MatchesBruteForcePairSum) {
     net.cells.push_back(cell);
   }
   const auto state = pack_positions(net);
-  const DensityModel model{1.2, 6.0};
-  const double fast = model.evaluate(net, state, nullptr);
+  DensityModel model(net, 1.2, 6.0);
+  const double fast = model.evaluate(state, nullptr);
 
   // Brute force with the same softplus.
   auto softplus = [](double z, double beta) {
@@ -194,53 +194,17 @@ TEST(DensityModel, MatchesBruteForcePairSum) {
   EXPECT_NEAR(fast, brute, 1e-9 + 1e-9 * brute);
 }
 
-TEST(DensityModel, CacheKeyCoversCellExtents) {
-  // A model that evaluated 1 um cells must not replay that pass for the
-  // same positions once the cells are 4 um: the half extents are part of
-  // the cache key.
-  util::Rng rng(17);
-  netlist::Netlist small;
-  for (int c = 0; c < 12; ++c) {
-    netlist::Cell cell;
-    cell.x = rng.uniform(-6.0, 6.0);
-    cell.y = rng.uniform(-6.0, 6.0);
-    cell.width = 1.0;
-    cell.height = 1.0;
-    small.cells.push_back(cell);
-  }
-  netlist::Netlist large = small;
-  for (auto& cell : large.cells) cell.width = cell.height = 4.0;
-  const auto state = pack_positions(small);
-
-  util::ThreadPool pool(2);
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    const DensityModel model{1.2, 8.0};
-    model.evaluate(small, state, nullptr, p);  // fills the cache
-    std::vector<double> gradient(state.size(), 0.0);
-    const double value = model.evaluate(large, state, &gradient, p);
-
-    const DensityModel fresh{1.2, 8.0};
-    std::vector<double> fresh_gradient(state.size(), 0.0);
-    EXPECT_EQ(value, fresh.evaluate(large, state, &fresh_gradient, p));
-    EXPECT_EQ(gradient, fresh_gradient);
-    EXPECT_GT(value, 1.0);
-  }
-}
-
 TEST(DensityModel, SingleCellIsZero) {
   const auto net = boxes({{0, 0, 3, 3}});
   const auto state = pack_positions(net);
-  const DensityModel model{1.2, 8.0};
-  EXPECT_DOUBLE_EQ(model.evaluate(net, state, nullptr), 0.0);
+  DensityModel model(net, 1.2, 8.0);
+  EXPECT_DOUBLE_EQ(model.evaluate(state, nullptr), 0.0);
 }
 
 TEST(DensityModel, InvalidParametersThrow) {
   const auto net = boxes({{0, 0, 1, 1}, {1, 1, 1, 1}});
-  const auto state = pack_positions(net);
-  DensityModel bad_omega{0.5, 8.0};
-  EXPECT_THROW(bad_omega.evaluate(net, state, nullptr), util::CheckError);
-  DensityModel bad_beta{1.2, 0.0};
-  EXPECT_THROW(bad_beta.evaluate(net, state, nullptr), util::CheckError);
+  EXPECT_THROW(DensityModel(net, 0.5, 8.0), util::CheckError);
+  EXPECT_THROW(DensityModel(net, 1.2, 0.0), util::CheckError);
 }
 
 TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
@@ -251,7 +215,6 @@ TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
   // by an astronomical offset must contribute exactly two local overlaps
   // and nothing across the gap.
   const double beta = 8.0;
-  const DensityModel probe{1.2, beta};
   // Recover the evaluation bucket width: reach = 2 * r_max + 30 / beta,
   // bucket = reach / 2, with r_max = 0.6 * max extent below.
   const double r_max = 0.6 * 2.0;
@@ -262,16 +225,18 @@ TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
                           {far, 0.0, 2.0, 2.0},
                           {far + 0.5, 0.0, 2.0, 2.0}});
   const auto state = pack_positions(net);
-  const double total = probe.evaluate(net, state, nullptr);
+  DensityModel probe(net, 1.2, beta);
+  const double total = probe.evaluate(state, nullptr);
 
   // Reference: the same pair in isolation, twice.
   const auto pair = boxes({{0.0, 0.0, 2.0, 2.0}, {0.5, 0.0, 2.0, 2.0}});
-  const double one = probe.evaluate(pair, pack_positions(pair), nullptr);
+  DensityModel pair_probe(pair, 1.2, beta);
+  const double one = pair_probe.evaluate(pack_positions(pair), nullptr);
   EXPECT_DOUBLE_EQ(total, 2.0 * one);
 
   // The gradient path agrees and the far cluster pulls only locally.
   std::vector<double> grad(state.size(), 0.0);
-  const double with_grad = probe.evaluate(net, state, &grad);
+  const double with_grad = probe.evaluate(state, &grad);
   EXPECT_DOUBLE_EQ(with_grad, total);
   EXPECT_DOUBLE_EQ(grad[0], grad[4]);  // same local geometry -> same pull
 }
@@ -289,21 +254,21 @@ TEST(DensityModel, FlatGridMatchesLegacyHashBitForBit) {
   }
   const auto state = pack_positions(net);
   const Reference ref = reference("uniform80");
-  DensityModel model{1.2, 8.0};
+  DensityModel model(net, 1.2, 8.0);
   std::vector<double> grad(state.size(), 0.0);
-  const double value = model.evaluate(net, state, &grad);
+  const double value = model.evaluate(state, &grad);
   EXPECT_EQ(value, ref.value);
   EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient);
   EXPECT_EQ(model.pairs_kept(), ref.kept);
   // Value-only mode returns the same bits as the gradient mode.
-  DensityModel value_only{1.2, 8.0};
-  EXPECT_EQ(value_only.evaluate(net, state, nullptr), value);
+  DensityModel value_only(net, 1.2, 8.0);
+  EXPECT_EQ(value_only.evaluate(state, nullptr), value);
   // Buffer reuse: repeated value passes rebuild but do not regrow.
   const std::size_t reallocs = value_only.grid_reallocations();
   auto moved = state;
   for (int r = 0; r < 3; ++r) {
     moved[0] += 0.125;
-    value_only.evaluate(net, moved, nullptr);
+    value_only.evaluate(moved, nullptr);
   }
   EXPECT_EQ(value_only.grid_reallocations(), reallocs);
   EXPECT_EQ(value_only.grid_builds(), 4u);
@@ -355,22 +320,21 @@ void expect_matches_reference(const netlist::Netlist& net, double beta,
   std::size_t candidates = 0;
   for (std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
-    util::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
     // Gradient with no cache hit: a value pass, then the replay.
-    DensityModel model{1.2, beta};
+    DensityModel model(net, 1.2, beta, &pool);
     std::vector<double> grad(state.size(), 0.0);
-    EXPECT_EQ(model.evaluate(net, state, &grad, pool_ptr), ref.value)
+    EXPECT_EQ(model.evaluate(state, &grad), ref.value)
         << name << ", " << threads << " threads";
     EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient)
         << name << ", " << threads << " threads";
     EXPECT_EQ(model.pairs_kept(), ref.kept) << name;
     // Value-only pass, then the replayed gradient at the same point: the
     // cache hits, so neither call enumerates again.
-    DensityModel trial{1.2, beta};
-    EXPECT_EQ(trial.evaluate(net, state, nullptr, pool_ptr), ref.value);
-    EXPECT_EQ(trial.evaluate(net, state, nullptr, pool_ptr), ref.value);
+    DensityModel trial(net, 1.2, beta, &pool);
+    EXPECT_EQ(trial.evaluate(state, nullptr), ref.value);
+    EXPECT_EQ(trial.evaluate(state, nullptr), ref.value);
     std::vector<double> replay(state.size(), 0.0);
-    EXPECT_EQ(trial.evaluate(net, state, &replay, pool_ptr), ref.value);
+    EXPECT_EQ(trial.evaluate(state, &replay), ref.value);
     EXPECT_EQ(replay, grad) << name << ", " << threads << " threads";
     EXPECT_EQ(trial.pairs_kept(), ref.kept) << name;
     EXPECT_EQ(trial.grid_builds(), 1u) << name;
@@ -588,9 +552,9 @@ TEST(MixedSizeDensity, FineGridSkipsFarSmallCells) {
   // examined more than twice the candidates for the same pairs.
   const auto net = mixed_netlist(600, 0.05, 60.0, 8);
   const Reference ref = reference("fine_grid");
-  DensityModel model{1.2, 16.0};
+  DensityModel model(net, 1.2, 16.0);
   const auto state = pack_positions(net);
-  EXPECT_EQ(model.evaluate(net, state, nullptr), ref.value);
+  EXPECT_EQ(model.evaluate(state, nullptr), ref.value);
   EXPECT_EQ(model.pairs_kept(), ref.kept);
   EXPECT_LT(2 * model.pair_candidates(), ref.candidates);
 }
@@ -686,10 +650,9 @@ void expect_matches_oracle(const netlist::Netlist& net,
   std::size_t candidates = 0;
   for (std::size_t threads : {1u, 8u}) {
     util::ThreadPool pool(threads);
-    DensityModel model{1.2, beta};
+    DensityModel model(net, 1.2, beta, &pool);
     std::vector<double> grad(state.size(), 0.0);
-    const double value =
-        model.evaluate(net, state, &grad, threads > 1 ? &pool : nullptr);
+    const double value = model.evaluate(state, &grad);
     EXPECT_EQ(testing::hex(testing::digest({value})),
               testing::hex(testing::digest({oracle.value})))
         << name << ", " << threads << " threads";
@@ -759,12 +722,12 @@ TEST(FoldOrderOracle, Tb3StateMidCg) {
   }
   auto state = pack_positions(net);
 
-  const WaModel wa{2.0};
-  const DensityModel density{1.2, 16.0};
+  WaModel wa(net, 2.0);
+  DensityModel density(net, 1.2, 16.0);
   std::vector<double> grad_wl(state.size(), 0.0);
   std::vector<double> grad_d(state.size(), 0.0);
-  wa.evaluate(net, state, &grad_wl);
-  density.evaluate(net, state, &grad_d);
+  wa.evaluate(state, &grad_wl);
+  density.evaluate(state, &grad_d);
   double sum_wl = 0.0;
   double sum_d = 0.0;
   for (std::size_t k = 0; k < state.size(); ++k) {
@@ -776,12 +739,11 @@ TEST(FoldOrderOracle, Tb3StateMidCg) {
   const Objective objective = [&](const std::vector<double>& x,
                                   std::vector<double>* gradient) {
     if (gradient == nullptr)
-      return wa.evaluate(net, x, nullptr) +
-             lambda * density.evaluate(net, x, nullptr);
+      return wa.evaluate(x, nullptr) + lambda * density.evaluate(x, nullptr);
     std::fill(gradient->begin(), gradient->end(), 0.0);
     scratch.assign(x.size(), 0.0);
-    const double value = wa.evaluate(net, x, gradient) +
-                         lambda * density.evaluate(net, x, &scratch);
+    const double value =
+        wa.evaluate(x, gradient) + lambda * density.evaluate(x, &scratch);
     for (std::size_t k = 0; k < x.size(); ++k)
       (*gradient)[k] += lambda * scratch[k];
     return value;

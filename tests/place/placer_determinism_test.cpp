@@ -231,24 +231,24 @@ void check_gradient(const netlist::Netlist& net, const EvalFn& eval,
 
 TEST(PlacerGradients, WaWirelengthMatchesFiniteDifferences) {
   const auto net = scattered_netlist(10, 77);
-  const WaModel model{1.5};
+  WaModel model(net, 1.5);
   check_gradient(
       net,
       [&](const std::vector<double>& x, std::vector<double>* g) {
         if (g != nullptr) std::fill(g->begin(), g->end(), 0.0);
-        return model.evaluate(net, x, g);
+        return model.evaluate(x, g);
       },
       1e-5, 1e-5);
 }
 
 TEST(PlacerGradients, DensityMatchesFiniteDifferences) {
   const auto net = scattered_netlist(10, 31);
-  const DensityModel model{1.2, 4.0};  // soft beta: smooth for FD
+  DensityModel model(net, 1.2, 4.0);  // soft beta: smooth for FD
   check_gradient(
       net,
       [&](const std::vector<double>& x, std::vector<double>* g) {
         if (g != nullptr) std::fill(g->begin(), g->end(), 0.0);
-        return model.evaluate(net, x, g);
+        return model.evaluate(x, g);
       },
       1e-5, 1e-4);
 }
@@ -270,20 +270,20 @@ TEST(PlacerGradients, FullObjectiveValueIdenticalInBothModes) {
   // return the same bits with and without a gradient — that is the whole
   // bit-identity argument for value-only line-search trials.
   const auto net = scattered_netlist(12, 13);
-  const WaModel wl{2.0};
-  const DensityModel density{1.2, 16.0};
+  WaModel wl(net, 2.0);
+  DensityModel density(net, 1.2, 16.0);
   const double lambda = 0.37;
   const double die_half = 5.0;
   const auto state = pack_positions(net);
   std::vector<double> grad(state.size(), 0.0);
   std::vector<double> dgrad(state.size(), 0.0);
-  const double wl_g = wl.evaluate(net, state, &grad);
-  double d_g = density.evaluate(net, state, &dgrad);
+  const double wl_g = wl.evaluate(state, &grad);
+  double d_g = density.evaluate(state, &dgrad);
   d_g += boundary_penalty(net, state, 1.2, die_half, &dgrad);
   const double with_gradient = wl_g + lambda * d_g;
 
-  const double wl_v = wl.evaluate(net, state, nullptr);
-  double d_v = density.evaluate(net, state, nullptr);
+  const double wl_v = wl.evaluate(state, nullptr);
+  double d_v = density.evaluate(state, nullptr);
   d_v += boundary_penalty(net, state, 1.2, die_half, nullptr);
   const double value_only = wl_v + lambda * d_v;
   EXPECT_EQ(with_gradient, value_only);

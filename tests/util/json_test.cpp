@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace autoncs::util {
 namespace {
@@ -133,6 +134,30 @@ TEST(JsonParse, RejectsWhatJsonValidRejects) {
   for (const char* bad : {"", "{", "{\"a\":}", "{\"a\":1,}", "[1 2]", "{} {}",
                           "nul", "01", "\"unterminated", "{'a':1}"}) {
     EXPECT_FALSE(json_parse(bad, doc)) << bad;
+  }
+}
+
+TEST(JsonRead, SizeRejectsNegativeFractionalAndOutOfRange) {
+  // A size is a whole number in [0, 2^64); anything else would make the
+  // cast to size_t undefined.
+  std::size_t size = 7;
+  for (const char* bad : {"-1", "0.5", "1e300", "1e400",
+                          "18446744073709551616", "\"3\"", "null"}) {
+    JsonValue doc;
+    ASSERT_TRUE(json_parse(bad, doc)) << bad;
+    EXPECT_FALSE(json_read(&doc, size)) << bad;
+  }
+  EXPECT_EQ(size, 7u);
+  for (const auto& [text, value] :
+       {std::pair<const char*, std::size_t>{"0", 0},
+        {"-0", 0},
+        {"48", 48},
+        {"1e15", 1000000000000000},
+        {"18446744073709549568", 18446744073709549568ULL}}) {
+    JsonValue doc;
+    ASSERT_TRUE(json_parse(text, doc)) << text;
+    ASSERT_TRUE(json_read(&doc, size)) << text;
+    EXPECT_EQ(size, value) << text;
   }
 }
 
