@@ -1,10 +1,12 @@
 #include "autoncs/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <utility>
 
 #include "autoncs/config.hpp"
 #include "autoncs/telemetry.hpp"
@@ -15,7 +17,7 @@ namespace autoncs::checkpoint {
 
 namespace {
 
-constexpr const char* kSchema = "autoncs-checkpoint/1";
+constexpr const char* kSchema = "autoncs-checkpoint/2";
 
 std::string hash_hex(std::uint64_t hash) {
   char buffer[17];
@@ -33,138 +35,48 @@ void warn(const std::string& path, const std::string& why,
           util::RecoveryLog* recovery) {
   util::LogLine(util::LogLevel::kWarn, "checkpoint")
       << path << ": " << why << " — recomputing from scratch";
-  if (recovery != nullptr) {
-    util::RecoveryEvent event;
-    event.stage = "flow";
-    event.point = "checkpoint.mismatch";
-    event.action = "recompute";
-    event.recovered = true;
-    event.alters_result = false;
-    event.detail = path + ": " + why;
-    recovery->record(std::move(event));
-  }
+  if (recovery != nullptr)
+    recovery->record({"flow", "checkpoint.mismatch", "recompute", true, false,
+                      path + ": " + why});
 }
 
-// ---- writing ----
+/// A header field: its value for this run, and why another one recomputes.
+struct StampField {
+  const char* key;
+  std::string value;
+  const char* mismatch;
+};
 
-void write_connections(util::JsonWriter& w,
-                       const std::vector<nn::Connection>& list) {
-  w.begin_array();
-  for (const nn::Connection& c : list) {
-    w.begin_array();
-    w.value(c.from);
-    w.value(c.to);
-    w.end_array();
-  }
-  w.end_array();
+/// The header, in order. The seed is a string: JSON numbers hold 53 bits.
+std::array<StampField, 4> stamp(const FlowConfig& config, const char* kind) {
+  return {{{"schema", kSchema, "unknown checkpoint schema"},
+           {"kind", kind, "wrong checkpoint kind"},
+           {"seed", std::to_string(config.seed),
+            "checkpoint was written under a different seed"},
+           {"config_hash", hash_hex(config_hash(config)),
+            "checkpoint was written under a different config"}}};
 }
 
-void write_indices(util::JsonWriter& w, const std::vector<std::size_t>& list) {
-  w.begin_array();
-  for (std::size_t v : list) w.value(v);
-  w.end_array();
-}
-
-void write_mapping(util::JsonWriter& w, const mapping::HybridMapping& mapping) {
+/// A checkpoint document opened with its header (write_checkpoint closes it).
+util::JsonWriter open_document(const FlowConfig& config, const char* kind) {
+  util::JsonWriter w;
   w.begin_object();
-  w.field("neuron_count", mapping.neuron_count);
-  w.key("crossbars").begin_array();
-  for (const clustering::CrossbarInstance& xbar : mapping.crossbars) {
-    w.begin_object();
-    w.field("size", xbar.size).field("iteration", xbar.iteration);
-    w.key("rows");
-    write_indices(w, xbar.rows);
-    w.key("cols");
-    write_indices(w, xbar.cols);
-    w.key("connections");
-    write_connections(w, xbar.connections);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("discrete_synapses");
-  write_connections(w, mapping.discrete_synapses);
-  w.end_object();
-}
-
-void write_header(util::JsonWriter& w, const FlowConfig& config,
-                  const char* kind) {
-  w.field("schema", kSchema)
-      .field("kind", kind)
-      .field("seed", config.seed)
-      .field("config_hash", hash_hex(config_hash(config)));
+  for (const StampField& field : stamp(config, kind))
+    w.field(field.key, field.value);
+  return w;
 }
 
 bool write_checkpoint(const std::string& dir, const std::string& path,
-                      const std::string& json) {
+                      util::JsonWriter& w) {
+  w.end_object();
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  if (ec || !util::write_text_file(path, json)) {
+  if (ec || !util::write_text_file(path, w.str())) {
     util::LogLine(util::LogLevel::kWarn, "checkpoint")
         << "cannot write " << path << " — continuing without a checkpoint";
     return false;
   }
   util::LogLine(util::LogLevel::kInfo, "checkpoint") << "saved " << path;
-  return true;
-}
-
-// ---- reading ----
-
-bool read_indices(const util::JsonValue* v, std::vector<std::size_t>& out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out.clear();
-  out.reserve(v->items.size());
-  for (const util::JsonValue& item : v->items)
-    if (!util::json_read(&item, out.emplace_back())) return false;
-  return true;
-}
-
-bool read_connections(const util::JsonValue* v,
-                      std::vector<nn::Connection>& out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out.clear();
-  out.reserve(v->items.size());
-  for (const util::JsonValue& item : v->items) {
-    nn::Connection c;
-    if (!item.is_array() || item.items.size() != 2 ||
-        !util::json_read(&item.items[0], c.from) ||
-        !util::json_read(&item.items[1], c.to))
-      return false;
-    out.push_back(c);
-  }
-  return true;
-}
-
-bool read_mapping(const util::JsonValue* v, mapping::HybridMapping& out) {
-  if (v == nullptr || !v->is_object()) return false;
-  if (!util::json_read(v->find("neuron_count"), out.neuron_count))
-    return false;
-  const util::JsonValue* crossbars = v->find("crossbars");
-  if (crossbars == nullptr || !crossbars->is_array()) return false;
-  out.crossbars.clear();
-  out.crossbars.reserve(crossbars->items.size());
-  for (const util::JsonValue& item : crossbars->items) {
-    if (!item.is_object()) return false;
-    clustering::CrossbarInstance xbar;
-    if (!util::json_read(item.find("size"), xbar.size) ||
-        !util::json_read(item.find("iteration"), xbar.iteration) ||
-        !read_indices(item.find("rows"), xbar.rows) ||
-        !read_indices(item.find("cols"), xbar.cols) ||
-        !read_connections(item.find("connections"), xbar.connections))
-      return false;
-    out.crossbars.push_back(std::move(xbar));
-  }
-  return read_connections(v->find("discrete_synapses"),
-                          out.discrete_synapses);
-}
-
-bool read_doubles(const util::JsonValue* v, std::vector<double>& out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out.clear();
-  out.reserve(v->items.size());
-  for (const util::JsonValue& item : v->items) {
-    if (!item.is_number()) return false;
-    out.push_back(item.number_value);
-  }
   return true;
 }
 
@@ -192,29 +104,12 @@ bool load_document(const std::string& path, const FlowConfig& config,
     warn(path, "corrupt or truncated checkpoint", recovery);
     return false;
   }
-  const util::JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string_value != kSchema) {
-    warn(path, "unknown checkpoint schema", recovery);
-    return false;
-  }
-  const util::JsonValue* file_kind = doc.find("kind");
-  if (file_kind == nullptr || !file_kind->is_string() ||
-      file_kind->string_value != kind) {
-    warn(path, "wrong checkpoint kind", recovery);
-    return false;
-  }
-  std::size_t seed = 0;
-  if (!util::json_read(doc.find("seed"), seed) ||
-      static_cast<std::uint64_t>(seed) != config.seed) {
-    warn(path, "checkpoint was written under a different seed", recovery);
-    return false;
-  }
-  const util::JsonValue* hash = doc.find("config_hash");
-  if (hash == nullptr || !hash->is_string() ||
-      hash->string_value != hash_hex(config_hash(config))) {
-    warn(path, "checkpoint was written under a different config", recovery);
-    return false;
+  for (const StampField& field : stamp(config, kind)) {
+    std::string value;
+    if (!util::json_read(doc.find(field.key), value) || value != field.value) {
+      warn(path, field.mismatch, recovery);
+      return false;
+    }
   }
   return true;
 }
@@ -242,34 +137,24 @@ std::string placement_path(const std::string& dir) {
 
 bool save_clustering(const std::string& dir, const FlowConfig& config,
                      const mapping::HybridMapping& mapping) {
-  util::JsonWriter w;
-  w.begin_object();
-  write_header(w, config, "clustering");
+  util::JsonWriter w = open_document(config, "clustering");
   w.key("mapping");
-  write_mapping(w, mapping);
-  w.end_object();
-  return write_checkpoint(dir, clustering_path(dir), w.str());
+  util::write_json(w, mapping);
+  return write_checkpoint(dir, clustering_path(dir), w);
 }
 
 bool save_placement(const std::string& dir, const FlowConfig& config,
                     const mapping::HybridMapping& mapping,
                     const netlist::Netlist& netlist,
                     const place::PlacementReport& report) {
-  util::JsonWriter w;
-  w.begin_object();
-  write_header(w, config, "placement");
-  w.key("mapping");
-  write_mapping(w, mapping);
-  w.key("x").begin_array();
-  for (const netlist::Cell& cell : netlist.cells) w.value(cell.x);
-  w.end_array();
-  w.key("y").begin_array();
-  for (const netlist::Cell& cell : netlist.cells) w.value(cell.y);
-  w.end_array();
-  w.key("report");
-  util::write_json(w, report);
-  w.end_object();
-  return write_checkpoint(dir, placement_path(dir), w.str());
+  PlacementState state{mapping, {}, {}, report};
+  for (const netlist::Cell& cell : netlist.cells) {
+    state.x.push_back(cell.x);
+    state.y.push_back(cell.y);
+  }
+  util::JsonWriter w = open_document(config, "placement");
+  util::write_fields(w, state);
+  return write_checkpoint(dir, placement_path(dir), w);
 }
 
 std::optional<mapping::HybridMapping> load_clustering(
@@ -280,7 +165,7 @@ std::optional<mapping::HybridMapping> load_clustering(
   if (!load_document(path, config, "clustering", doc, recovery))
     return std::nullopt;
   mapping::HybridMapping mapping;
-  if (!read_mapping(doc.find("mapping"), mapping)) {
+  if (!util::read_fields(doc.find("mapping"), mapping)) {
     warn(path, "malformed mapping payload", recovery);
     return std::nullopt;
   }
@@ -297,19 +182,16 @@ std::optional<PlacementState> load_placement(
   if (!load_document(path, config, "placement", doc, recovery))
     return std::nullopt;
   PlacementState state;
-  if (!read_mapping(doc.find("mapping"), state.mapping) ||
-      !read_doubles(doc.find("x"), state.x) ||
-      !read_doubles(doc.find("y"), state.y) ||
-      state.x.size() != state.y.size()) {
+  // read_fields reads null as NaN. A coordinate that is not finite would
+  // make the netlist check throw instead of recomputing.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!util::read_fields(&doc, state) || state.x.size() != state.y.size() ||
+      !std::ranges::all_of(state.x, finite) ||
+      !std::ranges::all_of(state.y, finite)) {
     warn(path, "malformed placement payload", recovery);
     return std::nullopt;
   }
   if (!realizes(path, state.mapping, network, recovery)) return std::nullopt;
-  const util::JsonValue* report = doc.find("report");
-  if (report == nullptr || !util::read_fields(*report, state.report)) {
-    warn(path, "malformed placement report payload", recovery);
-    return std::nullopt;
-  }
   util::LogLine(util::LogLevel::kInfo, "checkpoint") << "loaded " << path;
   return state;
 }

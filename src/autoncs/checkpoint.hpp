@@ -8,13 +8,15 @@
 //                                placement report — resuming here reruns
 //                                only routing.
 //
-// Checkpoints are versioned JSON (schema "autoncs-checkpoint/1") stamped
-// with the flow seed and an FNV-1a hash of the canonical config JSON
-// (telemetry::flow_config_json). Loading validates schema, kind, seed and
-// config hash, then checks the mapping against the network like a computed
-// one; any mismatch — or a missing, truncated or corrupt file — is
-// reported with a warning and the load returns nothing, so the flow falls
-// back to a full recompute instead of resuming into an inconsistent state.
+// Checkpoints are versioned JSON (schema "autoncs-checkpoint/2") stamped
+// with the flow seed (a decimal string) and an FNV-1a hash of the canonical
+// config JSON (telemetry::flow_config_json); the payload is written and
+// read from visit_fields (util/json.hpp). Loading validates schema, kind,
+// seed and config hash, then checks the mapping against the network like a
+// computed one; any mismatch — or a missing, truncated or corrupt file —
+// is reported with a warning and the load returns nothing, so the flow
+// falls back to a full recompute instead of resuming into an inconsistent
+// state.
 //
 // Every stage downstream of a restart point is deterministic given the
 // checkpointed state and the seed, so a resumed run reproduces the
@@ -31,6 +33,7 @@
 #include "netlist/netlist.hpp"
 #include "place/placer.hpp"
 #include "util/error.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs {
 
@@ -54,15 +57,24 @@ namespace checkpoint {
 std::uint64_t config_hash(const FlowConfig& config);
 
 /// Post-placement state: the mapping plus everything the back end needs to
-/// skip straight to routing. The per-outer-iteration trajectory
-/// (PlacementReport::outer) is not preserved — it is diagnostic only and
-/// feeds neither the manifest scalars nor any downstream stage.
+/// skip straight to routing (PlacementReport::outer is not kept; see
+/// autoncs/config.hpp).
 struct PlacementState {
   mapping::HybridMapping mapping;
   std::vector<double> x;  // final cell centers, netlist cell order
   std::vector<double> y;
   place::PlacementReport report;
 };
+
+/// The placement checkpoint's payload after its header (util/fields.hpp).
+template <util::RecordOf<PlacementState> State, class F>
+void visit_fields(State& state, F&& f) {
+  auto& [mapping, x, y, report] = state;
+  f("mapping", mapping);
+  f("x", x);
+  f("y", y);
+  f("report", report);
+}
 
 std::string clustering_path(const std::string& dir);
 std::string placement_path(const std::string& dir);

@@ -21,6 +21,12 @@
 //     place() overwrite them (from FlowConfig::seed, placer.omega, the die).
 //   - PlacementReport::outer: the per-iteration trajectory, carried by the
 //     metrics series; checkpoints do not keep it.
+//   - RoutingResult::wires, grid: the routed paths and the congestion grid,
+//     far larger than a manifest should be; the summary fields describe
+//     them.
+//   - RoutingResult::wave_sizes: the per-wave series, carried by the
+//     metrics series like PlacementReport::outer.
+//   - RoutingResult::runtime_ms: timings_ms.routing holds the stage time.
 #pragma once
 
 #include <atomic>

@@ -17,6 +17,7 @@
 #include "route/router.hpp"
 #include "tech/cost.hpp"
 #include "util/error.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs {
 
@@ -35,6 +36,22 @@ struct StageTimings {
   double routing_ms = 0.0;
   double total_ms = 0.0;
 };
+
+/// The manifest `timings_ms` fields (util/fields.hpp).
+template <util::RecordOf<StageTimings> Timings, class F>
+void visit_fields(Timings& timings, F&& f) {
+  auto& [clustering_ms, clustering_embedding_ms, clustering_kmeans_ms,
+         clustering_packing_ms, netlist_ms, placement_ms, routing_ms,
+         total_ms] = timings;
+  f("clustering", clustering_ms);
+  f("clustering_embedding", clustering_embedding_ms);
+  f("clustering_kmeans", clustering_kmeans_ms);
+  f("clustering_packing", clustering_packing_ms);
+  f("netlist", netlist_ms);
+  f("placement", placement_ms);
+  f("routing", routing_ms);
+  f("total", total_ms);
+}
 
 struct FlowResult {
   mapping::HybridMapping mapping;

@@ -33,17 +33,11 @@ Session* g_active = nullptr;
 
 void write_result(util::JsonWriter& w, const FlowConfig& config,
                   const FlowResult& result) {
-  w.key("timings_ms").begin_object();
-  w.field("clustering", result.timings.clustering_ms)
-      .field("clustering_embedding", result.timings.clustering_embedding_ms)
-      .field("clustering_kmeans", result.timings.clustering_kmeans_ms)
-      .field("clustering_packing", result.timings.clustering_packing_ms)
-      .field("netlist", result.timings.netlist_ms)
-      .field("placement", result.timings.placement_ms)
-      .field("routing", result.timings.routing_ms)
-      .field("total", result.timings.total_ms);
-  w.end_object();
+  w.key("timings_ms");
+  util::write_json(w, result.timings);
 
+  // The mapping and ISC counts, the ISC outlier ratio and the combined
+  // cost are computed from the records, so they are written by name.
   w.key("result").begin_object();
   w.field("crossbars", result.mapping.crossbars.size())
       .field("discrete_synapses", result.mapping.discrete_synapses.size())
@@ -59,37 +53,11 @@ void write_result(util::JsonWriter& w, const FlowConfig& config,
   }
   w.key("placement");
   util::write_json(w, result.placement);
-  w.key("routing").begin_object();
-  w.field("wirelength_um", result.routing.total_wirelength_um)
-      .field("average_delay_ns", result.routing.average_delay_ns)
-      .field("max_delay_ns", result.routing.max_delay_ns)
-      .field("total_overflow", result.routing.total_overflow)
-      .field("peak_congestion", result.routing.peak_congestion)
-      .field("segments_total", result.routing.segments_total)
-      .field("segments_routed", result.routing.segments_routed)
-      .field("segments_deferred", result.routing.segments_deferred)
-      .field("segments_relaxed", result.routing.segments_relaxed)
-      .field("segments_fallback", result.routing.segments_fallback)
-      .field("maze_invocations", result.routing.maze_invocations)
-      .field("maze_nodes_expanded", result.routing.maze_nodes_expanded)
-      .field("maze_heap_pushes", result.routing.maze_heap_pushes)
-      .field("maze_window_retries", result.routing.maze_window_retries)
-      .field("maze_meets", result.routing.maze_meets)
-      .field("oracle_calls", result.routing.oracle_calls)
-      .field("oracle_nodes", result.routing.oracle_nodes)
-      .field("waves", result.routing.waves)
-      .field("reroute_passes", result.routing.reroute_stats.size())
-      .field("threads_used", result.routing.threads_used)
-      .field("segments_failed", result.routing.segments_failed)
-      .field("failed_wires", result.routing.failed_wires.size())
-      .field("budget_exhausted", result.routing.budget_exhausted)
-      .field("degraded", result.routing.degraded);
-  w.end_object();
+  w.key("routing");
+  util::write_json(w, result.routing);
   w.key("cost").begin_object();
-  w.field("total_wirelength_um", result.cost.total_wirelength_um)
-      .field("area_um2", result.cost.area_um2)
-      .field("average_delay_ns", result.cost.average_delay_ns)
-      .field("combined", result.cost.combined(config.cost_weights));
+  util::write_fields(w, result.cost);
+  w.field("combined", result.cost.combined(config.cost_weights));
   w.end_object();
   w.end_object();  // result
 }
@@ -149,72 +117,13 @@ void write_build_section(util::JsonWriter& w) {
   w.end_object();
 }
 
-/// "pool" manifest section: per-label scheduler statistics aggregated by
-/// util::ThreadPool. Wall-clock quantities are allowed here (the manifest
-/// already records stage timings); they never enter the metrics stream.
-void write_pool_section(util::JsonWriter& w) {
-  w.key("pool").begin_array();
-  for (const util::PoolStats& p : util::pool_stats_snapshot()) {
-    w.begin_object();
-    w.field("label", p.label)
-        .field("workers", p.workers)
-        .field("pools", static_cast<long long>(p.pools))
-        .field("dispatches", static_cast<long long>(p.dispatches))
-        .field("inline_runs", static_cast<long long>(p.inline_runs))
-        .field("items", static_cast<long long>(p.items))
-        .field("blocks", static_cast<long long>(p.blocks))
-        .field("parks", static_cast<long long>(p.parks))
-        .field("wakes", static_cast<long long>(p.wakes))
-        .field("spin_wakes", static_cast<long long>(p.spin_wakes))
-        .field("wall_ns", static_cast<long long>(p.wall_ns));
-    w.key("busy_ns").begin_array();
-    for (std::uint64_t ns : p.busy_ns) w.value(static_cast<long long>(ns));
-    w.end_array();
-    w.key("blocks_run").begin_array();
-    for (std::uint64_t b : p.blocks_run) w.value(static_cast<long long>(b));
-    w.end_array();
-    w.key("busy_fraction").begin_array();
-    for (std::uint64_t ns : p.busy_ns) {
-      w.value(p.wall_ns > 0
-                  ? static_cast<double>(ns) / static_cast<double>(p.wall_ns)
-                  : 0.0);
-    }
-    w.end_array();
-    w.key("imbalance").begin_object();
-    w.field("lt5", static_cast<long long>(p.imbalance[0]))
-        .field("lt10", static_cast<long long>(p.imbalance[1]))
-        .field("lt25", static_cast<long long>(p.imbalance[2]))
-        .field("lt50", static_cast<long long>(p.imbalance[3]))
-        .field("ge50", static_cast<long long>(p.imbalance[4]));
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-}
-
-/// "memory" manifest section: stage-boundary RSS samples and instrumented
-/// structure footprints from util/mem.
-void write_memory_section(util::JsonWriter& w) {
-  const util::MemSnapshot mem = util::mem_snapshot();
-  w.key("memory").begin_object();
-  w.field("peak_rss_bytes", mem.peak_rss_bytes);
-  w.key("stages").begin_array();
-  for (const util::MemStageSample& s : mem.stages) {
-    w.begin_object();
-    w.field("stage", s.stage)
-        .field("current_rss_bytes", s.current_rss_bytes)
-        .field("peak_rss_bytes", s.peak_rss_bytes);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("structures").begin_array();
-  for (const util::MemStructure& s : mem.structures) {
-    w.begin_object();
-    w.field("name", s.name).field("bytes", s.bytes);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
+/// "pool" and "memory" manifest sections (util/thread_pool, util/mem). Their
+/// wall-clock quantities never enter the metrics stream.
+void write_pool_and_memory_sections(util::JsonWriter& w) {
+  w.key("pool");
+  util::write_json(w, util::pool_stats_snapshot());
+  w.key("memory");
+  util::write_json(w, util::mem_snapshot());
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -285,7 +194,7 @@ std::string run_manifest_json(const FlowConfig& config,
                               const std::string& flow_name) {
   util::JsonWriter w;
   w.begin_object();
-  w.field("schema", "autoncs-run-manifest/4")
+  w.field("schema", "autoncs-run-manifest/5")
       .field("flow", flow_name)
       .field("build_type", AUTONCS_BUILD_TYPE)
       .field("seed", config.seed)
@@ -296,23 +205,12 @@ std::string run_manifest_json(const FlowConfig& config,
       .field("resumed", result.resumed)
       .field("error_code", result.recovery.first_degraded_code());
   write_build_section(w);
-  w.key("recovery").begin_array();
-  for (const util::RecoveryEvent& event : result.recovery.events()) {
-    w.begin_object();
-    w.field("stage", event.stage)
-        .field("point", event.point)
-        .field("action", event.action)
-        .field("recovered", event.recovered)
-        .field("alters_result", event.alters_result)
-        .field("detail", event.detail);
-    w.end_object();
-  }
-  w.end_array();
+  w.key("recovery");
+  util::write_json(w, result.recovery.events());
   w.key("config");
   util::write_json(w, config);
   write_result(w, config, result);
-  write_pool_section(w);
-  write_memory_section(w);
+  write_pool_and_memory_sections(w);
   w.end_object();
   return w.str();
 }
@@ -321,7 +219,7 @@ std::string run_error_manifest_json(const util::FlowError& error,
                                     const std::string& flight_path) {
   util::JsonWriter w;
   w.begin_object();
-  w.field("schema", "autoncs-run-manifest/4")
+  w.field("schema", "autoncs-run-manifest/5")
       .field("build_type", AUTONCS_BUILD_TYPE)
       .field("status", "error")
       .field("error_category", util::error_category_name(error.category()))
@@ -331,8 +229,7 @@ std::string run_error_manifest_json(const util::FlowError& error,
       .field("message", std::string(error.what()))
       .field("flight_path", flight_path);
   write_build_section(w);
-  write_pool_section(w);
-  write_memory_section(w);
+  write_pool_and_memory_sections(w);
   w.end_object();
   return w.str();
 }

@@ -39,6 +39,17 @@ struct CrossbarInstance {
   double preference(PreferenceKind kind = PreferenceKind::kPaper) const;
 };
 
+/// A crossbar as a checkpoint record (util/fields.hpp).
+template <util::RecordOf<CrossbarInstance> Record, class F>
+void visit_fields(Record& xbar, F&& f) {
+  auto& [size, rows, cols, connections, iteration] = xbar;
+  f("size", size);
+  f("iteration", iteration);
+  f("rows", rows);
+  f("cols", cols);
+  f("connections", connections);
+}
+
 struct IscOptions {
   /// Allowed crossbar sizes S (paper: 16..64 step 4). Must be nonempty,
   /// sorted ascending.

@@ -14,6 +14,7 @@
 
 #include "clustering/isc.hpp"
 #include "nn/connection_matrix.hpp"
+#include "util/fields.hpp"
 
 namespace autoncs::mapping {
 
@@ -36,6 +37,15 @@ struct HybridMapping {
   double average_preference(
       clustering::PreferenceKind kind = clustering::PreferenceKind::kPaper) const;
 };
+
+/// The mapping as a checkpoint record (util/fields.hpp).
+template <util::RecordOf<HybridMapping> Record, class F>
+void visit_fields(Record& mapping, F&& f) {
+  auto& [neuron_count, crossbars, discrete_synapses] = mapping;
+  f("neuron_count", neuron_count);
+  f("crossbars", crossbars);
+  f("discrete_synapses", discrete_synapses);
+}
 
 /// Wraps an ISC result into a mapping.
 HybridMapping mapping_from_isc(const clustering::IscResult& isc,

@@ -16,6 +16,7 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
+#include "util/fields.hpp"
 #include "util/heatmap.hpp"
 
 namespace autoncs::nn {
@@ -27,6 +28,14 @@ struct Connection {
 
   friend bool operator==(const Connection&, const Connection&) = default;
 };
+
+/// A connection as a checkpoint record (util/fields.hpp).
+template <util::RecordOf<Connection> Record, class F>
+void visit_fields(Record& connection, F&& f) {
+  auto& [from, to] = connection;
+  f("from", from);
+  f("to", to);
+}
 
 class ConnectionMatrix {
  public:

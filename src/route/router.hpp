@@ -122,6 +122,14 @@ struct ReroutePassStats {
   double overflow_after = 0.0;
 };
 
+/// One row of the manifest's `result.routing.reroute_stats`.
+template <util::RecordOf<ReroutePassStats> Stats, class F>
+void visit_fields(Stats& stats, F&& f) {
+  auto& [segments_rerouted, overflow_after] = stats;
+  f("segments_rerouted", segments_rerouted);
+  f("overflow_after", overflow_after);
+}
+
 struct RoutingResult {
   std::vector<RoutedWire> wires;
   double total_wirelength_um = 0.0;
@@ -186,6 +194,42 @@ struct RoutingResult {
   /// budget exhaustion, or an injected forced overflow).
   bool degraded = false;
 };
+
+/// The manifest `result.routing` fields (util/fields.hpp).
+template <util::RecordOf<RoutingResult> Result, class F>
+void visit_fields(Result& result, F&& f) {
+  auto& [wires, total_wirelength_um, average_delay_ns, max_delay_ns,
+         total_overflow, peak_congestion, grid, segments_total, segments_routed,
+         maze_invocations, maze_nodes_expanded, maze_heap_pushes,
+         maze_window_retries, maze_meets, oracle_calls, oracle_nodes, waves,
+         threads_used, runtime_ms, wave_sizes, segments_deferred,
+         segments_relaxed, segments_fallback, reroute_stats, segments_failed,
+         failed_wires, budget_exhausted, degraded] = result;
+  f("wirelength_um", total_wirelength_um);
+  f("average_delay_ns", average_delay_ns);
+  f("max_delay_ns", max_delay_ns);
+  f("total_overflow", total_overflow);
+  f("peak_congestion", peak_congestion);
+  f("segments_total", segments_total);
+  f("segments_routed", segments_routed);
+  f("segments_deferred", segments_deferred);
+  f("segments_relaxed", segments_relaxed);
+  f("segments_fallback", segments_fallback);
+  f("maze_invocations", maze_invocations);
+  f("maze_nodes_expanded", maze_nodes_expanded);
+  f("maze_heap_pushes", maze_heap_pushes);
+  f("maze_window_retries", maze_window_retries);
+  f("maze_meets", maze_meets);
+  f("oracle_calls", oracle_calls);
+  f("oracle_nodes", oracle_nodes);
+  f("waves", waves);
+  f("reroute_stats", reroute_stats);
+  f("threads_used", threads_used);
+  f("segments_failed", segments_failed);
+  f("failed_wires", failed_wires);
+  f("budget_exhausted", budget_exhausted);
+  f("degraded", degraded);
+}
 
 /// Routes all wires of the placed netlist. On the default path every wire
 /// is guaranteed to be routed (capacity is relaxed as needed), so

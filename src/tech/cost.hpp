@@ -33,6 +33,15 @@ struct PhysicalCost {
   }
 };
 
+/// The manifest `result.cost` fields, before the derived `combined`.
+template <util::RecordOf<PhysicalCost> Cost, class F>
+void visit_fields(Cost& cost, F&& f) {
+  auto& [total_wirelength_um, area_um2, average_delay_ns] = cost;
+  f("total_wirelength_um", total_wirelength_um);
+  f("area_um2", area_um2);
+  f("average_delay_ns", average_delay_ns);
+}
+
 /// Relative reduction of `ours` vs `baseline` for one metric (e.g. 0.478
 /// means 47.8% lower).
 double reduction(double baseline, double ours);

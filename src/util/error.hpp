@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.hpp"
+
 namespace autoncs::util {
 
 enum class ErrorCategory { kInput, kNumerical, kResource, kInternal };
@@ -106,6 +108,18 @@ struct RecoveryEvent {
   bool alters_result = false;
   std::string detail;
 };
+
+/// One row of the manifest's `recovery` list (util/fields.hpp).
+template <RecordOf<RecoveryEvent> Event, class F>
+void visit_fields(Event& event, F&& f) {
+  auto& [stage, point, action, recovered, alters_result, detail] = event;
+  f("stage", stage);
+  f("point", point);
+  f("action", action);
+  f("recovered", recovered);
+  f("alters_result", alters_result);
+  f("detail", detail);
+}
 
 /// Collector for ladder events. Recording is append-only and expected from
 /// sequential driver code (stage entry points, commit phases) — never from

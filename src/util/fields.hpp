@@ -1,8 +1,10 @@
-// Field visitors. A record struct (an options block, a report) lists its
-// fields once, in a `visit_fields(record, f)` template next to the struct
-// that calls f(name, member) for each field in a fixed order. Writers,
-// readers and tests walk that list (util/json.hpp write_json/read_fields)
-// instead of typing the field names out again.
+// Field visitors. A record struct (an options block, a report, a
+// checkpoint payload, a manifest section) lists its fields once, in a
+// `visit_fields(record, f)` template next to the struct that calls
+// f(name, member) for each field in a fixed order. Writers, readers and
+// tests walk that list instead of typing the field names out again:
+// util/json.hpp write_json writes a record as a JSON object, and
+// read_fields, its exact inverse, reads it back.
 //
 // Each visitor binds every data member of its struct with one structured
 // binding, so a member added to the struct without a visitor entry stops

@@ -377,6 +377,12 @@ bool json_read(const JsonValue* v, bool& out) {
   return true;
 }
 
+bool json_read(const JsonValue* v, std::string& out) {
+  if (v == nullptr || !v->is_string()) return false;
+  out = v->string_value;
+  return true;
+}
+
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;

@@ -127,22 +127,33 @@ bool json_parse(const std::string& text, JsonValue& out,
 bool json_read(const JsonValue* v, std::size_t& out);
 bool json_read(const JsonValue* v, double& out);
 bool json_read(const JsonValue* v, bool& out);
+bool json_read(const JsonValue* v, std::string& out);
+
+/// write_json of a record without the braces: its fields as members of
+/// the object open in `w`, which may carry values derived from them.
+template <class Record>
+void write_fields(JsonWriter& w, const Record& record) {
+  visit_fields(record, [&w](const char* name, const auto& field) {
+    w.key(name);
+    write_json(w, field);
+  });
+}
 
 /// Writes `value` as JSON: a record (see util/fields.hpp) as an object with
-/// one key per visited field in visit order, a vector as an array, an enum
-/// as the text of enum_name(value) (found by argument-dependent lookup),
-/// anything else through JsonWriter::value.
+/// one key per visited field in visit order, a string as a string, a
+/// vector or array as an array, an enum as the text of enum_name(value)
+/// (found by argument-dependent lookup), anything else through
+/// JsonWriter::value.
 template <class T>
 void write_json(JsonWriter& w, const T& value) {
   if constexpr (Visitable<const T>) {
     w.begin_object();
-    visit_fields(value, [&w](const char* name, const auto& field) {
-      w.key(name);
-      write_json(w, field);
-    });
+    write_fields(w, value);
     w.end_object();
   } else if constexpr (std::is_enum_v<T>) {
     w.value(enum_name(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.value(value);
   } else if constexpr (requires { typename T::value_type; }) {
     w.begin_array();
     for (const auto& item : value) write_json(w, item);
@@ -152,16 +163,30 @@ void write_json(JsonWriter& w, const T& value) {
   }
 }
 
-/// The inverse of write_json for a record of scalars: reads every visited
-/// field from the members of `object` with json_read. False when `object`
-/// is not an object or any field is missing or mistyped.
-template <Visitable Record>
-bool read_fields(const JsonValue& object, Record& record) {
-  bool ok = object.is_object();
-  visit_fields(record, [&](const char* name, auto& field) {
-    ok = ok && json_read(object.find(name), field);
-  });
-  return ok;
+/// The inverse of write_json (enums excepted: no record read back holds
+/// one). Reads `v` (nullptr = missing) into `out`; a fixed-size array must
+/// match its size. False, with `out` partly written, when anything is
+/// missing or mistyped.
+template <class T>
+bool read_fields(const JsonValue* v, T& out) {
+  if constexpr (Visitable<T>) {
+    if (v == nullptr || !v->is_object()) return false;
+    bool ok = true;
+    visit_fields(out, [&](const char* name, auto& field) {
+      ok = ok && read_fields(v->find(name), field);
+    });
+    return ok;
+  } else if constexpr (std::is_same_v<T, std::string> ||
+                       !requires { typename T::value_type; }) {
+    return json_read(v, out);
+  } else {
+    if (v == nullptr || !v->is_array()) return false;
+    if constexpr (requires { out.resize(0); }) out.resize(v->items.size());
+    if (v->items.size() != out.size()) return false;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      if (!read_fields(&v->items[i], out[i])) return false;
+    return true;
+  }
 }
 
 /// Writes `content` to `path`, returning false on I/O failure.

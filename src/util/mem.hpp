@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.hpp"
+
 namespace autoncs::util {
 
 /// Current resident set size in bytes (VmRSS), or 0 where unsupported.
@@ -37,11 +39,28 @@ struct MemStageSample {
   std::size_t peak_rss_bytes = 0;
 };
 
+/// One row of the manifest's `memory.stages` (util/fields.hpp).
+template <RecordOf<MemStageSample> Sample, class F>
+void visit_fields(Sample& sample, F&& f) {
+  auto& [stage, current_rss_bytes, peak_rss_bytes] = sample;
+  f("stage", stage);
+  f("current_rss_bytes", current_rss_bytes);
+  f("peak_rss_bytes", peak_rss_bytes);
+}
+
 /// One instrumented structure footprint (last write per name wins).
 struct MemStructure {
   std::string name;
   double bytes = 0.0;
 };
+
+/// One row of the manifest's `memory.structures` (util/fields.hpp).
+template <RecordOf<MemStructure> Structure, class F>
+void visit_fields(Structure& structure, F&& f) {
+  auto& [name, bytes] = structure;
+  f("name", name);
+  f("bytes", bytes);
+}
 
 /// Everything collected by a memory-accounting session.
 struct MemSnapshot {
@@ -50,6 +69,15 @@ struct MemSnapshot {
   /// Peak RSS at snapshot time (manifest convenience; 0 if unsupported).
   std::size_t peak_rss_bytes = 0;
 };
+
+/// The manifest's `memory` section (util/fields.hpp).
+template <RecordOf<MemSnapshot> Snapshot, class F>
+void visit_fields(Snapshot& snapshot, F&& f) {
+  auto& [stages, structures, peak_rss_bytes] = snapshot;
+  f("peak_rss_bytes", peak_rss_bytes);
+  f("stages", stages);
+  f("structures", structures);
+}
 
 namespace mem_detail {
 extern std::atomic<bool> g_enabled;

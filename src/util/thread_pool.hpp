@@ -52,6 +52,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/fields.hpp"
+
 namespace autoncs::util {
 
 /// Aggregated scheduler statistics of every pool constructed under one
@@ -91,6 +93,28 @@ struct PoolStats {
   /// buckets < 5%, < 10%, < 25%, < 50%, >= 50%.
   std::array<std::uint64_t, 5> imbalance{};
 };
+
+/// One row of the manifest's `pool` list (util/fields.hpp).
+template <RecordOf<PoolStats> Stats, class F>
+void visit_fields(Stats& stats, F&& f) {
+  auto& [label, workers, pools, dispatches, inline_runs, items, blocks,
+         parks, wakes, spin_wakes, wall_ns, busy_ns, blocks_run, imbalance] =
+      stats;
+  f("label", label);
+  f("workers", workers);
+  f("pools", pools);
+  f("dispatches", dispatches);
+  f("inline_runs", inline_runs);
+  f("items", items);
+  f("blocks", blocks);
+  f("parks", parks);
+  f("wakes", wakes);
+  f("spin_wakes", spin_wakes);
+  f("wall_ns", wall_ns);
+  f("busy_ns", busy_ns);
+  f("blocks_run", blocks_run);
+  f("imbalance", imbalance);
+}
 
 namespace pool_detail {
 extern std::atomic<bool> g_stats_enabled;

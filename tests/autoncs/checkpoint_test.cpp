@@ -19,7 +19,9 @@
 #include "autoncs/telemetry.hpp"
 #include "nn/generators.hpp"
 #include "util/json.hpp"
+#include "util/mem.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autoncs {
 namespace {
@@ -125,9 +127,61 @@ TEST_F(CheckpointTest, SaveWritesValidVersionedJson) {
     ASSERT_TRUE(util::json_parse(text, doc)) << path;
     const util::JsonValue* schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->string_value, "autoncs-checkpoint/1");
+    EXPECT_EQ(schema->string_value, "autoncs-checkpoint/2");
     EXPECT_NE(doc.find("config_hash"), nullptr);
-    EXPECT_NE(doc.find("seed"), nullptr);
+    const util::JsonValue* seed = doc.find("seed");
+    ASSERT_NE(seed, nullptr);
+    EXPECT_EQ(seed->string_value, "77");
+  }
+}
+
+TEST_F(CheckpointTest, SeedsAboveTwoToThe53Resume) {
+  // A JSON number holds only 53 bits: the seed is stamped as a decimal
+  // string, so 2^53 + 1 must not read back as 2^53 and fail its own check.
+  const auto network = small_network();
+  FlowConfig config = fast_config();
+  config.seed = 9007199254740993ULL;
+  config.checkpoint.dir = dir_;
+  const auto original = run_autoncs(network, config);
+  config.checkpoint.resume = true;
+  const auto resumed = run_autoncs(network, config);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_TRUE(resumed.recovery.empty());
+  EXPECT_TRUE(identical_results(original, resumed));
+  // The neighbouring seed, equal to it as a double, is still another seed.
+  config.seed -= 1;
+  EXPECT_FALSE(run_autoncs(network, config).resumed);
+}
+
+TEST_F(CheckpointTest, NonFiniteCoordinateIsRecomputed) {
+  // A coordinate read back as NaN or infinity must not reach the netlist:
+  // its finiteness check throws, where a bad checkpoint should recompute.
+  const auto network = small_network();
+  FlowConfig config = fast_config();
+  config.checkpoint.dir = dir_;
+  const auto original = run_autoncs(network, config);
+  const std::string path = checkpoint::placement_path(dir_);
+  std::stringstream buffer;
+  buffer << std::ifstream(path).rdbuf();
+  const std::string saved = buffer.str();
+  config.checkpoint.resume = true;
+  for (const std::string axis : {"\"x\":[", "\"y\":["}) {
+    for (const std::string value : {"null", "1e999", "-1e999"}) {
+      std::string text = saved;
+      const std::size_t first = text.find(axis) + axis.size();
+      text.replace(first, text.find(',', first) - first, value);
+      std::ofstream(path, std::ios::trunc) << text;
+      // Without the clustering checkpoint, not resuming means a full run.
+      std::filesystem::remove(checkpoint::clustering_path(dir_));
+      const auto rerun = run_autoncs(network, config);
+      EXPECT_FALSE(rerun.resumed) << axis << value;
+      bool recomputed = false;
+      for (const auto& event : rerun.recovery.events())
+        recomputed = recomputed || (event.point == "checkpoint.mismatch" &&
+                                    event.action == "recompute");
+      EXPECT_TRUE(recomputed) << axis << value;
+      EXPECT_TRUE(identical_results(original, rerun)) << axis << value;
+    }
   }
 }
 
@@ -167,16 +221,27 @@ TEST_F(CheckpointTest, CorruptCheckpointFallsBackToFullRun) {
   FlowConfig config = fast_config();
   config.checkpoint.dir = dir_;
   const auto original = run_autoncs(network, config);
+  std::stringstream buffer;
+  buffer << std::ifstream(checkpoint::placement_path(dir_)).rdbuf();
+  std::string previous_schema = buffer.str();
+  const std::string schema = "\"autoncs-checkpoint/2\"";
+  previous_schema.replace(previous_schema.find(schema), schema.size(),
+                          "\"autoncs-checkpoint/1\"");
 
-  for (const std::string& path : {checkpoint::placement_path(dir_),
-                                 checkpoint::clustering_path(dir_)}) {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"schema\":\"autoncs-checkpoint/1\",\"kind\"";  // truncated
-  }
+  const std::string truncated = "{\"schema\":\"autoncs-checkpoint/2\",\"kind\"";
+
   config.checkpoint.resume = true;
-  const auto recomputed = run_autoncs(network, config);
-  EXPECT_FALSE(recomputed.resumed);
-  EXPECT_TRUE(identical_results(original, recomputed));
+  for (const std::string& text : {truncated, previous_schema}) {
+    for (const std::string& path : {checkpoint::placement_path(dir_),
+                                   checkpoint::clustering_path(dir_)})
+      std::ofstream(path, std::ios::trunc) << text;
+    const auto recomputed = run_autoncs(network, config);
+    EXPECT_FALSE(recomputed.resumed);
+    ASSERT_EQ(recomputed.recovery.events().size(), 2u);
+    for (const auto& event : recomputed.recovery.events())
+      EXPECT_EQ(event.point, "checkpoint.mismatch");
+    EXPECT_TRUE(identical_results(original, recomputed));
+  }
 }
 
 TEST_F(CheckpointTest, SeedMismatchInvalidatesCheckpoints) {
@@ -248,19 +313,43 @@ TEST_F(CheckpointTest, DefaultConfigHashIsPinned) {
 }
 
 TEST_F(CheckpointTest, PlacementReportKeysArePinned) {
-  // The checkpoint's report object is written from visit_fields: a field
-  // dropped from the visitor, renamed or reordered changes these bytes.
-  util::JsonWriter w;
-  util::write_json(w, place::PlacementReport{});
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
-  for (unsigned char c : w.str()) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(hash));
-  EXPECT_STREQ(hex, "4e67aa8bb2c77ef2") << w.str();
+  // Checkpoints and manifests are written from the records' visit_fields
+  // lists: a field dropped from a visitor, renamed or reordered changes
+  // these bytes. Empty lists hide their element records, which have
+  // inputs of their own.
+  const auto fnv_hex = [](const std::string& text) {
+    std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
+    for (unsigned char c : text) {
+      hash ^= c;
+      hash *= 1099511628211ULL;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return std::string(hex);
+  };
+  const auto json = [](const auto& record) {
+    util::JsonWriter w;
+    util::write_json(w, record);
+    return w.str();
+  };
+  const std::pair<std::string, std::string> pinned[] = {
+      {json(place::PlacementReport{}), "4e67aa8bb2c77ef2"},
+      {json(nn::Connection{}), "7a0de6c033f079e2"},
+      {json(clustering::CrossbarInstance{}), "4115496b2a88339a"},
+      {json(mapping::HybridMapping{}), "b59a990c3ae1f45c"},
+      {json(checkpoint::PlacementState{}), "c248f419e01cbb22"},
+      {json(route::RoutingResult{}), "ccfb5d9ac634756b"},
+      {json(route::ReroutePassStats{}), "da4d1181985541fb"},
+      {json(StageTimings{}), "86a9eff398da0899"},
+      {json(tech::PhysicalCost{}), "1fe517ae275392a1"},
+      {json(util::RecoveryEvent{}), "a8fe6a020c97928f"},
+      {json(util::PoolStats{}), "618175a5d3a909c6"},
+      {json(util::MemSnapshot{}), "46a3c5a166a3e662"},
+      {json(util::MemStageSample{}), "00c14786bd6efb19"},
+      {json(util::MemStructure{}), "398cab4492033a99"},
+  };
+  for (const auto& [text, hex] : pinned) EXPECT_EQ(fnv_hex(text), hex) << text;
 }
 
 TEST_F(CheckpointTest, EveryReportFieldIsRequiredAndTypeChecked) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "linalg/eigen_dispatch.hpp"
 #include "nn/generators.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -103,6 +107,38 @@ template <typename Rows, typename Field>
 std::vector<double> column(const Rows& rows, Field field) {
   std::vector<double> out;
   for (const auto& row : rows) out.push_back(static_cast<double>(row.*field));
+  return out;
+}
+
+/// Every visited leaf of `value` as "path=value", descending into records
+/// and lists: doubles by their bit pattern, so equal lists mean bit-equal
+/// fields.
+template <class T>
+void flatten(const T& value, const std::string& path,
+             std::vector<std::string>& out) {
+  if constexpr (util::Visitable<const T>) {
+    visit_fields(value, [&](const char* name, const auto& field) {
+      flatten(field, path + "." + name, out);
+    });
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out.push_back(path + "=" + value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out.push_back(path + "=" +
+                  std::to_string(std::bit_cast<std::uint64_t>(value)));
+  } else if constexpr (requires { typename T::value_type; }) {
+    out.push_back(path + ".size=" + std::to_string(value.size()));
+    std::size_t i = 0;
+    for (const auto& item : value)
+      flatten(item, path + "[" + std::to_string(i++) + "]", out);
+  } else {
+    out.push_back(path + "=" + std::to_string(value));
+  }
+}
+
+template <class T>
+std::vector<std::string> flatten(const T& value) {
+  std::vector<std::string> out;
+  flatten(value, "", out);
   return out;
 }
 
@@ -199,7 +235,7 @@ TEST(Telemetry, WritesValidArtifacts) {
       read_file(temp_path("artifacts_trace.manifest.json"));
   ASSERT_FALSE(manifest.empty());
   EXPECT_TRUE(util::json_valid(manifest));
-  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/4\""),
+  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/5\""),
             std::string::npos);
   EXPECT_NE(manifest.find("\"flow\":\"autoncs\""), std::string::npos);
   EXPECT_NE(manifest.find("\"seed\":77"), std::string::npos);
@@ -218,7 +254,7 @@ TEST(Telemetry, WritesValidArtifacts) {
   EXPECT_NE(manifest.find("\"pool\":["), std::string::npos);
   EXPECT_NE(manifest.find("\"label\":\"place\""), std::string::npos);
   EXPECT_NE(manifest.find("\"label\":\"route\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"busy_fraction\""), std::string::npos);
+  EXPECT_NE(manifest.find("\"busy_ns\""), std::string::npos);
   EXPECT_NE(manifest.find("\"imbalance\""), std::string::npos);
   EXPECT_NE(manifest.find("\"memory\""), std::string::npos);
   EXPECT_NE(manifest.find("\"peak_rss_bytes\""), std::string::npos);
@@ -542,7 +578,7 @@ TEST(Telemetry, RecordedErrorWritesErrorManifestAndFlightArtifact) {
   const std::string manifest = read_file(manifest_path);
   ASSERT_FALSE(manifest.empty());
   EXPECT_TRUE(util::json_valid(manifest));
-  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/4\""),
+  EXPECT_NE(manifest.find("\"schema\":\"autoncs-run-manifest/5\""),
             std::string::npos);
   EXPECT_NE(manifest.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(manifest.find("\"error_code\":\"resource.bad_alloc\""),
@@ -566,6 +602,54 @@ TEST(Telemetry, CleanSessionWritesNoFlightArtifact) {
   const FlowResult result = run_autoncs(network, config);
   EXPECT_GT(result.cost.total_wirelength_um, 0.0);
   EXPECT_TRUE(read_file(config.telemetry.flight_path).empty());
+}
+
+TEST(Telemetry, ManifestResultMatchesFlowResult) {
+  // The manifest's result sections, read back through read_fields, hold
+  // every visited field of the flow result bit for bit. Reroute passes and
+  // a forced overflow under strict capacity fill reroute_stats,
+  // failed_wires and the recovery list.
+  const auto network = small_block_network();
+  FlowConfig config = fast_config();
+  config.router.reroute_passes = 2;
+  config.router.strict_capacity = true;
+  for (const std::string flow : {"autoncs", "fullcro"}) {
+    SCOPED_TRACE(flow);
+    util::fault_disarm_all();
+    util::fault_arm("router.force_overflow");
+    const FlowResult result = flow == "autoncs"
+                                  ? run_autoncs(network, config)
+                                  : run_fullcro(network, config);
+    util::fault_disarm_all();
+    ASSERT_FALSE(result.routing.failed_wires.empty());
+    ASSERT_FALSE(result.recovery.empty());
+    ASSERT_FALSE(result.routing.reroute_stats.empty());
+
+    util::JsonValue doc;
+    ASSERT_TRUE(util::json_parse(
+        telemetry::run_manifest_json(config, result, flow), doc));
+    const util::JsonValue* section = doc.find("result");
+    ASSERT_NE(section, nullptr);
+    StageTimings timings;
+    ASSERT_TRUE(util::read_fields(doc.find("timings_ms"), timings));
+    EXPECT_EQ(flatten(timings), flatten(result.timings));
+    std::vector<util::RecoveryEvent> recovery;
+    ASSERT_TRUE(util::read_fields(doc.find("recovery"), recovery));
+    EXPECT_EQ(flatten(recovery), flatten(result.recovery.events()));
+    place::PlacementReport placement;
+    ASSERT_TRUE(util::read_fields(section->find("placement"), placement));
+    EXPECT_EQ(flatten(placement), flatten(result.placement));
+    route::RoutingResult routing;
+    ASSERT_TRUE(util::read_fields(section->find("routing"), routing));
+    EXPECT_EQ(flatten(routing), flatten(result.routing));
+    tech::PhysicalCost cost;
+    ASSERT_TRUE(util::read_fields(section->find("cost"), cost));
+    EXPECT_EQ(flatten(cost), flatten(result.cost));
+    double combined = 0.0;
+    ASSERT_TRUE(util::json_read(section->find("cost")->find("combined"),
+                                combined));
+    EXPECT_EQ(combined, result.cost.combined(config.cost_weights));
+  }
 }
 
 TEST(Telemetry, ManifestJsonIsValidStandalone) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <array>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace autoncs::util {
 namespace {
@@ -159,6 +162,92 @@ TEST(JsonRead, SizeRejectsNegativeFractionalAndOutOfRange) {
     ASSERT_TRUE(json_read(&doc, size)) << text;
     EXPECT_EQ(size, value) << text;
   }
+}
+
+/// Test records covering every kind of field write_json handles.
+struct Point {
+  double x = 0.0;
+  double y = 0.0;
+};
+
+template <RecordOf<Point> Record, class F>
+void visit_fields(Record& point, F&& f) {
+  auto& [x, y] = point;
+  f("x", x);
+  f("y", y);
+}
+
+struct Shape {
+  std::string name;
+  bool closed = false;
+  std::size_t id = 0;
+  std::vector<Point> points;
+  std::array<std::size_t, 2> bounds{};
+  Point origin;
+};
+
+template <RecordOf<Shape> Record, class F>
+void visit_fields(Record& shape, F&& f) {
+  auto& [name, closed, id, points, bounds, origin] = shape;
+  f("name", name);
+  f("closed", closed);
+  f("id", id);
+  f("points", points);
+  f("bounds", bounds);
+  f("origin", origin);
+}
+
+TEST(JsonFields, ReadFieldsInvertsWriteJson) {
+  Shape shape;
+  shape.name = "tri\"angle";
+  shape.closed = true;
+  shape.id = 7;
+  shape.points = {{0.1, 0.2}, {1.0 / 3.0, -0.0}};
+  shape.bounds = {4, 5};
+  shape.origin = {-1.5, 2.5};
+  JsonWriter w;
+  write_json(w, shape);
+  // A string is a scalar, never an array of characters.
+  EXPECT_EQ(w.str(),
+            R"({"name":"tri\"angle","closed":true,"id":7,)"
+            R"("points":[{"x":0.10000000000000001,"y":0.20000000000000001},)"
+            R"({"x":0.33333333333333331,"y":-0}],)"
+            R"("bounds":[4,5],"origin":{"x":-1.5,"y":2.5}})");
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(w.str(), doc));
+  Shape back;
+  back.points = {{9.0, 9.0}};  // replaced, not appended to
+  ASSERT_TRUE(read_fields(&doc, back));
+  JsonWriter again;
+  write_json(again, back);
+  EXPECT_EQ(again.str(), w.str());
+  EXPECT_EQ(back.points.size(), 2u);
+  EXPECT_EQ(back.points[1].x, 1.0 / 3.0);
+}
+
+TEST(JsonFields, ReadFieldsRejectsMissingAndMistypedFields) {
+  JsonWriter w;
+  write_json(w, Shape{});
+  const std::string good = w.str();
+  using Edit = std::pair<std::string, std::string>;
+  for (const auto& [from, to] : std::vector<Edit>{
+           {"\"name\":\"\"", "\"name\":0"},
+           {"\"closed\":false", "\"shut\":false"},
+           {"\"id\":0", "\"id\":-1"},
+           {"\"points\":[]", "\"points\":{}"},
+           {"\"bounds\":[0,0]", "\"bounds\":[0]"},
+           {"\"bounds\":[0,0]", "\"bounds\":[0,0,0]"},
+           {"\"origin\":{\"x\":0,\"y\":0}", "\"origin\":[0,0]"}}) {
+    std::string text = good;
+    ASSERT_NE(text.find(from), std::string::npos) << from;
+    text.replace(text.find(from), from.size(), to);
+    JsonValue doc;
+    ASSERT_TRUE(json_parse(text, doc)) << text;
+    Shape shape;
+    EXPECT_FALSE(read_fields(&doc, shape)) << text;
+  }
+  Shape shape;
+  EXPECT_FALSE(read_fields(nullptr, shape));
 }
 
 TEST(JsonLimits, PathologicallyDeepDocumentIsRejectedNotCrashed) {

@@ -11,10 +11,12 @@ Merges any subset of the artifacts one flow run produces —
     (``"type":"sample"``). Reports each series' length and its first and
     last values.
   * ``--manifest run.manifest.json`` — run manifest (schema
-    autoncs-run-manifest/2 to /4). Reports the build (type and the
-    dense eigensolver's dispatched ISA variant), stage wall-clock, scheduler
-    utilization per pool label (per-worker busy fractions, parks, hand-offs
-    caught spinning vs woken from park, block imbalance histogram), and the memory section (peak RSS,
+    autoncs-run-manifest/5). Reports the build (type and the dense
+    eigensolver's dispatched ISA variant), stage wall-clock, scheduler
+    utilization per pool label (per-worker busy fractions busy_ns /
+    wall_ns, parks, hand-offs caught spinning vs woken from park, block
+    imbalance histogram), routing effort (including the executed reroute
+    passes and the failed wires), and the memory section (peak RSS,
     per-stage RSS samples, instrumented structure footprints).
   * ``--flight flight.json`` — crash flight-recorder dump (schema
     autoncs-flight/1). Reports ring occupancy and the tail of the event
@@ -217,9 +219,13 @@ def check_manifest(doc: object, path: str) -> dict:
     if not isinstance(doc, dict):
         raise ArtifactError(f"{path}: manifest is not an object")
     schema = doc.get("schema", "")
-    if not str(schema).startswith("autoncs-run-manifest/"):
+    if schema != "autoncs-run-manifest/5":
         raise ArtifactError(f"{path}: unexpected schema {schema!r}")
     return doc
+
+
+# Upper edges of the pool's per-dispatch imbalance buckets.
+IMBALANCE_BUCKETS = ("<5%", "<10%", "<25%", "<50%", ">=50%")
 
 
 def report_manifest(path: str, top: int) -> None:
@@ -248,8 +254,11 @@ def report_manifest(path: str, top: int) -> None:
     if isinstance(pools, list) and pools:
         print("  scheduler utilization:")
         for p in pools:
-            fracs = p.get("busy_fraction", [])
-            frac_text = " ".join(f"{f:.2f}" for f in fracs)
+            wall_ns = p.get("wall_ns", 0)
+            frac_text = " ".join(
+                f"{ns / wall_ns:.2f}" if wall_ns else "0.00"
+                for ns in p.get("busy_ns", [])
+            )
             print(
                 f"    pool '{p.get('label', '?')}': {p.get('workers', '?')} "
                 f"workers x {p.get('pools', '?')} pools, "
@@ -266,11 +275,14 @@ def report_manifest(path: str, top: int) -> None:
                 f"from park{share}"
             )
             print(f"      busy fraction per worker: [{frac_text}]")
-            imb = p.get("imbalance", {})
+            imb = p.get("imbalance", [])
             if imb:
                 print(
                     "      block imbalance: "
-                    + " ".join(f"{k}={v}" for k, v in imb.items())
+                    + " ".join(
+                        f"{label}={count}"
+                        for label, count in zip(IMBALANCE_BUCKETS, imb)
+                    )
                 )
 
     result = doc.get("result", {})
@@ -294,6 +306,19 @@ def report_manifest(path: str, top: int) -> None:
             f"    rung oracle {routing.get('oracle_calls', '?')} floods, "
             f"{routing.get('oracle_nodes', '?')} nodes"
         )
+        passes = routing.get("reroute_stats", [])
+        print(f"    reroute passes executed: {len(passes)}")
+        for i, rerouted in enumerate(passes, 1):
+            print(
+                f"      pass {i}: {rerouted.get('segments_rerouted', '?')} "
+                f"segments rerouted, overflow after "
+                f"{rerouted.get('overflow_after', '?')}"
+            )
+        failed = routing.get("failed_wires", [])
+        shown = " ".join(str(w) for w in failed[:top])
+        more = f" (+{len(failed) - top} more)" if len(failed) > top else ""
+        listed = f" [{shown}{more}]" if failed else ""
+        print(f"    failed wires: {len(failed)}{listed}")
 
     memory = doc.get("memory", {})
     if isinstance(memory, dict) and memory:
