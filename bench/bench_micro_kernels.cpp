@@ -126,61 +126,71 @@ netlist::Netlist random_placed_netlist(std::size_t cells, std::size_t wires) {
   return net;
 }
 
-void BM_WaWirelengthGradient(benchmark::State& state) {
+// Value passes — one per Armijo line-search trial.
+void BM_WaWirelengthValue(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(state.range(0)) * 4);
   const auto coords = place::pack_positions(net);
-  place::WaModel model(net, 2.0);
-  std::vector<double> gradient(coords.size());
+  util::ThreadPool pool(1);
+  place::WaModel model(net, 2.0, pool);
   for (auto _ : state) {
-    std::fill(gradient.begin(), gradient.end(), 0.0);
-    benchmark::DoNotOptimize(model.evaluate(coords, &gradient));
+    benchmark::DoNotOptimize(model.value(coords));
   }
 }
-BENCHMARK(BM_WaWirelengthGradient)->Arg(200)->Arg(1000);
+BENCHMARK(BM_WaWirelengthValue)->Arg(200)->Arg(1000);
 
-void BM_DensityGradient(benchmark::State& state) {
+void BM_DensityValue(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)), 1);
   const auto coords = place::pack_positions(net);
-  place::DensityModel model(net, 1.2, 16.0);
-  std::vector<double> gradient(coords.size());
+  util::ThreadPool pool(1);
+  place::DensityModel model(net, 1.2, 16.0, pool);
   for (auto _ : state) {
-    std::fill(gradient.begin(), gradient.end(), 0.0);
-    benchmark::DoNotOptimize(model.evaluate(coords, &gradient));
+    benchmark::DoNotOptimize(model.value(coords));
   }
 }
-BENCHMARK(BM_DensityGradient)->Arg(200)->Arg(1000);
+BENCHMARK(BM_DensityValue)->Arg(200)->Arg(1000);
 
-// Value-only evaluations — the Armijo line-search hot path. Compare
-// against the *Gradient twins above to see what skipping gradient work
-// buys per call.
-void BM_WaWirelengthValueOnly(benchmark::State& state) {
+// Gradient replays of one value pass — the extra work of each accepted
+// step. Compare against the *Value twins above.
+void BM_WaWirelengthReplay(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(state.range(0)) * 4);
   const auto coords = place::pack_positions(net);
-  place::WaModel model(net, 2.0);
+  util::ThreadPool pool(1);
+  place::WaModel model(net, 2.0, pool);
+  model.value(coords);
+  std::vector<double> gradient(coords.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(coords, nullptr));
+    std::fill(gradient.begin(), gradient.end(), 0.0);
+    model.add_gradient(coords, gradient);
+    benchmark::DoNotOptimize(gradient.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_WaWirelengthValueOnly)->Arg(200)->Arg(1000);
+BENCHMARK(BM_WaWirelengthReplay)->Arg(200)->Arg(1000);
 
-void BM_DensityValueOnly(benchmark::State& state) {
+void BM_DensityReplay(benchmark::State& state) {
   const auto net = random_placed_netlist(
       static_cast<std::size_t>(state.range(0)), 1);
   const auto coords = place::pack_positions(net);
-  place::DensityModel model(net, 1.2, 16.0);
+  util::ThreadPool pool(1);
+  place::DensityModel model(net, 1.2, 16.0, pool);
+  model.value(coords);
+  std::vector<double> gradient(coords.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(coords, nullptr));
+    std::fill(gradient.begin(), gradient.end(), 0.0);
+    model.add_gradient(coords, gradient);
+    benchmark::DoNotOptimize(gradient.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DensityValueOnly)->Arg(200)->Arg(1000);
+BENCHMARK(BM_DensityReplay)->Arg(200)->Arg(1000);
 
 // WA axis kernel in isolation (one wire, one axis, value pass with the
-// acceptance-cache stores): range(0) pins. An exp-caching regression shows
+// stores the replay reads): range(0) pins. An exp-caching regression shows
 // up here without running the placer.
 void BM_WaAxisKernel(benchmark::State& state) {
   const auto pin_count = static_cast<std::size_t>(state.range(0));
@@ -259,8 +269,7 @@ BENCHMARK(BM_DensityPairKernel)->Arg(0)->Arg(1);
 // One density value pass (sweep, softplus kernel, fold) on a tb3-sized
 // mixed netlist: 15 crossbar macros of 7.6-19.9 um among 497 neurons of
 // 2.24 um and 404 synapses of 0.84 um, at about the cell density of a
-// placement in CG. Two states alternate, so no call hits the acceptance
-// cache; range(0) is the thread count.
+// placement in CG. Two states alternate; range(0) is the thread count.
 void BM_DensityValuePass(benchmark::State& state) {
   util::Rng rng(9);
   netlist::Netlist net;
@@ -277,10 +286,10 @@ void BM_DensityValuePass(benchmark::State& state) {
   auto second = first;
   second[0] += 0.25;
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  place::DensityModel model(net, 1.2, 16.0, &pool);
+  place::DensityModel model(net, 1.2, 16.0, pool);
   bool flip = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(flip ? second : first, nullptr));
+    benchmark::DoNotOptimize(model.value(flip ? second : first));
     flip = !flip;
   }
   state.counters["pairs_kept_per_pass"] =

@@ -40,6 +40,7 @@
 #include "route/router.hpp"
 #include "tech/cost.hpp"
 #include "tech/tech_model.hpp"
+#include "util/check.hpp"
 #include "util/fields.hpp"
 
 namespace autoncs {
@@ -91,6 +92,26 @@ struct FlowConfig {
   /// config hash and checkpoints stay compatible across attempts.
   const std::atomic<bool>* cancel = nullptr;
 };
+
+/// The range of the largest crossbar size a run may ask for (the CLI's
+/// --max-size, the service's max_size).
+inline constexpr std::size_t kMinMaxCrossbarSize = 4;
+inline constexpr std::size_t kMaxMaxCrossbarSize = 1024;
+
+/// Sets the crossbar library for a largest size `max_size` in
+/// [kMinMaxCrossbarSize, kMaxMaxCrossbarSize]: the FullCro baseline uses
+/// max_size crossbars, and ISC the sizes 16, 20, ..., max_size, or just
+/// {max_size} below 16, so both flows share the largest size.
+inline void set_max_crossbar_size(FlowConfig& config, std::size_t max_size) {
+  AUTONCS_CHECK(max_size >= kMinMaxCrossbarSize &&
+                    max_size <= kMaxMaxCrossbarSize,
+                "largest crossbar size out of range");
+  config.baseline_crossbar_size = max_size;
+  config.isc.crossbar_sizes.clear();
+  if (max_size < 16) config.isc.crossbar_sizes.push_back(max_size);
+  for (std::size_t s = 16; s <= max_size; s += 4)
+    config.isc.crossbar_sizes.push_back(s);
+}
 
 /// The config view: the manifest `config` object and the config hash.
 template <util::RecordOf<FlowConfig> Config, class F>

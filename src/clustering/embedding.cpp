@@ -19,6 +19,22 @@ namespace {
 /// historical dense-only implementation.
 constexpr std::size_t kDenseFallbackN = 512;
 
+/// Residual tolerance handed to the Lanczos solver. The embedding feeds
+/// k-means geometry where the tie-breaking jitter is already 1e-7 of the
+/// coordinate scale — residuals tighter than that buy nothing.
+constexpr double kLanczosTolerance = 1e-7;
+
+/// Krylov-space budget for k requested pairs: max(4k, 64). The leading
+/// (community) eigenvalues converge in a few block steps, but the trailing
+/// requested pairs sit in the bulk of the Laplacian spectrum where gaps
+/// vanish and residual-driven Lanczos would grind toward a basis of size
+/// n — reintroducing the dense cost. A 4k-dimensional space pins the
+/// subspace geometry k-means consumes, so exhausting this budget WITHOUT
+/// meeting the tolerance is the expected healthy outcome, not a failure.
+std::size_t lanczos_budget(std::size_t k) {
+  return std::max<std::size_t>(4 * k, 64);
+}
+
 /// Structurally equivalent neurons (identical neighbourhoods — common in
 /// the finder cliques of QR-trained Hopfield nets) get EXACTLY equal
 /// embedding rows, which ties every k-means distance and defeats GCP's
@@ -52,10 +68,8 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
   linalg::EigenDecomposition embedding;
   if (use_lanczos) {
     linalg::LanczosOptions lanczos;
-    lanczos.tolerance = options.lanczos_tolerance;
-    lanczos.max_iterations = options.lanczos_max_iterations != 0
-                                 ? options.lanczos_max_iterations
-                                 : std::max<std::size_t>(4 * k, 64);
+    lanczos.tolerance = kLanczosTolerance;
+    lanczos.max_iterations = lanczos_budget(k);
     linalg::LanczosStats stats;
     lanczos.stats = &stats;
     const linalg::SparseMatrix similarity = network.symmetrized_sparse();
@@ -65,11 +79,10 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
 
     // A solve is healthy when its output is finite AND it either met the
     // tolerance or genuinely spent the whole Krylov budget (the advisory
-    // 4k budget is EXPECTED to truncate; see lanczos_max_iterations). A
-    // basis smaller than the budget without convergence means the solve
+    // 4k budget is EXPECTED to truncate; see lanczos_budget). A basis
+    // smaller than the budget without convergence means the solve
     // collapsed — unreachable on the clean path, so no clean run ever
-    // enters the ladder below. strict_convergence tightens "healthy" to
-    // the tolerance itself.
+    // enters the ladder below.
     const auto healthy = [&](const linalg::EigenDecomposition& dec) {
       for (std::size_t j = 0; j < dec.vectors.cols(); ++j)
         for (std::size_t i = 0; i < dec.vectors.rows(); ++i)
@@ -77,7 +90,6 @@ linalg::EigenDecomposition spectral_embedding(const nn::ConnectionMatrix& networ
       for (double v : dec.values)
         if (!std::isfinite(v)) return false;
       if (stats.converged) return true;
-      if (options.strict_convergence) return false;
       return stats.basis_size >= std::min(n, lanczos.max_iterations);
     };
     const auto record = [&](const char* action, bool recovered,

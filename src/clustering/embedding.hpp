@@ -52,26 +52,6 @@ struct EmbeddingOptions {
   /// identical with or without it).
   linalg::LanczosStats* lanczos_stats = nullptr;
 
-  /// Residual tolerance handed to the Lanczos solver. The embedding feeds
-  /// k-means geometry where the tie-breaking jitter is already 1e-7 of the
-  /// coordinate scale — residuals tighter than that buy nothing.
-  double lanczos_tolerance = 1e-7;
-  /// Krylov-space budget; 0 = max(4k, 64). The leading (community)
-  /// eigenvalues converge in a few block steps, but the trailing requested
-  /// pairs sit in the bulk of the Laplacian spectrum where gaps vanish and
-  /// residual-driven Lanczos would grind toward a basis of size n —
-  /// reintroducing the dense cost. A 4k-dimensional space pins the subspace
-  /// geometry k-means consumes, so exhausting this budget WITHOUT meeting
-  /// the tolerance is the expected healthy outcome, not a failure.
-  std::size_t lanczos_max_iterations = 0;
-  /// When true, failing the residual tolerance within the budget counts as
-  /// a solver failure and walks the recovery ladder (retry, 4x budget,
-  /// dense fallback). Default false: the budget-truncated subspace is
-  /// accepted as-is, and only a collapsed basis or non-finite output — the
-  /// states a clean solve cannot reach — trigger the ladder. Keeping the
-  /// default lenient is what makes clean runs bit-identical across builds
-  /// with and without recovery wired up.
-  bool strict_convergence = false;
   /// Optional recovery-event sink; ladder actions are recorded here. Null
   /// runs the identical ladder silently.
   util::RecoveryLog* recovery = nullptr;

@@ -4,10 +4,13 @@
 //
 // The objective takes the gradient by POINTER: `gradient == nullptr` asks
 // for the value only. Armijo backtracking trials are evaluated value-only
-// and the gradient is computed once, at the accepted point — rejected
-// trials are discarded, so the objective only has to return the same value
-// bit for bit in both modes for the iterates to be independent of which
-// calls asked for a gradient.
+// and the gradient is asked for once, at the accepted point — the point
+// the solver valued last (or, for the first call, the starting point).
+// Rejected trials are discarded, so the objective only has to return the
+// same value bit for bit in both modes for the iterates to be independent
+// of which calls asked for a gradient. The placer's objective keys on
+// that: a gradient call at its last valued point replays the models' last
+// value passes instead of valuing again (place/placer.cpp).
 #pragma once
 
 #include <cstddef>

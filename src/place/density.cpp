@@ -43,14 +43,15 @@ void sort_row(std::uint64_t* keys, Pair* pairs, std::size_t count,
 /// Phase 3 of a pass: groups the pairs of `blocks`, taken in block
 /// order, by row i into `out` (a stable counting sort; `row_end` and
 /// `keys` are scratch), sorts each row by the index's fold key and
-/// returns the sum of ox * oy in that order. Rows are independent, so
-/// `pool` may sort them in parallel; the sum stays sequential.
-template <typename Pair>
+/// returns the sum of ox * oy in that order. Rows are independent:
+/// `for_rows(n, sort)` runs sort(first, last) over ranges covering
+/// [0, n) in any order or in parallel; the sum stays sequential.
+template <typename Pair, typename ForRows>
 double fold_rows(const std::vector<std::vector<Pair>>& blocks,
                  const MixedSizeIndex& index, std::size_t n,
                  std::vector<std::uint32_t>& row_end,
                  std::vector<std::uint64_t>& keys, std::vector<Pair>& out,
-                 util::ThreadPool* pool) {
+                 ForRows&& for_rows) {
   row_end.assign(n + 1, 0);
   std::size_t pairs = 0;
   for (const auto& block : blocks) {
@@ -77,17 +78,7 @@ double fold_rows(const std::vector<std::vector<Pair>>& blocks,
                order, row);
     }
   };
-  if (pool == nullptr) {
-    sort_rows(0, n);
-  } else {
-    constexpr std::size_t kRowGrain = 256;
-    pool->parallel_for(
-        n,
-        [&](std::size_t first, std::size_t last, std::size_t /*worker*/) {
-          sort_rows(first, last);
-        },
-        kRowGrain);
-  }
+  for_rows(n, sort_rows);
   double total = 0.0;
   for (const Pair& p : out) total += p.ox * p.oy;
   return total;
@@ -96,10 +87,8 @@ double fold_rows(const std::vector<std::vector<Pair>>& blocks,
 }  // namespace
 
 DensityModel::DensityModel(const netlist::Netlist& netlist, double omega,
-                           double beta, util::ThreadPool* pool)
-    : netlist_(netlist),
-      beta_(beta),
-      pool_(pool != nullptr && pool->size() > 1 ? pool : nullptr) {
+                           double beta, util::ThreadPool& pool)
+    : netlist_(netlist), beta_(beta), pool_(pool) {
   AUTONCS_CHECK(omega >= 1.0, "omega must be at least 1");
   AUTONCS_CHECK(beta > 0.0, "beta must be positive");
   const std::size_t n = netlist.cells.size();
@@ -112,7 +101,11 @@ DensityModel::DensityModel(const netlist::Netlist& netlist, double omega,
   index_.classify(netlist);
 }
 
-double DensityModel::value_pass(const std::vector<double>& state) {
+double DensityModel::value(const std::vector<double>& state) {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
+                "state size must be 2 * cell count");
+  if (netlist_.cells.size() < 2) return 0.0;
+  AUTONCS_TRACE_SCOPE("place/density");
   // Softplus tail: beyond penetration < -tail/beta the contribution is
   // below exp(-30) and can be skipped.
   const double tail = 30.0 / beta_;
@@ -125,115 +118,85 @@ double DensityModel::value_pass(const std::vector<double>& state) {
   const std::size_t blocks = index_.blocks();
   block_pairs_.resize(blocks);
   block_candidates_.resize(blocks);
-  const auto run_block = [&](std::size_t b) {
-    std::vector<CachedPair>& out = block_pairs_[b];
-    out.clear();
-    std::size_t candidates = 0;
-    index_.sweep(b, [&](std::size_t i, std::size_t j, const double* pi,
-                        const double* pj) {
-      ++candidates;
-      const double zx = (pi[2] + pj[2]) - std::abs(pi[0] - pj[0]);
-      const double zy = (pi[3] + pj[3]) - std::abs(pi[1] - pj[1]);
-      if (zx < -tail || zy < -tail || !index_.coarse_pair(i, j)) return;
-      out.push_back({static_cast<std::uint32_t>(i),
-                     static_cast<std::uint32_t>(j), zx, zy});
-    });
-    for (CachedPair& p : out) {
-      p.ox = density_softplus(p.ox, beta_);
-      p.oy = density_softplus(p.oy, beta_);
-    }
-    block_candidates_[b] = candidates;
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
-  } else {
-    pool_->parallel_for(
-        blocks,
-        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-          for (std::size_t b = begin; b < end; ++b) run_block(b);
-        },
-        1);
-  }
+  pool_.parallel_for(
+      blocks,
+      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+        for (std::size_t b = begin; b < end; ++b) {
+          std::vector<RecordedPair>& out = block_pairs_[b];
+          out.clear();
+          std::size_t candidates = 0;
+          index_.sweep(b, [&](std::size_t i, std::size_t j, const double* pi,
+                              const double* pj) {
+            ++candidates;
+            const double zx = (pi[2] + pj[2]) - std::abs(pi[0] - pj[0]);
+            const double zy = (pi[3] + pj[3]) - std::abs(pi[1] - pj[1]);
+            if (zx < -tail || zy < -tail || !index_.coarse_pair(i, j)) return;
+            out.push_back({static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(j), zx, zy});
+          });
+          for (RecordedPair& p : out) {
+            p.ox = density_softplus(p.ox, beta_);
+            p.oy = density_softplus(p.oy, beta_);
+          }
+          block_candidates_[b] = candidates;
+        }
+      },
+      1);
   for (std::size_t count : block_candidates_) pair_candidates_ += count;
 
-  // Phase 3: the fold writes the cache in (i, key) order.
-  const double total = fold_rows(block_pairs_, index_, netlist_.cells.size(),
-                                 row_end_, fold_keys_, cache_pairs_, pool_);
-  pairs_kept_ += cache_pairs_.size();
+  // Phase 3: the fold writes the recorded pairs in (i, key) order.
+  constexpr std::size_t kRowGrain = 256;
+  const double total = fold_rows(
+      block_pairs_, index_, netlist_.cells.size(), row_end_, fold_keys_,
+      pairs_, [&](std::size_t rows, const auto& sort_rows) {
+        pool_.parallel_for(
+            rows,
+            [&](std::size_t first, std::size_t last, std::size_t /*worker*/) {
+              sort_rows(first, last);
+            },
+            kRowGrain);
+      });
+  pairs_kept_ += pairs_.size();
   return total;
 }
 
-void DensityModel::replay(const std::vector<double>& state,
-                          std::vector<double>& gradient) {
+void DensityModel::add_gradient(const std::vector<double>& state,
+                                std::vector<double>& gradient) {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2 &&
+                    gradient.size() == state.size(),
+                "state and gradient sizes must be 2 * cell count");
+  AUTONCS_TRACE_SCOPE("place/density_replay");
   // The pair geometry is recomputed exactly as the value pass derived it:
   // dx from the same state doubles the grid packed, tx from the same
-  // half-extent sums.
-  const std::size_t pairs = cache_pairs_.size();
-  const auto pair_terms = [&](std::size_t k, double& sx, double& sy) {
-    const CachedPair& p = cache_pairs_[k];
-    const double dx = state[2 * p.i] - state[2 * p.j];
-    const double dy = state[2 * p.i + 1] - state[2 * p.j + 1];
-    const double tx = half_w_[p.i] + half_w_[p.j];
-    const double ty = half_h_[p.i] + half_h_[p.j];
-    density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta_, sx, sy);
-  };
-  const auto scatter = [&](std::size_t k, double sx, double sy) {
-    const CachedPair& p = cache_pairs_[k];
+  // half-extent sums. The sigmoid work parallelizes — each pair owns its
+  // scratch slot — and the scatter (whose additions alias across pairs
+  // sharing a cell) stays sequential in the recorded order.
+  constexpr std::size_t kReplayGrain = 1024;
+  const std::size_t pairs = pairs_.size();
+  replay_terms_.resize(2 * pairs);
+  pool_.parallel_for(
+      pairs,
+      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const RecordedPair& p = pairs_[k];
+          const double dx = state[2 * p.i] - state[2 * p.j];
+          const double dy = state[2 * p.i + 1] - state[2 * p.j + 1];
+          const double tx = half_w_[p.i] + half_w_[p.j];
+          const double ty = half_h_[p.i] + half_h_[p.j];
+          density_pair_gradient(dx, dy, tx, ty, p.ox, p.oy, beta_,
+                                replay_terms_[2 * k], replay_terms_[2 * k + 1]);
+        }
+      },
+      kReplayGrain);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const RecordedPair& p = pairs_[k];
+    const double sx = replay_terms_[2 * k];
+    const double sy = replay_terms_[2 * k + 1];
     gradient[2 * p.i] += sx;
     gradient[2 * p.j] -= sx;
     gradient[2 * p.i + 1] += sy;
     gradient[2 * p.j + 1] -= sy;
-  };
-  if (pool_ == nullptr || pairs < 2) {
-    for (std::size_t k = 0; k < pairs; ++k) {
-      double sx = 0.0;
-      double sy = 0.0;
-      pair_terms(k, sx, sy);
-      scatter(k, sx, sy);
-    }
-    return;
   }
-  // The sigmoid work parallelizes — each pair owns its scratch slot — and
-  // the scatter (whose additions alias across pairs sharing a cell) stays
-  // sequential in the recorded order, so the gradient is bit-identical to
-  // the serial replay.
-  constexpr std::size_t kReplayGrain = 1024;
-  replay_sx_.resize(pairs);
-  replay_sy_.resize(pairs);
-  pool_->parallel_for(
-      pairs,
-      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-        for (std::size_t k = begin; k < end; ++k)
-          pair_terms(k, replay_sx_[k], replay_sy_[k]);
-      },
-      kReplayGrain);
-  for (std::size_t k = 0; k < pairs; ++k)
-    scatter(k, replay_sx_[k], replay_sy_[k]);
-}
-
-double DensityModel::evaluate(const std::vector<double>& state,
-                              std::vector<double>* gradient) {
-  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
-                "state size must be 2 * cell count");
-  if (gradient != nullptr) {
-    AUTONCS_CHECK(gradient->size() == state.size(),
-                  "gradient size must match the state");
-  }
-  if (netlist_.cells.size() < 2) return 0.0;
-  // The cache holds this exact point when the state matches the last
-  // value pass byte for byte — typically the accepted Armijo trial whose
-  // gradient CG now asks for.
-  if (!(cache_valid_ && cache_state_ == state)) {
-    AUTONCS_TRACE_SCOPE("place/density");
-    cache_total_ = value_pass(state);
-    cache_state_ = state;
-    cache_valid_ = true;
-  }
-  if (gradient != nullptr) {
-    AUTONCS_TRACE_SCOPE("place/density_replay");
-    replay(state, *gradient);
-  }
-  return cache_total_;
 }
 
 double exact_overlap_area(const netlist::Netlist& netlist,
@@ -278,7 +241,10 @@ double exact_overlap_area(const netlist::Netlist& netlist,
   std::vector<std::uint32_t> row_end;
   std::vector<std::uint64_t> keys;
   std::vector<Pair> rows;
-  return fold_rows(kept, index, n, row_end, keys, rows, nullptr);
+  return fold_rows(kept, index, n, row_end, keys, rows,
+                   [](std::size_t count, const auto& sort_rows) {
+                     sort_rows(0, count);
+                   });
 }
 
 double overlap_ratio(const netlist::Netlist& netlist,

@@ -12,8 +12,8 @@
 //
 // A model is bound to one netlist: it is built once per placement from the
 // netlist, omega, beta and the pool, which fixes the virtual half extents
-// and the split of the cells into small cells and macros. Its evaluations
-// take only a state, the only key of the acceptance cache below.
+// and the split of the cells into small cells and macros. Its passes take
+// only a state.
 //
 // Pair enumeration (place/spatial_grid.hpp): a pair can contribute only
 // while both penetrations exceed -tail (tail = 30 / beta). Candidates come
@@ -21,14 +21,14 @@
 // every value pass: small cells through a fine grid sized by the largest
 // SMALL extent, macros through a grid of their own.
 //
-// Every evaluation has one shape: a VALUE PASS that records each
-// survivor (i, j), i < j, with its 1-D softplus overlaps in the
-// acceptance cache, skipped when the cache already holds this exact
-// point; then, when a gradient is asked for, a REPLAY that derives the
-// sigmoid terms of the recorded pairs and scatters them in the recorded
-// order. The Armijo line search evaluates trials value-only and asks for
-// the gradient at the accepted trial, so each accepted step enumerates
-// once. The value pass runs in three flat phases:
+// The model has two passes. The VALUE PASS, value(state), returns D and
+// records each survivor (i, j), i < j, with its 1-D softplus overlaps. The
+// REPLAY, add_gradient(state, gradient), derives the sigmoid terms of the
+// recorded pairs and scatters them in the recorded order, so a gradient at
+// the last valued point enumerates nothing. Which calls are at the last
+// valued point is the caller's business: the placer keeps that one
+// acceptance key for both models (place/placer.cpp). The value pass runs
+// in three flat phases:
 //  1. Sweep: the index yields every candidate pair once, block by block
 //     (fine-grid slot ranges, then one block per macro); a pair inside
 //     the tail and the coarse window goes into its block's buffer with
@@ -36,21 +36,22 @@
 //  2. Kernel: a tight loop turns the buffer's depths into softplus
 //     overlaps in place.
 //  3. Fold: a stable counting sort groups all blocks' survivors by row i
-//     straight into the cache; each row is sorted by the fold key.
+//     into the recorded pair list; each row is sorted by the fold key.
 // The fold order is a contract: row i's pairs (i, j) are summed in
 // ascending (cbx_j, cby_j, j) — j's bin in the coarse all-cell grid
 // (reach 2 * r_max + tail, bucket reach / 2), then its id — the order
 // the single-grid enumeration visited them in. The key is a total order,
-// so the cache, the total and the replayed gradient are bit-identical to
-// that engine whichever grid, block or thread found a pair.
+// so the recorded pairs, the total and the replayed gradient are
+// bit-identical to that engine whichever grid, block or thread found a
+// pair.
 //
-// With a thread pool, phases 1-2 run over the same fixed block grid in
-// parallel (each block owns its buffer); the fold groups and sums
-// sequentially and sorts its rows, which are independent, in parallel.
-// The replay computes the per-pair sigmoid terms in parallel and scatters
-// them sequentially. Both keep the exact FP operation order of the
-// single-thread loops, so the result is bit-identical for any thread
-// count.
+// Every loop runs through the pool's parallel_for; a one-thread pool runs
+// it inline. Phases 1-2 run over the same fixed block grid (each block owns
+// its buffer); the fold groups and sums sequentially and sorts its rows,
+// which are independent, in parallel. The replay computes the per-pair
+// sigmoid terms in parallel into per-pair scratch and scatters them
+// sequentially. The FP operation order never depends on the pool, so the
+// result is bit-identical for any thread count.
 #pragma once
 
 #include <cmath>
@@ -103,46 +104,48 @@ class DensityModel {
  public:
   /// `omega` is the routing-space factor applied to both cell dimensions,
   /// `beta` the softplus sharpness (1/um; larger = closer to the exact
-  /// hinge). `pool` parallelizes the pair enumeration and the replay when
-  /// it has more than one thread; the result is identical with or
-  /// without it.
+  /// hinge). `pool` runs the pair enumeration, the fold's row sorts and
+  /// the replay's pair terms; the result is identical for any pool size.
   DensityModel(const netlist::Netlist& netlist, double omega, double beta,
-               util::ThreadPool* pool = nullptr);
+               util::ThreadPool& pool);
 
-  /// D(x, y); accumulates into `gradient` when nonnull (caller zeroes it).
-  /// `gradient == nullptr` is the cheap value-only mode (no sigmoids, no
-  /// scatter). The cache makes this method non-reentrant. The value pass
-  /// and the replay are traced as place/density and place/density_replay.
-  double evaluate(const std::vector<double>& state,
-                  std::vector<double>* gradient);
+  /// Value pass: D(x, y) at `state`, recording the surviving pairs
+  /// add_gradient replays. Traced as place/density.
+  double value(const std::vector<double>& state);
+
+  /// Replay of the last value pass: accumulates d D / d state into
+  /// `gradient` (state.size() entries; the caller zeroes it). `state` must
+  /// be the state of the last value() call. Traced as
+  /// place/density_replay.
+  void add_gradient(const std::vector<double>& state,
+                    std::vector<double>& gradient);
 
   /// Spatial-structure rebuilds performed so far (one per value pass —
-  /// positions change between objective calls, but the index's buffers
-  /// are reused so a rebuild allocates nothing in steady state).
+  /// positions change between passes, but the index's buffers are reused
+  /// so a rebuild allocates nothing in steady state).
   std::size_t grid_builds() const { return grid_builds_; }
   /// Rebuilds that had to grow a grid buffer.
   std::size_t grid_reallocations() const { return index_.reallocations(); }
 
-  /// Work counters over every evaluation so far: candidate pairs the
+  /// Work counters over every value pass so far: candidate pairs the
   /// sweep handed to the tail test (each unordered pair once), and pairs
   /// kept (folded into the value). Both are independent of the thread
-  /// count; a call that hits the acceptance cache enumerates nothing and
-  /// adds to neither.
+  /// count.
   std::size_t pair_candidates() const { return pair_candidates_; }
   std::size_t pairs_kept() const { return pairs_kept_; }
 
-  /// Logical footprint of the block buffers, acceptance cache and the
-  /// index's grids in bytes (element counts, not capacities). Buffer
-  /// lengths track the final accepted state so the value is reproducible,
-  /// but it is recorded manifest-only alongside the WA model's caches.
+  /// Logical footprint of the block buffers, the recorded pairs, the
+  /// replay scratch and the index's grids in bytes (element counts, not
+  /// capacities); the same for any pool size. Buffer lengths track the
+  /// last pass, so the value is reproducible; it is recorded
+  /// manifest-only alongside the WA model's.
   double footprint_bytes() const {
-    std::size_t pairs = cache_pairs_.size();
+    std::size_t pairs = pairs_.size();
     for (const auto& block : block_pairs_) pairs += block.size();
     return static_cast<double>(
-               (half_w_.size() + half_h_.size() + replay_sx_.size() +
-                replay_sy_.size() + cache_state_.size()) *
+               (half_w_.size() + half_h_.size() + replay_terms_.size()) *
                    sizeof(double) +
-               pairs * sizeof(CachedPair) +
+               pairs * sizeof(RecordedPair) +
                row_end_.size() * sizeof(std::uint32_t) +
                fold_keys_.size() * sizeof(std::uint64_t) +
                block_candidates_.size() * sizeof(std::size_t)) +
@@ -153,26 +156,21 @@ class DensityModel {
   /// One surviving pair (i, j), i < j, recorded by the value pass: the
   /// pair plus its 1-D softplus overlaps, enough to replay the gradient at
   /// the same point without re-enumerating candidates or recomputing
-  /// softplus. Kept minimal — the cache is refilled on every trial, so its
-  /// write traffic is on the hot path. The pair geometry (dx, dy, tx, ty)
-  /// is recomputed at replay from the state and half-extent arrays, which
-  /// hold the identical doubles the value pass packed into the grid.
-  struct CachedPair {
+  /// softplus. Kept minimal — the list is rewritten on every value pass,
+  /// so its write traffic is on the hot path. The pair geometry
+  /// (dx, dy, tx, ty) is recomputed at replay from the state and
+  /// half-extent arrays, which hold the identical doubles the value pass
+  /// packed into the grid.
+  struct RecordedPair {
     std::uint32_t i = 0;
     std::uint32_t j = 0;
     double ox = 0.0;
     double oy = 0.0;
   };
-  /// Value pass: enumerates the pairs at `state`, fills the acceptance
-  /// cache and returns the total.
-  double value_pass(const std::vector<double>& state);
-  /// Gradient replay over the cached pairs (accumulates into `gradient`).
-  void replay(const std::vector<double>& state, std::vector<double>& gradient);
 
   const netlist::Netlist& netlist_;
   const double beta_;
-  /// Null for the serial loops.
-  util::ThreadPool* const pool_;
+  util::ThreadPool& pool_;
   /// Virtual half extents 0.5 * omega * {width, height} per cell
   /// (cache-friendly vs chasing the cell structs).
   std::vector<double> half_w_;
@@ -180,32 +178,24 @@ class DensityModel {
   /// Mixed-size pair index, split once; its grids are rebuilt into reused
   /// buffers on every value pass.
   MixedSizeIndex index_;
-  /// Phases 1-2 scratch, one buffer per sweep block, reused across
-  /// evaluate() calls: the block's kept pairs (depths, then overlaps) and
-  /// the candidates it examined.
-  std::vector<std::vector<CachedPair>> block_pairs_;
+  /// Phases 1-2 scratch, one buffer per sweep block, reused across value
+  /// passes: the block's kept pairs (depths, then overlaps) and the
+  /// candidates it examined.
+  std::vector<std::vector<RecordedPair>> block_pairs_;
   std::vector<std::size_t> block_candidates_;
-  /// Fold scratch: per row the end of its range in the cache, per cached
+  /// Fold scratch: per row the end of its range in pairs_, per recorded
   /// pair its fold key.
   std::vector<std::uint32_t> row_end_;
   std::vector<std::uint64_t> fold_keys_;
   std::size_t pair_candidates_ = 0;
   std::size_t pairs_kept_ = 0;
   std::size_t grid_builds_ = 0;
-  /// Acceptance cache: the surviving pairs, in fold order, and total of
-  /// the last value pass. A call whose state matches byte for byte skips
-  /// the value pass; a gradient request replays the pairs (identical
-  /// order, identical FP terms) and only pays the sigmoid work.
-  std::vector<CachedPair> cache_pairs_;
-  /// Replay scratch: per cached pair the gradient terms (sx, sy), computed
-  /// in parallel — each pair owns its slot — then scattered sequentially
-  /// in the recorded pair order, so the replayed gradient stays
-  /// bit-identical for any thread count.
-  std::vector<double> replay_sx_;
-  std::vector<double> replay_sy_;
-  std::vector<double> cache_state_;
-  double cache_total_ = 0.0;
-  bool cache_valid_ = false;
+  /// The surviving pairs of the last value pass, in fold order.
+  std::vector<RecordedPair> pairs_;
+  /// Replay scratch: pair k's gradient terms (sx, sy) at 2k, 2k + 1,
+  /// computed in parallel — each pair owns its slots — then scattered
+  /// sequentially in the recorded pair order.
+  std::vector<double> replay_terms_;
 };
 
 /// Exact total pairwise rectangle overlap AREA of the virtual cells; the

@@ -111,13 +111,29 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   CgOptions cg_options = options.cg;
   cg_options.recovery = options.recovery;
   util::ThreadPool pool(options.threads, "place");
-  WaModel wl_model(netlist, kWaGamma, &pool);
-  DensityModel density_model(netlist, options.omega, kDensityBeta, &pool);
-  // lambda_0 = sum |dWL| / sum |dD| at the initial placement.
+  WaModel wl_model(netlist, kWaGamma, pool);
+  DensityModel density_model(netlist, options.omega, kDensityBeta, pool);
+  // The acceptance key: the state of the last value pass and the unscaled
+  // WL and D there. CG asks for the gradient only at the point it last
+  // valued (the accepted Armijo trial), so a gradient call replays both
+  // models' last pass and a call at the valued point values nothing. The
+  // state is never empty, so the first call always misses.
+  std::vector<double> valued_state;
+  double valued_wl = 0.0;
+  double valued_d = 0.0;
+  const auto value_at = [&](const std::vector<double>& x) {
+    if (x == valued_state) return;
+    valued_wl = wl_model.value(x);
+    valued_d = density_model.value(x);
+    valued_state = x;
+  };
+  // lambda_0 = sum |dWL| / sum |dD| at the initial placement, through the
+  // same key, so CG's first call is a hit.
   std::vector<double> grad_wl(state.size(), 0.0);
   std::vector<double> grad_d(state.size(), 0.0);
-  wl_model.evaluate(state, &grad_wl);
-  density_model.evaluate(state, &grad_d);
+  value_at(state);
+  wl_model.add_gradient(state, grad_wl);
+  density_model.add_gradient(state, grad_d);
   const double denom = sum_abs(grad_d);
   double lambda = denom > 0.0 ? sum_abs(grad_wl) / denom : 1.0;
   if (lambda <= 0.0) lambda = 1.0;
@@ -147,27 +163,23 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
     const std::size_t grid_builds_at_start = density_model.grid_builds();
     const Objective objective = [&](const std::vector<double>& x,
                                     std::vector<double>* gradient) {
-      if (gradient == nullptr) {
-        // Value-only line-search trial: same terms, same FP operation
-        // order as below, with all gradient work skipped.
-        const double wl = wl_model.evaluate(x, nullptr);
-        double d = density_model.evaluate(x, nullptr);
-        d += boundary_penalty(netlist, x, options.omega, die_half, nullptr);
-        return wl + lambda_now * d;
-      }
-      dgrad.resize(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        (*gradient)[i] = 0.0;
-        dgrad[i] = 0.0;
-      }
-      const double wl = wl_model.evaluate(x, gradient);
+      value_at(x);
       // Density + boundary gradients accumulate unscaled into the scratch
-      // vector, then fold in scaled by lambda.
-      double d = density_model.evaluate(x, &dgrad);
-      d += boundary_penalty(netlist, x, options.omega, die_half, &dgrad);
-      for (std::size_t i = 0; i < gradient->size(); ++i)
-        (*gradient)[i] += lambda_now * dgrad[i];
-      return wl + lambda_now * d;
+      // vector, then fold in scaled by lambda. The value takes the same FP
+      // operations with or without a gradient.
+      if (gradient != nullptr) {
+        std::fill(gradient->begin(), gradient->end(), 0.0);
+        dgrad.assign(x.size(), 0.0);
+        wl_model.add_gradient(x, *gradient);
+        density_model.add_gradient(x, dgrad);
+      }
+      const double d =
+          valued_d + boundary_penalty(netlist, x, options.omega, die_half,
+                                      gradient != nullptr ? &dgrad : nullptr);
+      if (gradient != nullptr)
+        for (std::size_t i = 0; i < gradient->size(); ++i)
+          (*gradient)[i] += lambda_now * dgrad[i];
+      return valued_wl + lambda_now * d;
     };
     const CgResult cg = [&] {
       AUTONCS_TRACE_SCOPE("place/cg");
@@ -249,8 +261,7 @@ PlacementReport place(netlist::Netlist& netlist, const PlacerOptions& options) {
   report.density_pair_candidates_total =
       density_model.pair_candidates() - candidates_at_start;
   report.density_pairs_kept_total = density_model.pairs_kept() - kept_at_start;
-  // Memory accounting: objective scratch/cache footprints, including the
-  // pool-dependent buffers (WA pin index, parallel pair scratch).
+  // Memory accounting: the models' pass buffers and indexes.
   util::mem_record_bytes("place/wa_model", wl_model.footprint_bytes());
   util::mem_record_bytes("place/density_model",
                          density_model.footprint_bytes());

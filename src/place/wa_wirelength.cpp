@@ -81,25 +81,20 @@ double wa_axis_fill(const std::vector<std::size_t>& pins,
 
 namespace {
 
-/// Work per dispatched block of the pooled loops, sized so one block is
-/// worth a wakeup: ~64 wires of exponentials, ~256 cells of gather adds.
+/// Work per dispatched block of the loops, sized so one block is worth a
+/// wakeup: ~64 wires of exponentials, ~256 cells of gather adds.
 constexpr std::size_t kWireGrain = 64;
 constexpr std::size_t kCellGrain = 256;
 
 }  // namespace
 
 WaModel::WaModel(const netlist::Netlist& netlist, double gamma,
-                 util::ThreadPool* pool)
-    : netlist_(netlist),
-      gamma_(gamma),
-      pool_(pool != nullptr && pool->size() > 1 && netlist.wires.size() > 1
-                ? pool
-                : nullptr) {
+                 util::ThreadPool& pool)
+    : netlist_(netlist), gamma_(gamma), pool_(pool) {
   AUTONCS_CHECK(gamma > 0.0, "gamma must be positive");
   offsets_.assign(1, 0);
   for (const auto& wire : netlist.wires)
     offsets_.push_back(offsets_.back() + wire.pins.size());
-  if (pool_ == nullptr) return;
   const std::size_t cells = netlist.cells.size();
   cell_off_.assign(cells + 1, 0);
   for (const auto& wire : netlist.wires)
@@ -109,8 +104,7 @@ WaModel::WaModel(const netlist::Netlist& netlist, double gamma,
   cell_slot_.resize(offsets_.back());
   std::vector<std::size_t> cursor(cell_off_.begin(), cell_off_.end() - 1);
   // Scanning wires then pins in ascending order leaves every cell's entry
-  // list sorted (wire, pin) ascending — the exact order the sequential
-  // replay adds into that cell's gradient entries.
+  // list sorted (wire, pin) ascending.
   for (std::size_t w = 0; w < netlist.wires.size(); ++w) {
     const auto& pins = netlist.wires[w].pins;
     for (std::size_t k = 0; k < pins.size(); ++k) {
@@ -121,48 +115,47 @@ WaModel::WaModel(const netlist::Netlist& netlist, double gamma,
   }
 }
 
-void WaModel::fill(const std::vector<double>& state) {
-  // Each wire owns its cache slots, so the pass parallelizes; the total is
-  // folded sequentially in wire order (the FP operation order of the
-  // single-thread loop, independent of the thread count).
+double WaModel::value(const std::vector<double>& state) {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
+                "state size must be 2 * cell count");
+  AUTONCS_TRACE_SCOPE("place/wa");
+  // Each wire owns its slots, so the pass parallelizes; the total is
+  // folded sequentially in wire order, independent of the thread count.
   const std::size_t wires = netlist_.wires.size();
   const std::size_t pins = offsets_.back();
-  cache_fp_.resize(8 * wires);
-  cache_ax_.resize(pins);
-  cache_bx_.resize(pins);
-  cache_ay_.resize(pins);
-  cache_by_.resize(pins);
-  const auto fill_wire = [&](std::size_t w) {
-    const auto& wire = netlist_.wires[w];
-    const std::size_t off = offsets_[w];
-    double* fp = &cache_fp_[8 * w];
-    return wire.weight *
-           (wa_axis_fill(wire.pins, state, 0, gamma_, &cache_ax_[off],
-                         &cache_bx_[off], fp) +
-            wa_axis_fill(wire.pins, state, 1, gamma_, &cache_ay_[off],
-                         &cache_by_[off], fp + 4));
-  };
+  wire_value_.resize(wires);
+  fp_.resize(8 * wires);
+  ax_.resize(pins);
+  bx_.resize(pins);
+  ay_.resize(pins);
+  by_.resize(pins);
+  pool_.parallel_for(
+      wires,
+      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const auto& wire = netlist_.wires[w];
+          const std::size_t off = offsets_[w];
+          double* fp = &fp_[8 * w];
+          wire_value_[w] =
+              wire.weight *
+              (wa_axis_fill(wire.pins, state, 0, gamma_, &ax_[off], &bx_[off],
+                            fp) +
+               wa_axis_fill(wire.pins, state, 1, gamma_, &ay_[off], &by_[off],
+                            fp + 4));
+        }
+      },
+      kWireGrain);
   double total = 0.0;
-  if (pool_ != nullptr) {
-    wire_value_.resize(wires);
-    pool_->parallel_for(
-        wires,
-        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-          for (std::size_t w = begin; w < end; ++w)
-            wire_value_[w] = fill_wire(w);
-        },
-        kWireGrain);
-    for (std::size_t w = 0; w < wires; ++w) total += wire_value_[w];
-  } else {
-    for (std::size_t w = 0; w < wires; ++w) total += fill_wire(w);
-  }
-  cache_state_ = state;
-  cache_value_ = total;
-  cache_valid_ = true;
+  for (std::size_t w = 0; w < wires; ++w) total += wire_value_[w];
+  return total;
 }
 
-void WaModel::replay(const std::vector<double>& state,
-                     std::vector<double>& gradient) {
+void WaModel::add_gradient(const std::vector<double>& state,
+                           std::vector<double>& gradient) const {
+  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2 &&
+                    gradient.size() == state.size(),
+                "state and gradient sizes must be 2 * cell count");
+  AUTONCS_TRACE_SCOPE("place/wa_replay");
   // d WA / d v per pin, from the recorded exponentials and sums.
   const auto term = [&](double exp_a, double exp_b, const double* fp,
                         double v) {
@@ -171,61 +164,24 @@ void WaModel::replay(const std::vector<double>& state,
     return d_plus - d_minus;
   };
   const auto& wires = netlist_.wires;
-  if (pool_ != nullptr) {
-    pool_->parallel_for(
-        netlist_.cells.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
-          for (std::size_t c = begin; c < end; ++c) {
-            const double vx = state[2 * c];
-            const double vy = state[2 * c + 1];
-            for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
-              const std::size_t w = cell_wire_[e];
-              const std::size_t slot = cell_slot_[e];
-              const double weight = wires[w].weight;
-              const double* fp = &cache_fp_[8 * w];
-              gradient[2 * c] +=
-                  weight * term(cache_ax_[slot], cache_bx_[slot], fp, vx);
-              gradient[2 * c + 1] +=
-                  weight * term(cache_ay_[slot], cache_by_[slot], fp + 4, vy);
-            }
+  pool_.parallel_for(
+      netlist_.cells.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t /*worker*/) {
+        for (std::size_t c = begin; c < end; ++c) {
+          const double vx = state[2 * c];
+          const double vy = state[2 * c + 1];
+          for (std::size_t e = cell_off_[c]; e < cell_off_[c + 1]; ++e) {
+            const std::size_t w = cell_wire_[e];
+            const std::size_t slot = cell_slot_[e];
+            const double weight = wires[w].weight;
+            const double* fp = &fp_[8 * w];
+            gradient[2 * c] += weight * term(ax_[slot], bx_[slot], fp, vx);
+            gradient[2 * c + 1] +=
+                weight * term(ay_[slot], by_[slot], fp + 4, vy);
           }
-        },
-        kCellGrain);
-    return;
-  }
-  for (std::size_t w = 0; w < wires.size(); ++w) {
-    const auto& pins = wires[w].pins;
-    const double weight = wires[w].weight;
-    const std::size_t off = offsets_[w];
-    const double* fp = &cache_fp_[8 * w];
-    for (std::size_t k = 0; k < pins.size(); ++k) {
-      const std::size_t x = 2 * pins[k];
-      gradient[x] += weight * term(cache_ax_[off + k], cache_bx_[off + k], fp,
-                                   state[x]);
-    }
-    for (std::size_t k = 0; k < pins.size(); ++k) {
-      const std::size_t y = 2 * pins[k] + 1;
-      gradient[y] += weight * term(cache_ay_[off + k], cache_by_[off + k],
-                                   fp + 4, state[y]);
-    }
-  }
-}
-
-double WaModel::evaluate(const std::vector<double>& state,
-                         std::vector<double>* gradient) {
-  AUTONCS_CHECK(state.size() == netlist_.cells.size() * 2,
-                "state size must be 2 * cell count");
-  if (gradient != nullptr) {
-    AUTONCS_CHECK(gradient->size() == state.size(),
-                  "gradient size must match the state");
-  }
-  AUTONCS_TRACE_SCOPE("place/wa");
-  // The cache holds this exact point when the state matches the last
-  // value pass byte for byte — typically the accepted Armijo trial whose
-  // gradient CG now asks for.
-  if (!(cache_valid_ && cache_state_ == state)) fill(state);
-  if (gradient != nullptr) replay(state, *gradient);
-  return cache_value_;
+        }
+      },
+      kCellGrain);
 }
 
 namespace {

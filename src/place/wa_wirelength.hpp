@@ -10,24 +10,24 @@
 // Exponentials are max-shifted for numerical stability.
 //
 // A model is bound to one netlist: it is built once per placement from the
-// netlist, gamma and the pool, and its evaluations take only a state. The
-// state is the only key of the acceptance cache below.
+// netlist, gamma and the pool, and its passes take only a state.
 //
-// Every evaluation has one shape: a VALUE PASS that records, per wire and
-// axis, the smooth max/min and exponential sums plus every pin's
-// max-shifted exponentials (the acceptance cache), skipped when the cache
-// already holds this exact point; then, when a gradient is asked for, a
-// REPLAY of the gradient loop over the recorded doubles. The Armijo line
-// search evaluates trials value-only and asks for the gradient at the
-// accepted trial, so each accepted step pays the exponentials once.
+// The model has two passes. The VALUE PASS, value(state), returns WL and
+// records, per wire and axis, the smooth max/min and exponential sums
+// plus every pin's max-shifted exponentials. The REPLAY,
+// add_gradient(state, gradient), runs only the gradient loop over those
+// recorded doubles, so a gradient at the last valued point pays the
+// exponentials once. Which calls are at the last valued point is the
+// caller's business: the placer keeps that one acceptance key for both
+// models (place/placer.cpp).
 //
-// With a thread pool, the value pass computes the wires in parallel (each
-// wire writes only its own cache slots) and folds the total sequentially
-// in wire order; the replay GATHERS per cell through a static cell ->
-// (wire, pin-slot) inverse index, so each gradient entry receives exactly
-// the additions of the single-thread wire-major loop, in the same
-// (wire, pin) ascending order. Every result is bit-identical for any
-// thread count.
+// Both passes run through the pool's parallel_for; a one-thread pool runs
+// them inline. The value pass computes the wires in parallel (each wire
+// writes only its own slots) and folds the total sequentially in wire
+// order; the replay GATHERS per cell through a static cell ->
+// (wire, pin-slot) inverse index, so each gradient entry receives its
+// additions in (wire, pin) ascending order. Every result is bit-identical
+// for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@ std::vector<double> pack_positions(const netlist::Netlist& netlist);
 void unpack_positions(const std::vector<double>& state, netlist::Netlist& netlist);
 
 /// One-dimensional WA term of a wire along one axis, the per-wire kernel
-/// of WaModel::evaluate (exposed for bench_micro_kernels). Records the
+/// of WaModel::value (exposed for bench_micro_kernels). Records the
 /// per-pin max-shifted exponentials into exp_a / exp_b (pins.size() slots
 /// each) and {f_plus, f_minus, sum_a, sum_b} into fp[0..3], the terms the
 /// gradient replay reads; returns WA = f_plus - f_minus.
@@ -56,67 +56,55 @@ double wa_axis_fill(const std::vector<std::size_t>& pins,
 class WaModel {
  public:
   /// `gamma` is the smoothness of Eq. (1), in the same unit as the
-  /// coordinates. `pool` parallelizes the per-wire terms when it has more
-  /// than one thread and the netlist more than one wire; the result is
-  /// identical with or without it.
+  /// coordinates. `pool` runs the per-wire and per-cell loops; the result
+  /// is identical for any pool size.
   WaModel(const netlist::Netlist& netlist, double gamma,
-          util::ThreadPool* pool = nullptr);
+          util::ThreadPool& pool);
 
-  /// WL(x, y); if `gradient` is nonnull it must have state.size() entries
-  /// and receives d WL / d state (accumulated, caller zeroes it). The
-  /// cache makes this method non-reentrant.
-  double evaluate(const std::vector<double>& state,
-                  std::vector<double>* gradient);
+  /// Value pass: WL(x, y) at `state`, recording the terms add_gradient
+  /// replays. Traced as place/wa.
+  double value(const std::vector<double>& state);
 
-  /// Logical footprint of the scratch/acceptance-cache buffers in bytes
-  /// (element counts, not capacities). NOT thread-count invariant: the
-  /// pin inverse index is built only for pooled gather paths.
+  /// Replay of the last value pass: accumulates d WL / d state into
+  /// `gradient` (state.size() entries; the caller zeroes it). `state` must
+  /// be the state of the last value() call. Traced as place/wa_replay.
+  void add_gradient(const std::vector<double>& state,
+                    std::vector<double>& gradient) const;
+
+  /// Logical footprint of the pass buffers and the pin inverse index in
+  /// bytes (element counts, not capacities); the same for any pool size.
   double footprint_bytes() const {
     return static_cast<double>(
-        (wire_value_.size() + cache_fp_.size() + cache_ax_.size() +
-         cache_bx_.size() + cache_ay_.size() + cache_by_.size() +
-         cache_state_.size()) *
+        (wire_value_.size() + fp_.size() + ax_.size() + bx_.size() +
+         ay_.size() + by_.size()) *
             sizeof(double) +
         (offsets_.size() + cell_off_.size()) * sizeof(std::size_t) +
         (cell_wire_.size() + cell_slot_.size()) * sizeof(std::uint32_t));
   }
 
  private:
-  /// Value pass: fills the acceptance cache at `state`.
-  void fill(const std::vector<double>& state);
-  /// Gradient replay over the cache (accumulates into `gradient`).
-  void replay(const std::vector<double>& state, std::vector<double>& gradient);
-
   const netlist::Netlist& netlist_;
   const double gamma_;
-  /// Null for the serial loops.
-  util::ThreadPool* const pool_;
-  /// Start of each wire's pin slots in the per-pin cache arrays, by pin
-  /// count; offsets_.back() is the total pin count.
+  util::ThreadPool& pool_;
+  /// Start of each wire's pin slots in the per-pin arrays, by pin count;
+  /// offsets_.back() is the total pin count.
   std::vector<std::size_t> offsets_;
-  /// Pooled replay only: the static cell -> incident (wire, pin-slot) CSR
-  /// inverse of the wire pin lists, entries sorted (wire, pin) ascending
-  /// per cell — the order the sequential replay touches each gradient
-  /// entry.
+  /// The static cell -> incident (wire, pin-slot) CSR inverse of the wire
+  /// pin lists, entries sorted (wire, pin) ascending per cell: the order
+  /// in which the replay adds into each cell's gradient entries.
   std::vector<std::size_t> cell_off_;
   std::vector<std::uint32_t> cell_wire_;
   std::vector<std::uint32_t> cell_slot_;
-  /// Pooled value pass: per-wire values, folded in wire order.
+  /// Per-wire values of the last value pass, folded in wire order.
   std::vector<double> wire_value_;
-  // Acceptance cache: per wire-axis the smooth max/min and exponential
+  // The last value pass: per wire-axis the smooth max/min and exponential
   // sums {f_plus, f_minus, sum_a, sum_b} (x at 8w, y at 8w + 4) plus every
-  // pin's max-shifted exponentials, in the offsets_ layout. A call at the
-  // same state byte for byte skips the value pass; the replay runs only
-  // the gradient loops over the cached doubles.
-  std::vector<double> cache_fp_;
-  std::vector<double> cache_ax_;
-  std::vector<double> cache_bx_;
-  std::vector<double> cache_ay_;
-  std::vector<double> cache_by_;
-  std::vector<double> cache_state_;
-  /// Total of the cached value pass, folded in wire order.
-  double cache_value_ = 0.0;
-  bool cache_valid_ = false;
+  // pin's max-shifted exponentials, in the offsets_ layout.
+  std::vector<double> fp_;
+  std::vector<double> ax_;
+  std::vector<double> bx_;
+  std::vector<double> ay_;
+  std::vector<double> by_;
 };
 
 /// Exact weighted HPWL: sum_e w_e (max x - min x + max y - min y) — the

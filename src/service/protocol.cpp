@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "autoncs/config.hpp"
+
 namespace autoncs::service {
 
 namespace {
@@ -118,7 +120,8 @@ ParseResult parse_request(const std::string& line,
   std::size_t seed = static_cast<std::size_t>(request.seed);
   if (!take_size(doc, "seed", 0, static_cast<std::size_t>(1) << 53, seed,
                  why) ||
-      !take_size(doc, "max_size", 4, 1024, request.max_size, why) ||
+      !take_size(doc, "max_size", kMinMaxCrossbarSize, kMaxMaxCrossbarSize,
+                 request.max_size, why) ||
       !take_size(doc, "threads", 1, 64, request.threads, why) ||
       !take_size(doc, "max_attempts", 1, 10, request.max_attempts, why))
     return reject("invalid_request", why);

@@ -114,14 +114,7 @@ JobOutcome run_job(const JobRequest& request, const std::string& job_key,
     config.threads = request.threads > 0 ? request.threads
                                          : std::max<std::size_t>(
                                                1, options.flow_threads);
-    config.baseline_crossbar_size = request.max_size;
-    if (request.max_size < 16) {
-      config.isc.crossbar_sizes = {request.max_size};
-    } else {
-      config.isc.crossbar_sizes.clear();
-      for (std::size_t s = 16; s <= request.max_size; s += 4)
-        config.isc.crossbar_sizes.push_back(s);
-    }
+    set_max_crossbar_size(config, request.max_size);
     // The threshold comes from the shared cache (one FullCro baseline per
     // (network, max_size) across the daemon's lifetime, not per job). The
     // value is identical to what derive_threshold_from_baseline would

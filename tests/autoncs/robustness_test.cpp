@@ -1,7 +1,8 @@
 // Natural (non-injected) recovery-ladder and budget behaviour: these tests
-// reach the degraded paths through real configurations — strict tolerances,
-// under-capacitated grids, tiny wall budgets — not through fault injection,
-// so they cover the ladder wiring end to end as a user would hit it.
+// reach the degraded paths through real configurations — under-capacitated
+// grids, tiny wall budgets — not through fault injection, so they cover the
+// ladder wiring end to end as a user would hit it. A truncated Lanczos
+// budget is checked to stay off the ladder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "autoncs/pipeline.hpp"
 #include "clustering/embedding.hpp"
+#include "linalg/lanczos.hpp"
 #include "nn/generators.hpp"
 #include "util/rng.hpp"
 
@@ -34,54 +36,27 @@ nn::ConnectionMatrix small_network() {
   return nn::block_sparse(48, topology, rng);
 }
 
-TEST(EmbeddingLadder, StrictConvergenceWalksToTheDenseFallback) {
-  // An unreachable tolerance inside a tiny Krylov budget: the solve is
-  // "ill-conditioned" by construction, so under strict_convergence the
-  // ladder must walk retry -> budget escalation -> dense fallback and
-  // still return a finite full-rank embedding.
-  const auto network = small_network();
-  util::RecoveryLog log;
-  clustering::EmbeddingOptions options;
-  options.solver = clustering::EmbeddingSolver::kLanczos;
-  options.max_vectors = 6;
-  options.lanczos_max_iterations = 8;
-  options.lanczos_tolerance = 1e-300;  // never met
-  options.strict_convergence = true;
-  options.recovery = &log;
-  const auto embedding = clustering::spectral_embedding(network, options);
-
-  ASSERT_EQ(log.events().size(), 3u);
-  EXPECT_EQ(log.events()[0].action, "retry");
-  EXPECT_FALSE(log.events()[0].recovered);
-  EXPECT_EQ(log.events()[1].action, "budget_escalation");
-  EXPECT_EQ(log.events()[2].action, "dense_fallback");
-  EXPECT_TRUE(log.events()[2].recovered);
-  EXPECT_TRUE(log.degraded());
-  for (const auto& event : log.events()) {
-    EXPECT_EQ(event.stage, "clustering");
-    EXPECT_EQ(event.point, "lanczos.no_converge");
-  }
-
-  // The dense rung returns the exact decomposition: full column set,
-  // every entry finite.
-  EXPECT_EQ(embedding.vectors.rows(), network.size());
-  EXPECT_EQ(embedding.vectors.cols(), network.size());
-  for (std::size_t i = 0; i < embedding.vectors.rows(); ++i)
-    for (std::size_t j = 0; j < embedding.vectors.cols(); ++j)
-      ASSERT_TRUE(std::isfinite(embedding.vectors(i, j)));
-}
-
 TEST(EmbeddingLadder, LenientDefaultAcceptsTheTruncatedBudget) {
-  // Same hopeless tolerance, strictness off: exhausting the advisory
-  // budget is the documented healthy outcome and the ladder stays silent.
+  // 300 neurons, 6 requested pairs: the default Krylov budget (64) runs
+  // out before the trailing pairs meet the residual tolerance. Exhausting
+  // the advisory budget is the documented healthy outcome, so the ladder
+  // stays silent.
+  util::Rng rng(5);
+  nn::BlockSparseOptions topology;
+  topology.blocks = 4;
+  topology.intra_density = 0.1;
+  topology.inter_density = 0.01;
+  const auto network = nn::block_sparse(300, topology, rng);
   util::RecoveryLog log;
+  linalg::LanczosStats stats;
   clustering::EmbeddingOptions options;
   options.solver = clustering::EmbeddingSolver::kLanczos;
   options.max_vectors = 6;
-  options.lanczos_max_iterations = 8;
-  options.lanczos_tolerance = 1e-300;
+  options.lanczos_stats = &stats;
   options.recovery = &log;
-  (void)clustering::spectral_embedding(small_network(), options);
+  (void)clustering::spectral_embedding(network, options);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.basis_size, 64u);
   EXPECT_TRUE(log.empty());
 }
 

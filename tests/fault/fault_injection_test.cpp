@@ -21,6 +21,7 @@
 
 #include "autoncs/pipeline.hpp"
 #include "autoncs/telemetry.hpp"
+#include "clustering/embedding.hpp"
 #include "nn/generators.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -129,6 +130,43 @@ TEST_F(FaultInjectionTest, PersistentLanczosCollapseFallsBackToDense) {
   EXPECT_GT(faulted.cost.total_wirelength_um, 0.0);
   ASSERT_TRUE(faulted.isc.has_value());
   EXPECT_EQ(mapping::validate_mapping(faulted.mapping, fault_network()), "");
+}
+
+/// The embedding's recovery ladder alone, below the flow.
+class EmbeddingLadder : public FaultInjectionTest {};
+
+TEST_F(EmbeddingLadder, PersistentCollapseWalksToTheDenseFallback) {
+  // Every Lanczos solve collapses to a bare k-vector basis, so the ladder
+  // must walk retry -> budget escalation -> dense fallback and still
+  // return a finite full-rank embedding.
+  const auto network = fault_network();
+  util::fault_arm("lanczos.no_converge@*");
+  util::RecoveryLog log;
+  clustering::EmbeddingOptions options;
+  options.solver = clustering::EmbeddingSolver::kLanczos;
+  options.max_vectors = 6;
+  options.recovery = &log;
+  const auto embedding = clustering::spectral_embedding(network, options);
+
+  ASSERT_EQ(log.events().size(), 3u);
+  EXPECT_EQ(log.events()[0].action, "retry");
+  EXPECT_FALSE(log.events()[0].recovered);
+  EXPECT_EQ(log.events()[1].action, "budget_escalation");
+  EXPECT_EQ(log.events()[2].action, "dense_fallback");
+  EXPECT_TRUE(log.events()[2].recovered);
+  EXPECT_TRUE(log.degraded());
+  for (const auto& event : log.events()) {
+    EXPECT_EQ(event.stage, "clustering");
+    EXPECT_EQ(event.point, "lanczos.no_converge");
+  }
+
+  // The dense rung returns the exact decomposition: full column set,
+  // every entry finite.
+  EXPECT_EQ(embedding.vectors.rows(), network.size());
+  EXPECT_EQ(embedding.vectors.cols(), network.size());
+  for (std::size_t i = 0; i < embedding.vectors.rows(); ++i)
+    for (std::size_t j = 0; j < embedding.vectors.cols(); ++j)
+      ASSERT_TRUE(std::isfinite(embedding.vectors(i, j)));
 }
 
 TEST_F(FaultInjectionTest, ForcedOverflowDegradesOnTheRelaxationLadder) {

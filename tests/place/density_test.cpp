@@ -114,15 +114,17 @@ TEST(OverlapRatio, NormalizedByVirtualArea) {
 TEST(DensityModel, ZeroForFarCells) {
   const auto net = boxes({{0, 0, 1, 1}, {100, 100, 1, 1}});
   const auto state = pack_positions(net);
-  DensityModel model(net, 1.0, 8.0);
-  EXPECT_DOUBLE_EQ(model.evaluate(state, nullptr), 0.0);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.0, 8.0, pool);
+  EXPECT_DOUBLE_EQ(model.value(state), 0.0);
 }
 
 TEST(DensityModel, ApproachesExactOverlapForLargeBeta) {
   const auto net = boxes({{0, 0, 2, 2}, {1.0, 0.5, 2, 2}});
   const auto state = pack_positions(net);
-  DensityModel sharp(net, 1.0, 64.0);
-  EXPECT_NEAR(sharp.evaluate(state, nullptr),
+  util::ThreadPool pool(1);
+  DensityModel sharp(net, 1.0, 64.0, pool);
+  EXPECT_NEAR(sharp.value(state),
               exact_overlap_area(net, state, 1.0), 0.1);
 }
 
@@ -138,9 +140,11 @@ TEST(DensityModel, GradientMatchesFiniteDifferences) {
     net.cells.push_back(cell);
   }
   auto state = pack_positions(net);
-  DensityModel model(net, 1.1, 4.0);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.1, 4.0, pool);
   std::vector<double> gradient(state.size(), 0.0);
-  model.evaluate(state, &gradient);
+  model.value(state);
+  model.add_gradient(state, gradient);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -148,9 +152,8 @@ TEST(DensityModel, GradientMatchesFiniteDifferences) {
     auto minus = state;
     plus[i] += eps;
     minus[i] -= eps;
-    const double numeric = (model.evaluate(plus, nullptr) -
-                            model.evaluate(minus, nullptr)) /
-                           (2.0 * eps);
+    const double numeric =
+        (model.value(plus) - model.value(minus)) / (2.0 * eps);
     EXPECT_NEAR(gradient[i], numeric, 1e-4) << "coordinate " << i;
   }
 }
@@ -168,8 +171,9 @@ TEST(DensityModel, MatchesBruteForcePairSum) {
     net.cells.push_back(cell);
   }
   const auto state = pack_positions(net);
-  DensityModel model(net, 1.2, 6.0);
-  const double fast = model.evaluate(state, nullptr);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.2, 6.0, pool);
+  const double fast = model.value(state);
 
   // Brute force with the same softplus.
   auto softplus = [](double z, double beta) {
@@ -197,14 +201,19 @@ TEST(DensityModel, MatchesBruteForcePairSum) {
 TEST(DensityModel, SingleCellIsZero) {
   const auto net = boxes({{0, 0, 3, 3}});
   const auto state = pack_positions(net);
-  DensityModel model(net, 1.2, 8.0);
-  EXPECT_DOUBLE_EQ(model.evaluate(state, nullptr), 0.0);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.2, 8.0, pool);
+  EXPECT_DOUBLE_EQ(model.value(state), 0.0);
+  std::vector<double> gradient(state.size(), 0.0);
+  model.add_gradient(state, gradient);
+  EXPECT_EQ(gradient, std::vector<double>(state.size(), 0.0));
 }
 
 TEST(DensityModel, InvalidParametersThrow) {
   const auto net = boxes({{0, 0, 1, 1}, {1, 1, 1, 1}});
-  EXPECT_THROW(DensityModel(net, 0.5, 8.0), util::CheckError);
-  EXPECT_THROW(DensityModel(net, 1.2, 0.0), util::CheckError);
+  util::ThreadPool pool(1);
+  EXPECT_THROW(DensityModel(net, 0.5, 8.0, pool), util::CheckError);
+  EXPECT_THROW(DensityModel(net, 1.2, 0.0, pool), util::CheckError);
 }
 
 TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
@@ -225,19 +234,19 @@ TEST(DensityModel, ExtremeCoordinatesDoNotAlias) {
                           {far, 0.0, 2.0, 2.0},
                           {far + 0.5, 0.0, 2.0, 2.0}});
   const auto state = pack_positions(net);
-  DensityModel probe(net, 1.2, beta);
-  const double total = probe.evaluate(state, nullptr);
+  util::ThreadPool pool(1);
+  DensityModel probe(net, 1.2, beta, pool);
+  const double total = probe.value(state);
 
   // Reference: the same pair in isolation, twice.
   const auto pair = boxes({{0.0, 0.0, 2.0, 2.0}, {0.5, 0.0, 2.0, 2.0}});
-  DensityModel pair_probe(pair, 1.2, beta);
-  const double one = pair_probe.evaluate(pack_positions(pair), nullptr);
+  DensityModel pair_probe(pair, 1.2, beta, pool);
+  const double one = pair_probe.value(pack_positions(pair));
   EXPECT_DOUBLE_EQ(total, 2.0 * one);
 
-  // The gradient path agrees and the far cluster pulls only locally.
+  // The far cluster pulls only locally.
   std::vector<double> grad(state.size(), 0.0);
-  const double with_grad = probe.evaluate(state, &grad);
-  EXPECT_DOUBLE_EQ(with_grad, total);
+  probe.add_gradient(state, grad);
   EXPECT_DOUBLE_EQ(grad[0], grad[4]);  // same local geometry -> same pull
 }
 
@@ -254,24 +263,22 @@ TEST(DensityModel, FlatGridMatchesLegacyHashBitForBit) {
   }
   const auto state = pack_positions(net);
   const Reference ref = reference("uniform80");
-  DensityModel model(net, 1.2, 8.0);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.2, 8.0, pool);
   std::vector<double> grad(state.size(), 0.0);
-  const double value = model.evaluate(state, &grad);
-  EXPECT_EQ(value, ref.value);
+  EXPECT_EQ(model.value(state), ref.value);
+  model.add_gradient(state, grad);
   EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient);
   EXPECT_EQ(model.pairs_kept(), ref.kept);
-  // Value-only mode returns the same bits as the gradient mode.
-  DensityModel value_only(net, 1.2, 8.0);
-  EXPECT_EQ(value_only.evaluate(state, nullptr), value);
   // Buffer reuse: repeated value passes rebuild but do not regrow.
-  const std::size_t reallocs = value_only.grid_reallocations();
+  const std::size_t reallocs = model.grid_reallocations();
   auto moved = state;
   for (int r = 0; r < 3; ++r) {
     moved[0] += 0.125;
-    value_only.evaluate(moved, nullptr);
+    model.value(moved);
   }
-  EXPECT_EQ(value_only.grid_reallocations(), reallocs);
-  EXPECT_EQ(value_only.grid_builds(), 4u);
+  EXPECT_EQ(model.grid_reallocations(), reallocs);
+  EXPECT_EQ(model.grid_builds(), 4u);
 }
 
 // --- mixed-size netlists ---------------------------------------------
@@ -309,10 +316,10 @@ std::size_t macro_count(const netlist::Netlist& net) {
 }
 
 /// The model at 1, 2 and 8 threads against the frozen reference `name`:
-/// identical value and gradient bits, the value-only pass and the
-/// gradient replay at the same point independent of the threads, the
-/// same pair set as the reference, and the value within 1e-12 relative of
-/// the all-pairs oracle.
+/// identical value and gradient bits, a replay after a pass elsewhere and
+/// a pass back at the same point independent of the threads, the same
+/// pair set as the reference, and the value within 1e-12 relative of the
+/// all-pairs oracle.
 void expect_matches_reference(const netlist::Netlist& net, double beta,
                               const std::string& name) {
   const auto state = pack_positions(net);
@@ -320,24 +327,26 @@ void expect_matches_reference(const netlist::Netlist& net, double beta,
   std::size_t candidates = 0;
   for (std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
-    // Gradient with no cache hit: a value pass, then the replay.
-    DensityModel model(net, 1.2, beta, &pool);
+    // A value pass, then the replay.
+    DensityModel model(net, 1.2, beta, pool);
     std::vector<double> grad(state.size(), 0.0);
-    EXPECT_EQ(model.evaluate(state, &grad), ref.value)
+    EXPECT_EQ(model.value(state), ref.value)
         << name << ", " << threads << " threads";
+    model.add_gradient(state, grad);
     EXPECT_EQ(testing::hex(testing::digest(grad)), ref.gradient)
         << name << ", " << threads << " threads";
     EXPECT_EQ(model.pairs_kept(), ref.kept) << name;
-    // Value-only pass, then the replayed gradient at the same point: the
-    // cache hits, so neither call enumerates again.
-    DensityModel trial(net, 1.2, beta, &pool);
-    EXPECT_EQ(trial.evaluate(state, nullptr), ref.value);
-    EXPECT_EQ(trial.evaluate(state, nullptr), ref.value);
+    // A pass at another point, then one back at this point: the replay
+    // reads only the last pass.
+    DensityModel trial(net, 1.2, beta, pool);
+    auto moved = state;
+    moved[0] += 0.5;
+    trial.value(moved);
+    EXPECT_EQ(trial.value(state), ref.value);
     std::vector<double> replay(state.size(), 0.0);
-    EXPECT_EQ(trial.evaluate(state, &replay), ref.value);
+    trial.add_gradient(state, replay);
     EXPECT_EQ(replay, grad) << name << ", " << threads << " threads";
-    EXPECT_EQ(trial.pairs_kept(), ref.kept) << name;
-    EXPECT_EQ(trial.grid_builds(), 1u) << name;
+    EXPECT_EQ(trial.grid_builds(), 2u) << name;
     if (threads == 1) {
       candidates = model.pair_candidates();
       EXPECT_LE(ref.kept, candidates) << name;
@@ -552,11 +561,30 @@ TEST(MixedSizeDensity, FineGridSkipsFarSmallCells) {
   // examined more than twice the candidates for the same pairs.
   const auto net = mixed_netlist(600, 0.05, 60.0, 8);
   const Reference ref = reference("fine_grid");
-  DensityModel model(net, 1.2, 16.0);
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.2, 16.0, pool);
   const auto state = pack_positions(net);
-  EXPECT_EQ(model.evaluate(state, nullptr), ref.value);
+  EXPECT_EQ(model.value(state), ref.value);
   EXPECT_EQ(model.pairs_kept(), ref.kept);
   EXPECT_LT(2 * model.pair_candidates(), ref.candidates);
+}
+
+TEST(DensityModel, FootprintIndependentOfPoolSize) {
+  // One code path at every pool size: the replay scratch exists at one
+  // thread too.
+  const auto net = mixed_netlist(400, 0.05, 30.0, 12);
+  const auto state = pack_positions(net);
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  DensityModel serial(net, 1.2, 16.0, one);
+  DensityModel pooled(net, 1.2, 16.0, four);
+  std::vector<double> grad(state.size(), 0.0);
+  serial.value(state);
+  pooled.value(state);
+  serial.add_gradient(state, grad);
+  pooled.add_gradient(state, grad);
+  ASSERT_GT(serial.pairs_kept(), 0u);
+  EXPECT_EQ(serial.footprint_bytes(), pooled.footprint_bytes());
 }
 
 
@@ -650,9 +678,10 @@ void expect_matches_oracle(const netlist::Netlist& net,
   std::size_t candidates = 0;
   for (std::size_t threads : {1u, 8u}) {
     util::ThreadPool pool(threads);
-    DensityModel model(net, 1.2, beta, &pool);
+    DensityModel model(net, 1.2, beta, pool);
     std::vector<double> grad(state.size(), 0.0);
-    const double value = model.evaluate(state, &grad);
+    const double value = model.value(state);
+    model.add_gradient(state, grad);
     EXPECT_EQ(testing::hex(testing::digest({value})),
               testing::hex(testing::digest({oracle.value})))
         << name << ", " << threads << " threads";
@@ -722,12 +751,15 @@ TEST(FoldOrderOracle, Tb3StateMidCg) {
   }
   auto state = pack_positions(net);
 
-  WaModel wa(net, 2.0);
-  DensityModel density(net, 1.2, 16.0);
+  util::ThreadPool pool(1);
+  WaModel wa(net, 2.0, pool);
+  DensityModel density(net, 1.2, 16.0, pool);
   std::vector<double> grad_wl(state.size(), 0.0);
   std::vector<double> grad_d(state.size(), 0.0);
-  wa.evaluate(state, &grad_wl);
-  density.evaluate(state, &grad_d);
+  wa.value(state);
+  density.value(state);
+  wa.add_gradient(state, grad_wl);
+  density.add_gradient(state, grad_d);
   double sum_wl = 0.0;
   double sum_d = 0.0;
   for (std::size_t k = 0; k < state.size(); ++k) {
@@ -736,16 +768,18 @@ TEST(FoldOrderOracle, Tb3StateMidCg) {
   }
   const double lambda = sum_d > 0.0 ? sum_wl / sum_d : 1.0;
   std::vector<double> scratch;
+  // Every call values afresh; a gradient replays that pass.
   const Objective objective = [&](const std::vector<double>& x,
                                   std::vector<double>* gradient) {
-    if (gradient == nullptr)
-      return wa.evaluate(x, nullptr) + lambda * density.evaluate(x, nullptr);
-    std::fill(gradient->begin(), gradient->end(), 0.0);
-    scratch.assign(x.size(), 0.0);
-    const double value =
-        wa.evaluate(x, gradient) + lambda * density.evaluate(x, &scratch);
-    for (std::size_t k = 0; k < x.size(); ++k)
-      (*gradient)[k] += lambda * scratch[k];
+    const double value = wa.value(x) + lambda * density.value(x);
+    if (gradient != nullptr) {
+      std::fill(gradient->begin(), gradient->end(), 0.0);
+      scratch.assign(x.size(), 0.0);
+      wa.add_gradient(x, *gradient);
+      density.add_gradient(x, scratch);
+      for (std::size_t k = 0; k < x.size(); ++k)
+        (*gradient)[k] += lambda * scratch[k];
+    }
     return value;
   };
   CgOptions cg;

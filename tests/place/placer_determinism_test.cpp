@@ -1,25 +1,30 @@
 // Determinism and gradient-correctness guarantees of the placer's
-// evaluation engine (value-only trials + acceptance replay + mixed-size
-// pair index):
+// evaluation engine (value passes + a replay at the last valued point +
+// mixed-size pair index):
 //
 //  * the final placed state is BIT-identical across thread counts,
 //  * the placer lands on the exact bits frozen from the engine it
 //    replaced (gradient on every trial, per-evaluation spatial hash,
 //    all-pairs legalizer sweep), on uniform and on mixed-size netlists,
+//  * every gradient CG asks for replays the value pass at its point,
 //  * analytic gradients of WA, density, and the boundary penalty match
-//    central finite differences, and every model returns the identical
-//    value in value-only and gradient modes.
+//    central finite differences.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "autoncs/pipeline.hpp"
+#include "mapping/hybrid_mapping.hpp"
+#include "netlist/builder.hpp"
+#include "nn/testbench.hpp"
 #include "place/density.hpp"
 #include "place/placer.hpp"
 #include "place/spatial_grid.hpp"
 #include "place/wa_wirelength.hpp"
 #include "support/golden.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 namespace {
@@ -126,6 +131,30 @@ TEST(PlacerDeterminism, GradientEvalsNeverExceedValueEvals) {
   EXPECT_GT(report.density_grid_builds_total, 0u);
 }
 
+TEST(PlacerDeterminism, EveryGradientReplaysTheValuePassAtItsPoint) {
+  // CG asks for a gradient only at the point it valued last, and the
+  // placer's acceptance key turns exactly those calls into replays: every
+  // other call is one density value pass. Checked on tb1's AutoNCS
+  // netlist at 1 and 4 threads.
+  const nn::ConnectionMatrix network = nn::build_testbench(1, 2015).topology;
+  FlowConfig config;
+  config.threads = 1;
+  const clustering::IscResult isc = run_isc(network, config);
+  const netlist::Netlist built = netlist::build_netlist(
+      mapping::mapping_from_isc(isc, network.size()), config.tech);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    netlist::Netlist net = built;
+    PlacerOptions options = config.placer;
+    options.seed = config.seed;
+    options.threads = threads;
+    const auto report = place(net, options);
+    ASSERT_GT(report.cg_gradient_evals_total, 0u);
+    EXPECT_EQ(report.density_grid_builds_total,
+              report.cg_value_evals_total - report.cg_gradient_evals_total)
+        << threads << " threads";
+  }
+}
+
 // --- mixed-size netlists ---------------------------------------------
 
 /// mesh_netlist with every 16th cell (6%) a 10-20 um macro among
@@ -229,26 +258,38 @@ void check_gradient(const netlist::Netlist& net, const EvalFn& eval,
   }
 }
 
+/// A model's value pass at x, plus its replay into `g` when nonnull.
+template <typename Model>
+double value_and_replay(Model& model, const std::vector<double>& x,
+                        std::vector<double>* g) {
+  const double value = model.value(x);
+  if (g != nullptr) {
+    std::fill(g->begin(), g->end(), 0.0);
+    model.add_gradient(x, *g);
+  }
+  return value;
+}
+
 TEST(PlacerGradients, WaWirelengthMatchesFiniteDifferences) {
   const auto net = scattered_netlist(10, 77);
-  WaModel model(net, 1.5);
+  util::ThreadPool pool(1);
+  WaModel model(net, 1.5, pool);
   check_gradient(
       net,
       [&](const std::vector<double>& x, std::vector<double>* g) {
-        if (g != nullptr) std::fill(g->begin(), g->end(), 0.0);
-        return model.evaluate(x, g);
+        return value_and_replay(model, x, g);
       },
       1e-5, 1e-5);
 }
 
 TEST(PlacerGradients, DensityMatchesFiniteDifferences) {
   const auto net = scattered_netlist(10, 31);
-  DensityModel model(net, 1.2, 4.0);  // soft beta: smooth for FD
+  util::ThreadPool pool(1);
+  DensityModel model(net, 1.2, 4.0, pool);  // soft beta: smooth for FD
   check_gradient(
       net,
       [&](const std::vector<double>& x, std::vector<double>* g) {
-        if (g != nullptr) std::fill(g->begin(), g->end(), 0.0);
-        return model.evaluate(x, g);
+        return value_and_replay(model, x, g);
       },
       1e-5, 1e-4);
 }
@@ -263,30 +304,6 @@ TEST(PlacerGradients, BoundaryPenaltyMatchesFiniteDifferences) {
         return boundary_penalty(net, x, 1.2, die_half, g);
       },
       1e-6, 1e-5);
-}
-
-TEST(PlacerGradients, FullObjectiveValueIdenticalInBothModes) {
-  // The placer's composite objective (WL + lambda * (D + boundary)) must
-  // return the same bits with and without a gradient — that is the whole
-  // bit-identity argument for value-only line-search trials.
-  const auto net = scattered_netlist(12, 13);
-  WaModel wl(net, 2.0);
-  DensityModel density(net, 1.2, 16.0);
-  const double lambda = 0.37;
-  const double die_half = 5.0;
-  const auto state = pack_positions(net);
-  std::vector<double> grad(state.size(), 0.0);
-  std::vector<double> dgrad(state.size(), 0.0);
-  const double wl_g = wl.evaluate(state, &grad);
-  double d_g = density.evaluate(state, &dgrad);
-  d_g += boundary_penalty(net, state, 1.2, die_half, &dgrad);
-  const double with_gradient = wl_g + lambda * d_g;
-
-  const double wl_v = wl.evaluate(state, nullptr);
-  double d_v = density.evaluate(state, nullptr);
-  d_v += boundary_penalty(net, state, 1.2, die_half, nullptr);
-  const double value_only = wl_v + lambda * d_v;
-  EXPECT_EQ(with_gradient, value_only);
 }
 
 }  // namespace

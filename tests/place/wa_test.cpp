@@ -13,6 +13,7 @@
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autoncs::place {
 namespace {
@@ -71,19 +72,21 @@ TEST(WaModel, ApproachesHpwlForSmallGamma) {
   net.cells[1].x = 10.0;
   net.cells[1].y = -6.0;
   const auto state = pack_positions(net);
-  WaModel tight(net, 0.01);
-  EXPECT_NEAR(tight.evaluate(state, nullptr), hpwl(net, state), 0.1);
+  util::ThreadPool pool(1);
+  WaModel tight(net, 0.01, pool);
+  EXPECT_NEAR(tight.value(state), hpwl(net, state), 0.1);
   // Larger gamma smooths (under-estimates for 2-pin wires).
-  WaModel loose(net, 5.0);
-  EXPECT_LT(loose.evaluate(state, nullptr), hpwl(net, state));
+  WaModel loose(net, 5.0, pool);
+  EXPECT_LT(loose.value(state), hpwl(net, state));
 }
 
 TEST(WaModel, ZeroForCoincidentPins) {
   netlist::Netlist net = simple_netlist(2);
   net.wires.push_back({{0, 1}, 1.0, 0.0});
   const auto state = pack_positions(net);
-  WaModel model(net, 1.0);
-  EXPECT_NEAR(model.evaluate(state, nullptr), 0.0, 1e-12);
+  util::ThreadPool pool(1);
+  WaModel model(net, 1.0, pool);
+  EXPECT_NEAR(model.value(state), 0.0, 1e-12);
 }
 
 TEST(WaModel, GradientMatchesFiniteDifferences) {
@@ -99,10 +102,12 @@ TEST(WaModel, GradientMatchesFiniteDifferences) {
   net.cells[3].x = 0.9;
   net.cells[3].y = 0.8;
   auto state = pack_positions(net);
-  WaModel model(net, 0.8);
+  util::ThreadPool pool(1);
+  WaModel model(net, 0.8, pool);
 
   std::vector<double> gradient(state.size(), 0.0);
-  model.evaluate(state, &gradient);
+  model.value(state);
+  model.add_gradient(state, gradient);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -110,9 +115,8 @@ TEST(WaModel, GradientMatchesFiniteDifferences) {
     auto minus = state;
     plus[i] += eps;
     minus[i] -= eps;
-    const double numeric = (model.evaluate(plus, nullptr) -
-                            model.evaluate(minus, nullptr)) /
-                           (2.0 * eps);
+    const double numeric =
+        (model.value(plus) - model.value(minus)) / (2.0 * eps);
     EXPECT_NEAR(gradient[i], numeric, 1e-5) << "coordinate " << i;
   }
 }
@@ -122,15 +126,18 @@ TEST(WaModel, WeightScalesValueAndGradient) {
   net.wires.push_back({{0, 1}, 3.0, 0.0});
   net.cells[1].x = 4.0;
   const auto state = pack_positions(net);
-  WaModel model(net, 0.5);
+  util::ThreadPool pool(1);
+  WaModel model(net, 0.5, pool);
   std::vector<double> gradient(state.size(), 0.0);
-  const double value = model.evaluate(state, &gradient);
+  const double value = model.value(state);
+  model.add_gradient(state, gradient);
 
   netlist::Netlist unit = net;
   unit.wires[0].weight = 1.0;
-  WaModel unit_model(unit, 0.5);
+  WaModel unit_model(unit, 0.5, pool);
   std::vector<double> unit_gradient(state.size(), 0.0);
-  const double unit_value = unit_model.evaluate(state, &unit_gradient);
+  const double unit_value = unit_model.value(state);
+  unit_model.add_gradient(state, unit_gradient);
 
   EXPECT_NEAR(value, 3.0 * unit_value, 1e-9);
   for (std::size_t i = 0; i < gradient.size(); ++i)
@@ -140,14 +147,51 @@ TEST(WaModel, WeightScalesValueAndGradient) {
 TEST(WaModel, InvalidGammaThrows) {
   netlist::Netlist net = simple_netlist(2);
   net.wires.push_back({{0, 1}, 1.0, 0.0});
-  EXPECT_THROW(WaModel(net, 0.0), util::CheckError);
+  util::ThreadPool pool(1);
+  EXPECT_THROW(WaModel(net, 0.0, pool), util::CheckError);
 }
 
 TEST(WaModel, StateSizeMismatchThrows) {
   netlist::Netlist net = simple_netlist(2);
   std::vector<double> bad(3, 0.0);
-  WaModel model(net, 1.0);
-  EXPECT_THROW(model.evaluate(bad, nullptr), util::CheckError);
+  util::ThreadPool pool(1);
+  WaModel model(net, 1.0, pool);
+  EXPECT_THROW(model.value(bad), util::CheckError);
+  std::vector<double> gradient(4, 0.0);
+  EXPECT_THROW(model.add_gradient(bad, gradient), util::CheckError);
+}
+
+TEST(WaModel, SamePassesAndFootprintAtEveryPoolSize) {
+  // One code path at every pool size: the gather index and the per-wire
+  // value buffer exist at one thread too, and the passes return the same
+  // bits.
+  netlist::Netlist net = simple_netlist(300);
+  util::Rng rng(4);
+  for (auto& cell : net.cells) {
+    cell.x = rng.uniform(-30.0, 30.0);
+    cell.y = rng.uniform(-30.0, 30.0);
+  }
+  for (std::size_t w = 0; w < 500; ++w) {
+    const std::size_t a = rng.next_below(300);
+    const std::size_t b = (a + 1 + rng.next_below(299)) % 300;
+    if (w % 7 == 0)
+      net.wires.push_back({{a, b, (b + 3) % 300}, 0.5 + rng.uniform(), 0.0});
+    else
+      net.wires.push_back({{a, b}, 0.5 + rng.uniform(), 0.0});
+  }
+  const auto state = pack_positions(net);
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  WaModel serial(net, 2.0, one);
+  WaModel pooled(net, 2.0, four);
+  std::vector<double> serial_grad(state.size(), 0.0);
+  std::vector<double> pooled_grad(state.size(), 0.0);
+  EXPECT_EQ(serial.value(state), pooled.value(state));
+  serial.add_gradient(state, serial_grad);
+  pooled.add_gradient(state, pooled_grad);
+  EXPECT_EQ(serial_grad, pooled_grad);
+  EXPECT_GT(serial.footprint_bytes(), 0.0);
+  EXPECT_EQ(serial.footprint_bytes(), pooled.footprint_bytes());
 }
 
 

@@ -112,6 +112,15 @@ struct Args {
       reject(name, "a non-negative integer");
     return static_cast<std::size_t>(value);
   }
+  /// A non-negative integer in [lo, hi].
+  std::size_t get_size_in(const std::string& name, std::size_t fallback,
+                          std::size_t lo, std::size_t hi) const {
+    const std::size_t value = get_size(name, fallback);
+    if (value < lo || value > hi)
+      reject(name, "an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]");
+    return value;
+  }
   double get_double(const std::string& name, double fallback) const {
     const auto it = flags.find(name);
     if (it == flags.end()) return fallback;
@@ -137,7 +146,8 @@ struct Args {
   }
 
  private:
-  [[noreturn]] void reject(const std::string& name, const char* what) const {
+  [[noreturn]] void reject(const std::string& name,
+                           const std::string& what) const {
     throw util::InputError("input.usage", "cli",
                            "--" + name + " expects " + what + ", got '" +
                                flags.at(name) + "'");
@@ -315,11 +325,9 @@ int cmd_flow(const Args& args) {
   // 0 = the CPUs the process may run on; the flow result is identical for
   // any value.
   config.threads = args.get_size("threads", 0);
-  const auto max_size = args.get_size("max-size", 64);
-  std::vector<std::size_t> sizes;
-  for (std::size_t s = 16; s <= max_size; s += 4) sizes.push_back(s);
-  if (!sizes.empty()) config.isc.crossbar_sizes = sizes;
-  config.baseline_crossbar_size = max_size;
+  set_max_crossbar_size(
+      config, args.get_size_in("max-size", 64, kMinMaxCrossbarSize,
+                               kMaxMaxCrossbarSize));
   config.telemetry.trace_path = args.get("trace", "");
   config.telemetry.metrics_path = args.get("metrics", "");
   config.telemetry.manifest_path = args.get("manifest", "");
